@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +31,7 @@ from .transform import (RotationSpec, SignVector, random_signs, read_sign_rom,
 from .write_path import (QuantizedKey, load_key_matrix, quantize_batch,
                          read_kvq, write_kvq)
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation settings shared by the subcommand handlers."""
-
-    subcommand: str
-    d: int | None = None
-    b: int | None = None
-    T: int | None = None
-    mode: str = "double"
-    seed: int = 0
-    candidates: int | None = None
-
-    def require(self, name: str) -> int:
-        value = getattr(self, name)
-        if value is None:
-            raise InvalidInputError(f"--{name} is required for {self.subcommand}")
-        return value
+__all__ = ["main"]
 
 
 def _check_consistent(name: str, *sources: tuple[str, int | None]) -> int:

@@ -23,7 +23,8 @@ import numpy as np
 from .codebook import Codebook, solve_codebook
 from .errors import InvalidDimensionError, InvalidInputError
 from .signopt import CalibrationSet, candidate_mse
-from .transform import RotationSpec, random_signs, rotate
+from .read_path import score_sequence
+from .transform import RotationSpec, random_signs
 from .write_path import pack, packed_size, quantize_batch, QuantizedKey
 
 __all__ = [
@@ -146,25 +147,15 @@ def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
     """
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if keys.shape[1] != cb.d or queries.shape[1] != cb.d:
-        raise InvalidDimensionError(
-            f"keys {keys.shape} / queries {queries.shape} do not match d={cb.d}")
 
     idx, norms = quantize_batch(keys, spec, cb)
-    record = len(pack(QuantizedKey(indices=idx[0], norm=np.float16(norms[0])), cb.b))
+    cache = [QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)]
+    record = len(pack(cache[0], cb.b))
     assert record == packed_size(cb.d, cb.b)
 
-    nonzero = norms > 0
-    unit = keys[nonzero] / norms[nonzero, None]
-    y = rotate(spec, unit)
-    err = y - cb.centroids[idx[nonzero]]
-    rotated_mse = float(np.sum(err * err) / err.size) if err.size else 0.0
-
-    # Lookup-path scores for all queries at once: the per-query table is a
-    # rank-one product, so batch it as Q_rot gathered against centroids.
-    q_rot = rotate(spec, queries)
-    centroid_rows = cb.centroids[idx]                      # (T, d)
-    approx = (q_rot @ centroid_rows.T) * norms[None, :]     # (Q, T)
+    rotated_mse = (candidate_mse(CalibrationSet(keys=keys), spec.sign, cb)
+                   if np.any(norms > 0) else 0.0)
+    approx = np.array([score_sequence(q, cache, spec, cb)[0] for q in queries])
     exact = queries @ keys.T
 
     qn = np.linalg.norm(queries, axis=1)

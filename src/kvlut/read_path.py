@@ -24,7 +24,7 @@ from .codebook import Codebook
 from .errors import CorruptCacheError, InvalidDimensionError, InvalidInputError
 from .opcount import OpCounter
 from .transform import RotationSpec, rotate
-from .write_path import QuantizedKey
+from .write_path import QuantizedKey, _cache_rows
 
 __all__ = [
     "PrecomputedTable",
@@ -79,24 +79,39 @@ def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
     return PrecomputedTable(d=cb.d, b=cb.b, entries=entries)
 
 
-def _gather(tbl: PrecomputedTable, qk: QuantizedKey) -> np.ndarray:
-    idx = qk.indices
-    if idx.size != tbl.d:
-        raise InvalidDimensionError(
-            f"key has {idx.size} indices, table expects {tbl.d}")
+def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
+                mode: str, counter: OpCounter | None) -> np.ndarray:
+    """Score T stored keys, (T, d) indices and (T,) half norms, in one gather.
+
+    Rows come from _cache_rows, which checks their width against the table.
+    "fp16" rounds as score_key_fp16 describes; casting the table to half
+    before the gather rounds the same values and keeps the (T, d) reads
+    half width.
+    """
     if np.any(idx >= (1 << tbl.b)):
-        raise CorruptCacheError(
-            f"cache index exceeds 2^{tbl.b} - 1")
-    return tbl.entries[np.arange(tbl.d), idx]
+        raise CorruptCacheError(f"cache index exceeds 2^{tbl.b} - 1")
+    rows = np.arange(tbl.d)
+    if mode == "double":
+        scores = tbl.entries[rows, idx].sum(axis=1) * norms.astype(np.float64)
+    elif mode == "fp16":
+        with np.errstate(over="ignore"):
+            acc = tbl.entries.astype(np.float16)[rows, idx]
+            while acc.shape[1] > 1:
+                acc = acc[:, 0::2] + acc[:, 1::2]
+            scores = acc[:, 0] * norms
+    else:
+        raise InvalidInputError(f"unknown scoring mode {mode!r}")
+    if counter is not None:
+        n = idx.shape[0]
+        counter.add("score", mults=n, adds=n * (tbl.d - 1), lookups=n * tbl.d)
+    return scores
 
 
 def score_key(tbl: PrecomputedTable, qk: QuantizedKey,
               counter: OpCounter | None = None) -> float:
     """Score one stored key: d lookups, d-1 additions, 1 norm multiply."""
-    picked = _gather(tbl, qk)
-    if counter is not None:
-        counter.add("score", mults=1, adds=tbl.d - 1, lookups=tbl.d)
-    return float(picked.sum() * float(qk.norm))
+    idx, norms = _cache_rows([qk], tbl.d)
+    return float(_score_rows(tbl, idx, norms, "double", counter)[0])
 
 
 def score_key_fp16(tbl: PrecomputedTable, qk: QuantizedKey,
@@ -108,13 +123,8 @@ def score_key_fp16(tbl: PrecomputedTable, qk: QuantizedKey,
     precision, round-to-nearest-even.  Overflow beyond half range propagates
     to a non-finite result, reported via the saturation flag.
     """
-    with np.errstate(over="ignore"):
-        acc = _gather(tbl, qk).astype(np.float16)
-        while acc.size > 1:
-            acc = acc[0::2] + acc[1::2]
-        value = acc[0] * np.float16(qk.norm)
-    if counter is not None:
-        counter.add("score", mults=1, adds=tbl.d - 1, lookups=tbl.d)
+    idx, norms = _cache_rows([qk], tbl.d)
+    value = _score_rows(tbl, idx, norms, "fp16", counter)[0]
     return Fp16Score(value=value, saturated=not math.isfinite(float(value)))
 
 
@@ -128,11 +138,5 @@ def score_sequence(q: np.ndarray, cache: list[QuantizedKey], spec: RotationSpec,
     """
     counter = OpCounter()
     tbl = precompute_table(q, spec, cb, counter)
-    if mode == "double":
-        scores = np.array([score_key(tbl, qk, counter) for qk in cache])
-    elif mode == "fp16":
-        scores = np.array([score_key_fp16(tbl, qk, counter).value for qk in cache],
-                          dtype=np.float16)
-    else:
-        raise InvalidInputError(f"unknown scoring mode {mode!r}")
-    return scores, counter
+    idx, norms = _cache_rows(cache, tbl.d)
+    return _score_rows(tbl, idx, norms, mode, counter), counter

@@ -10,13 +10,12 @@ extractor's multiplies live in their own counter category.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, _validate_design_point
 from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
                      InvalidInputError)
 from .opcount import OpCounter
@@ -84,26 +83,14 @@ def _comparator_indices(y: np.ndarray, cb: Codebook, mode: str,
 def quantize_key(k: np.ndarray, spec: RotationSpec, cb: Codebook,
                  counter: OpCounter | None = None, *,
                  comparator: str = "flat") -> QuantizedKey:
-    """Quantize one key through the write datapath.
+    """Quantize one key through the write datapath: a one-row quantize_batch.
 
     Zero-norm keys store norm 0 with the center-cell indices; the read path
     then scores them as exactly 0.
     """
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 1 or k.size != cb.d:
-        raise InvalidDimensionError(
-            f"expected a length-{cb.d} key, got shape {k.shape}")
-    if cb.d != spec.d:
-        raise InvalidDimensionError(
-            f"codebook dimension {cb.d} != rotation dimension {spec.d}")
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("key contains non-finite values")
-
-    n = math.sqrt(float(k @ k))
-    _count_norm_ops(counter, cb.d)
-    y = rotate(spec, k / n if n > 0.0 else k, counter)
-    idx = _comparator_indices(y, cb, comparator, counter, 1)
-    return QuantizedKey(indices=idx, norm=np.float16(n))
+    idx, norms = quantize_batch(np.asarray(k, dtype=np.float64)[None], spec, cb,
+                                counter, comparator=comparator)
+    return QuantizedKey(indices=idx[0], norm=np.float16(norms[0]))
 
 
 def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
@@ -111,7 +98,7 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
                    comparator: str = "binary") -> tuple[np.ndarray, np.ndarray]:
     """Vectorized write path over N keys: (N, d) -> (indices (N, d), norms (N,)).
 
-    Identical per-key results and counter deltas to N quantize_key calls.
+    Counter deltas are N times those of one key.
     """
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim != 2 or keys.shape[1] != cb.d:
@@ -154,14 +141,41 @@ def packed_size(d: int, b: int) -> int:
     return (d * b + 7) // 8 + 2
 
 
+def _cache_rows(keys: list[QuantizedKey], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A list cache as (indices (T, d) uint8, norms (T,) float16)."""
+    bad = next((qk.indices.size for qk in keys if qk.indices.size != d), None)
+    if bad is not None:
+        raise InvalidDimensionError(f"key has {bad} indices, expected {d}")
+    idx = np.array([qk.indices for qk in keys], dtype=np.uint8).reshape(len(keys), d)
+    return idx, np.array([qk.norm for qk in keys], dtype=np.float16)
+
+
+def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
+    """Pack (T, d) indices at b bits each, little-endian bit order, then half(norm).
+
+    Index i of a row sits at bits [b*i, b*i + b) of its record; the rows
+    come back as a (T, packed_size(d, b)) byte matrix.
+    """
+    if np.any(idx >= (1 << b)):
+        raise FormatError(f"index out of range for b={b}")
+    t, d = idx.shape
+    bits = np.unpackbits(idx[:, :, None], axis=2, count=b, bitorder="little")
+    payload = np.packbits(bits.reshape(t, d * b), axis=1, bitorder="little")
+    return np.hstack([payload, norms.astype("<f2").view(np.uint8).reshape(t, 2)])
+
+
+def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), norms (T,))."""
+    t = rows.shape[0]
+    bits = np.unpackbits(rows[:, :-2], axis=1, count=d * b, bitorder="little")
+    idx = np.packbits(bits.reshape(t, d, b), axis=2, bitorder="little")[:, :, 0]
+    norms = np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0].astype(np.float16)
+    return idx, norms
+
+
 def pack(qk: QuantizedKey, b: int) -> bytes:
     """Pack indices at b bits each, little-endian bit order, then half(norm)."""
-    vals = qk.indices
-    if np.any(vals >= (1 << b)):
-        raise FormatError(f"index out of range for b={b}")
-    bits = ((vals[:, None] >> np.arange(b)) & 1).astype(np.uint8).ravel()
-    payload = np.packbits(bits, bitorder="little").tobytes()
-    return payload + struct.pack("<e", float(qk.norm))
+    return _pack_rows(qk.indices[None], np.array([qk.norm]), b).tobytes()
 
 
 def unpack(data: bytes, d: int, b: int) -> QuantizedKey:
@@ -170,17 +184,15 @@ def unpack(data: bytes, d: int, b: int) -> QuantizedKey:
     if len(data) != expected:
         raise FormatError(
             f"packed key for d={d}, b={b} must be {expected} bytes, got {len(data)}")
-    bits = np.unpackbits(np.frombuffer(data[:-2], dtype=np.uint8),
-                         bitorder="little")[:d * b]
-    vals = bits.reshape(d, b) @ (1 << np.arange(b))
-    (norm,) = struct.unpack("<e", data[-2:])
-    return QuantizedKey(indices=vals.astype(np.uint8), norm=np.float16(norm))
+    idx, norms = _unpack_rows(np.frombuffer(data, dtype=np.uint8)[None], d, b)
+    return QuantizedKey(indices=idx[0], norm=norms[0])
 
 
 # -- KV-cache container ---------------------------------------------------
 #
 # Layout: 18-byte header (magic "KVQC", version u8, b u8, d u32, T u32,
-# layer_id u32, little-endian) then T packed records.
+# layer_id u32, little-endian) then T packed records.  (d, b) must be a
+# codebook design point: d a power of two >= 2, b in 1..8.
 
 _KVQ_MAGIC = b"KVQC"
 _KVQ_VERSION = 1
@@ -189,15 +201,13 @@ _KVQ_HEADER = struct.Struct("<4sBBIII")
 
 def write_kvq(path, keys: list[QuantizedKey], d: int, b: int,
               layer_id: int = 0) -> None:
-    for qk in keys:
-        if qk.indices.size != d:
-            raise InvalidDimensionError(
-                f"key has {qk.indices.size} indices, cache expects {d}")
+    _validate_design_point(d, b)
+    idx, norms = _cache_rows(keys, d)
+    records = _pack_rows(idx, norms, b)
     header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, len(keys), layer_id)
     with open(path, "wb") as fh:
         fh.write(header)
-        for qk in keys:
-            fh.write(pack(qk, b))
+        fh.write(records.tobytes())
 
 
 def read_kvq(path) -> tuple[list[QuantizedKey], int, int, int]:
@@ -211,17 +221,20 @@ def read_kvq(path) -> tuple[list[QuantizedKey], int, int, int]:
         raise CorruptCacheError(f"bad cache magic {magic!r}")
     if version != _KVQ_VERSION:
         raise CorruptCacheError(f"unsupported cache version {version}")
+    try:
+        _validate_design_point(d, b)
+    except InvalidDimensionError as exc:
+        raise CorruptCacheError(f"bad cache header: {exc}") from exc
     record = packed_size(d, b)
     expected = _KVQ_HEADER.size + count * record
     if len(data) != expected:
         raise FormatError(
             f"cache for d={d}, b={b}, T={count} must be {expected} bytes, "
             f"got {len(data)}")
-    keys = []
-    for i in range(count):
-        start = _KVQ_HEADER.size + i * record
-        keys.append(unpack(data[start:start + record], d, b))
-    return keys, d, b, layer_id
+    rows = np.frombuffer(data, dtype=np.uint8)[_KVQ_HEADER.size:].reshape(count, record)
+    idx, norms = _unpack_rows(rows, d, b)
+    return ([QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)],
+            d, b, layer_id)
 
 
 # -- key-matrix import ----------------------------------------------------

@@ -215,6 +215,8 @@ def test_codebook_without_sidecar_needs_d(workspace):
     assert run(workspace, "quantize", "--keys", raw, "--signs",
                workspace / "s.sgnrom", "--codebook", bare,
                "--out", workspace / "x.kvq", "--d", 128) == 0
+    # Raw files are little-endian doubles: the same cache as from the .npy.
+    assert (workspace / "x.kvq").read_bytes() == (workspace / "c.kvq").read_bytes()
     assert run(workspace, "quantize", "--keys", raw, "--signs",
                workspace / "s.sgnrom", "--codebook", bare,
                "--out", workspace / "x.kvq") == 4

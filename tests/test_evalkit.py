@@ -92,6 +92,10 @@ def test_evaluate_pipeline_report():
     assert report.score_cosine > 0.97
     payload = report.to_dict()
     assert payload["bytes_per_vector"] == 50
+    with pytest.raises(InvalidDimensionError):
+        evaluate_pipeline(keys[:, :64], queries, spec, cb)
+    with pytest.raises(InvalidDimensionError):
+        evaluate_pipeline(keys, queries[:, :64], spec, cb)
 
 
 def test_evaluate_pipeline_error_shrinks_with_bits():

@@ -1,5 +1,7 @@
 """Read datapath: query tables, lookup scoring, fp16 rounding semantics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,8 @@ def test_corrupt_indices_raise():
                          norm=np.float16(1.0))
     with pytest.raises(InvalidDimensionError):
         score_key(tbl, short)
+    with pytest.raises(InvalidDimensionError):
+        score_sequence(q, make_cache(2) + [short], SPEC, CB)
 
 
 def test_table_validation():
@@ -182,3 +186,65 @@ def test_zero_norm_key_scores_zero():
     tbl = precompute_table(q, SPEC, CB)
     assert score_key(tbl, qk) == 0.0
     assert float(score_key_fp16(tbl, qk).value) == 0.0
+
+
+def _tree_fp16(entries, qk):
+    # Per-key half-precision datapath: round the reads, pairwise tree, norm.
+    acc = entries[np.arange(entries.shape[0]), qk.indices].astype(np.float16)
+    while acc.size > 1:
+        acc = acc[0::2] + acc[1::2]
+    return acc[0] * qk.norm
+
+
+def test_fp16_sequence_matches_per_key_adder_tree():
+    rng = np.random.default_rng(31)
+    q = rng.normal(size=D)
+    q *= 2e5 / np.linalg.norm(q)
+    tbl = precompute_table(q, SPEC, CB)
+
+    def keys(n, norm):
+        return [QuantizedKey(indices=rng.integers(0, 2**B, size=D, dtype=np.uint8),
+                             norm=np.float16(norm)) for _ in range(n)]
+
+    cache = keys(40, 0.5) + keys(10, 3e4)
+    # Keys aligned with the query: the adder tree itself overflows.
+    for pick, norm in ((np.argmax, 1.0), (np.argmin, 0.25), (np.argmax, 0.0)):
+        cache.append(QuantizedKey(indices=pick(tbl.entries, axis=1).astype(np.uint8),
+                                  norm=np.float16(norm)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([_tree_fp16(tbl.entries, qk) for qk in cache],
+                        dtype=np.float16)
+        sums = np.array([_tree_fp16(tbl.entries, QuantizedKey(qk.indices, 1.0))
+                         for qk in cache], dtype=np.float16)
+        got, _ = score_sequence(q, cache, SPEC, CB, mode="fp16")
+        singles = np.array([score_key_fp16(tbl, qk).value for qk in cache])
+    tree_over = ~np.isfinite(sums)
+    norm_over = np.isfinite(sums) & ~np.isfinite(want)
+    assert tree_over.sum() >= 3 and norm_over.sum() >= 5
+    assert np.isfinite(want).sum() >= 30
+    np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16))
+    np.testing.assert_array_equal(singles.view(np.uint16), want.view(np.uint16))
+
+
+def test_double_sequence_matches_per_key_gather_sum():
+    cache = make_cache(300, seed=14)
+    q = np.random.default_rng(15).normal(size=D)
+    got, _ = score_sequence(q, cache, SPEC, CB)
+    tbl = precompute_table(q, SPEC, CB)
+    want = np.array([tbl.entries[np.arange(D), qk.indices].sum() * float(qk.norm)
+                     for qk in cache])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode, dtype", [("double", np.float64), ("fp16", np.float16)])
+def test_empty_cache_scores(mode, dtype):
+    scores, ctr = score_sequence(np.ones(D), [], SPEC, CB, mode=mode)
+    assert scores.shape == (0,) and scores.dtype == dtype
+    assert ctr.mults_in("table", "score") == D * 2**B
+    assert ctr.lookups["score"] == 0
+
+
+def test_readme_quick_start_runs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

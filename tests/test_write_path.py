@@ -1,13 +1,15 @@
 """Write datapath: comparator quantization, op accounting, record packing."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlut.codebook import solve_codebook
-from kvlut.errors import (FormatError, InvalidDimensionError,
-                          InvalidInputError)
+from kvlut.errors import (CorruptCacheError, FormatError,
+                          InvalidDimensionError, InvalidInputError)
 from kvlut.opcount import OpCounter
 from kvlut.transform import RotationSpec, random_signs, rotate
 from kvlut.write_path import (QuantizedKey, dequantize_key, load_key_matrix,
@@ -179,8 +181,46 @@ def test_kvq_empty_cache(tmp_path):
     assert back == [] and (d, b) == (D, B)
 
 
+def _reference_record(qk, b):
+    # Per-key packer: bit j of index i at stream bit b*i + j, then half(norm).
+    bits = ((qk.indices[:, None] >> np.arange(b)) & 1).astype(np.uint8).ravel()
+    return (np.packbits(bits, bitorder="little").tobytes()
+            + struct.pack("<e", float(qk.norm)))
+
+
+@pytest.mark.parametrize("d", [2, 4, 128])
+@pytest.mark.parametrize("b", range(1, 9))
+def test_kvq_records_match_per_key_packing(tmp_path, d, b):
+    rng = np.random.default_rng(10 * d + b)
+    norms = [0.0, np.inf, *rng.uniform(0, 30, size=4)]
+    qks = [QuantizedKey(indices=rng.integers(0, 2**b, size=d, dtype=np.uint8),
+                        norm=np.float16(n)) for n in norms]
+    path = tmp_path / "cache.kvq"
+    write_kvq(path, qks, d, b, layer_id=5)
+    body = path.read_bytes()[18:]
+    assert body == b"".join(pack(qk, b) for qk in qks)
+    assert body == b"".join(_reference_record(qk, b) for qk in qks)
+    back, d_back, b_back, layer_id = read_kvq(path)
+    assert (d_back, b_back, layer_id, len(back)) == (d, b, 5, len(qks))
+    for got, want in zip(back, qks):
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.norm.view(np.uint16) == want.norm.view(np.uint16)
+
+
+@pytest.mark.parametrize("d, b", [(128, 0), (128, 9), (0, 3), (3, 3)])
+def test_kvq_rejects_off_design_headers(tmp_path, d, b):
+    # The file length matches the header, so only the (d, b) rule can reject it.
+    path = tmp_path / "cache.kvq"
+    path.write_bytes(struct.pack("<4sBBIII", b"KVQC", 1, b, d, 1, 0)
+                     + b"\x00" * packed_size(d, b))
+    with pytest.raises(CorruptCacheError):
+        read_kvq(path)
+    qk = QuantizedKey(indices=np.zeros(d, dtype=np.uint8), norm=np.float16(1.0))
+    with pytest.raises(InvalidDimensionError):
+        write_kvq(tmp_path / "out.kvq", [qk], d, b)
+
+
 def test_kvq_rejects_corruption(tmp_path):
-    from kvlut.errors import CorruptCacheError
     path = tmp_path / "cache.kvq"
     write_kvq(path, [quantize_key(random_keys(1)[0], SPEC, CB)], D, B)
     blob = path.read_bytes()
