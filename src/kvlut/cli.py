@@ -57,9 +57,12 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text)
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _sidecar_path(rom_path: str) -> str:
@@ -72,12 +75,17 @@ def _load_codebook(path: str, d_sources: list[tuple[str, int | None]],
     with open(path, "rb") as fh:
         blob = fh.read()
     b_len = cbmod.infer_b(len(blob))
-    side_d = side_b = None
     try:
         side = _read_json(_sidecar_path(path))
-        side_d, side_b = side.get("d"), side.get("b")
     except FileNotFoundError:
-        pass
+        side = {}
+    if not isinstance(side, dict):
+        raise FormatError(f"codebook sidecar for {path} is not a JSON object")
+    side_d, side_b = side.get("d"), side.get("b")
+    if not all(v is None or type(v) is int for v in (side_d, side_b)):
+        raise InvalidInputError(
+            f"codebook sidecar for {path} needs integer d and b, "
+            f"got d={side_d!r}, b={side_b!r}")
     b = _check_consistent("b", *b_sources, ("rom-length", b_len),
                           ("sidecar", side_b))
     d = _check_consistent("d", *d_sources, ("sidecar", side_d))
@@ -110,15 +118,24 @@ def _load_layer_sets(paths: list[str], d: int | None) -> dict[int, CalibrationSe
 
 def _synthetic_from_json(path: str) -> SyntheticSpec:
     raw = _read_json(path)
-    profiles = []
-    for p in raw.get("profiles", [{}]):
-        profiles.append(LayerProfile(
-            scale=float(p.get("scale", 1.0)),
-            gain=p.get("gain"),
-            direction_gain=float(p.get("direction_gain", 1.0)),
-        ))
-    return SyntheticSpec(d=int(raw["d"]), N=int(raw["N"]),
-                         profiles=tuple(profiles), seed=int(raw.get("seed", 0)))
+    profiles = raw.get("profiles", [{}]) if isinstance(raw, dict) else None
+    if not (isinstance(profiles, list)
+            and all(isinstance(p, dict) for p in profiles)):
+        raise InvalidInputError(
+            f"synthetic spec {path} must be an object with a list of profile objects")
+    try:
+        return SyntheticSpec(
+            d=int(raw["d"]), N=int(raw["N"]),
+            profiles=tuple(LayerProfile(
+                scale=float(p.get("scale", 1.0)),
+                gain=p.get("gain"),
+                direction_gain=float(p.get("direction_gain", 1.0)),
+            ) for p in profiles),
+            seed=int(raw.get("seed", 0)))
+    except KeyError as exc:
+        raise InvalidInputError(f"synthetic spec {path} lacks field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"synthetic spec {path} has an invalid field: {exc}") from exc
 
 
 def _int_list(text: str) -> list[int]:

@@ -21,7 +21,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 MAX_BITS = 8
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10_000
+MAX_ITERATIONS = 50
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -152,12 +152,13 @@ def solve_lloyd_max(sigma: float, b: int, tol: float = DEFAULT_TOL) -> tuple[np.
     """Solve the minimum-MSE b-bit quantizer for N(0, sigma^2).
 
     Alternates centroid updates (conditional cell means) with boundary updates
-    (adjacent-centroid midpoints) from quantile-spaced initial boundaries,
-    stopping once the largest parameter change drops below tol/10.  If the
-    alternation exhausts its iteration cap (the linear rate degrades with
-    level count), a tridiagonal Newton polish finishes the solve.  The result
-    is antisymmetrized (the exact solution is odd-symmetric) and then checked
-    against both optimality conditions.
+    (adjacent-centroid midpoints) from quantile-spaced initial boundaries, for
+    at most MAX_ITERATIONS (50) steps, stopping early once the largest
+    parameter change drops below tol/10.  The alternation's linear rate
+    degrades with level count, so it only brings the start into Newton's
+    basin: when it has not converged by then, a tridiagonal Newton polish
+    finishes the solve.  The result is antisymmetrized (the exact solution is
+    odd-symmetric) and then checked against both optimality conditions.
 
     Returns:
         ``(centroids, boundaries)`` as float64 arrays.
@@ -278,7 +279,8 @@ def deserialize_rom(data: bytes, d: int, b: int) -> Codebook:
 
     Raises:
         FormatError: wrong byte length for this b.
-        CorruptRomError: values are not strictly ascending / interleaved.
+        CorruptRomError: a value is NaN or infinite, or the values are not
+            strictly ascending / interleaved.
     """
     _validate_design_point(d, b)
     expected = rom_size(b)
@@ -287,6 +289,8 @@ def deserialize_rom(data: bytes, d: int, b: int) -> Codebook:
     values = np.frombuffer(data, dtype="<f2").astype(np.float64)
     levels = 1 << b
     centroids, boundaries = values[:levels], values[levels:]
+    if not np.all(np.isfinite(values)):
+        raise CorruptRomError("ROM holds a NaN or infinite value")
     if np.any(np.diff(centroids) <= 0) or (boundaries.size and np.any(np.diff(boundaries) <= 0)):
         raise CorruptRomError("ROM centroids/boundaries are not strictly ascending")
     if np.any(boundaries <= centroids[:-1]) or np.any(boundaries >= centroids[1:]):

@@ -19,6 +19,7 @@ from .codebook import Codebook, solve_codebook
 from .errors import EmptyCalibrationError, InvalidDimensionError, InvalidInputError
 from .transform import (RotationSpec, SignVector, pack_sign_rom, random_signs,
                         rotate, serialize_signs)
+from .write_path import _comparator_indices
 
 __all__ = [
     "CalibrationSet",
@@ -119,7 +120,7 @@ def _qdq_mse(unit_rows: np.ndarray, sign: SignVector, cb: Codebook) -> float:
     # measures codebook fit, so no inverse rotation and no norm rescale.
     spec = RotationSpec(d=cb.d, sign=sign)
     y = rotate(spec, unit_rows)
-    idx = np.searchsorted(cb.boundaries, y, side="right")
+    idx = _comparator_indices(y, cb, "flat", None, unit_rows.shape[0])
     err = y - cb.centroids[idx]
     return float(np.sum(err * err) / err.size)
 
@@ -133,16 +134,15 @@ def candidate_mse(keys: CalibrationSet, s: SignVector, cb: Codebook) -> float:
     return _qdq_mse(unit, s, cb)
 
 
-def select_signs(keys: CalibrationSet, C: int, b: int,
-                 base_seed: int = 0) -> SignSearchReport:
-    """Evaluate C candidates (seeds base_seed+1 .. base_seed+C), keep the argmin.
-
-    Ties break toward the lowest seed so the result is deterministic.
-    """
+def _check_candidate_count(C: int) -> None:
     if C < 1:
         raise InvalidInputError(f"candidate count must be >= 1, got {C}")
+
+
+def _search_layer(keys: CalibrationSet, C: int, cb: Codebook,
+                  base_seed: int) -> SignSearchReport:
+    """One layer's candidate search under an already solved codebook."""
     d = keys.d
-    cb = solve_codebook(d, b)
     unit, dropped = _normalized_rows(keys)
     mses = np.empty(C)
     for c in range(1, C + 1):
@@ -159,13 +159,24 @@ def select_signs(keys: CalibrationSet, C: int, b: int,
     )
 
 
+def select_signs(keys: CalibrationSet, C: int, b: int,
+                 base_seed: int = 0) -> SignSearchReport:
+    """Evaluate C candidates (seeds base_seed+1 .. base_seed+C), keep the argmin.
+
+    Ties break toward the lowest seed so the result is deterministic.
+    """
+    _check_candidate_count(C)
+    return _search_layer(keys, C, solve_codebook(keys.d, b), base_seed)
+
+
 def select_signs_all_layers(layers, C: int, b: int, base_seed: int = 0
                             ) -> tuple[list[SignSearchReport], bytes]:
     """Independent per-layer selection; returns reports plus the sign ROM image.
 
     `layers` is a mapping or iterable of (layer_id, CalibrationSet); ROM
-    records follow the given order.  36 layers at d=128 pack to 576 payload
-    bytes after the 8-byte header.
+    records follow the given order.  The codebook is solved once for all
+    layers.  36 layers at d=128 pack to 576 payload bytes after the 8-byte
+    header.
     """
     items = list(layers.items()) if hasattr(layers, "items") else list(layers)
     if not items:
@@ -174,10 +185,12 @@ def select_signs_all_layers(layers, C: int, b: int, base_seed: int = 0
     if len(dims) != 1:
         raise InvalidDimensionError(
             f"calibration layers disagree on dimension: {sorted(dims)}")
+    _check_candidate_count(C)
+    cb = solve_codebook(dims.pop(), b)
     reports = []
     for layer_id, cs in items:
         tagged = CalibrationSet(keys=cs.keys, layer_id=layer_id, source=cs.source)
-        reports.append(select_signs(tagged, C, b, base_seed))
+        reports.append(_search_layer(tagged, C, cb, base_seed))
     rom = pack_sign_rom([r.selected for r in reports])
     return reports, rom
 

@@ -90,6 +90,10 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     the 1/sqrt(d) scaling is applied numerically here but costs nothing in the
     fixed-function datapath, where it folds into the design-time quantizer
     boundaries.
+
+    The butterflies run in place on a transposed (d, N) copy, so every stage
+    adds and subtracts whole contiguous blocks of N values; each output keeps
+    the add order of the row-wise network and comes back C-contiguous.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
@@ -100,21 +104,26 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
             f"transform length must be a power of 2 >= 2, got {d}")
 
     rows = arr.reshape(-1, d)
-    if rows.shape[0] == 0:
+    n = rows.shape[0]
+    if n == 0:
         return arr.copy()
     stages = d.bit_length() - 1
-    y = rows
+    y = np.array(rows.T, order="C")
+    diff = np.empty((d // 2) * n)
     h = 1
     while h < d:
-        y = y.reshape(rows.shape[0], -1, 2, h)
-        y = np.concatenate((y[:, :, 0, :] + y[:, :, 1, :],
-                            y[:, :, 0, :] - y[:, :, 1, :]), axis=2)
+        pairs = y.reshape(-1, 2, h, n)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        delta = np.subtract(lo, hi, out=diff.reshape(lo.shape))
+        lo += hi
+        hi[...] = delta
         h *= 2
-    y = y.reshape(rows.shape[0], d) / math.sqrt(d)
+    out = np.ascontiguousarray(y.T)
+    out /= math.sqrt(d)
 
     if counter is not None:
-        counter.add("transform", adds=rows.shape[0] * d * stages)
-    return y.reshape(arr.shape)
+        counter.add("transform", adds=n * d * stages)
+    return out.reshape(arr.shape)
 
 
 def rotate(spec: RotationSpec, x: np.ndarray,

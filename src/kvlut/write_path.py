@@ -63,12 +63,14 @@ def _comparator_indices(y: np.ndarray, cb: Codebook, mode: str,
     """Map rotated coordinates to cells; ties go to the upper cell.
 
     "flat" compares every coordinate against all 2^b - 1 boundaries, the
-    hardware-faithful bank; "binary" uses a b-step bisection.  The two are
-    independent routes that must agree.
+    hardware-faithful bank, as one boundary count per coordinate; "binary"
+    uses a b-step bisection.  The two are independent routes that must agree.
     """
     d = cb.d
     if mode == "flat":
-        idx = (y[..., None] >= cb.boundaries).sum(axis=-1).astype(np.uint8)
+        idx = np.zeros(np.shape(y), dtype=np.uint8)
+        for t in cb.boundaries:
+            idx += y >= t
         if counter is not None:
             counter.add("quantize", comps=n_keys * d * (cb.levels - 1))
     elif mode == "binary":
@@ -242,13 +244,18 @@ def read_kvq(path) -> tuple[list[QuantizedKey], int, int, int]:
 def load_key_matrix(path, d: int | None = None) -> np.ndarray:
     """Load an (N, d) key matrix from .npy, whitespace text, or raw doubles.
 
-    Raw files are row-major float64 and need d to recover the shape.
+    Raw files are row-major float64 and need d to recover the shape.  A
+    file that does not parse raises FormatError.
     """
     name = str(path)
-    if name.endswith(".npy"):
-        mat = np.load(path)
-    elif name.endswith((".txt", ".csv")):
-        mat = np.loadtxt(path, delimiter="," if name.endswith(".csv") else None)
+    if name.endswith((".npy", ".txt", ".csv")):
+        try:
+            if name.endswith(".npy"):
+                mat = np.load(path)
+            else:
+                mat = np.loadtxt(path, delimiter="," if name.endswith(".csv") else None)
+        except (ValueError, EOFError) as exc:
+            raise FormatError(f"cannot parse key matrix {name}: {exc}") from exc
     else:
         if d is None:
             raise FormatError("raw key matrices need the dimension to recover rows")

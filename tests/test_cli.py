@@ -205,6 +205,45 @@ def test_exit_codes(workspace):
                "--codebook", ws / "cb.cbrom") == 8
 
 
+def _quantize_with_sidecar(ws, sidecar_text):
+    _build_pipeline(ws)
+    (ws / "cb.cbrom.json").write_text(sidecar_text)
+    return run(ws, "quantize", "--keys", ws / "keys.npy", "--signs",
+               ws / "s.sgnrom", "--codebook", ws / "cb.cbrom",
+               "--out", ws / "x.kvq")
+
+
+def _diagnose_synthetic(ws, spec_text):
+    (ws / "bad.json").write_text(spec_text)
+    return run(ws, "diagnose-norms", "--synthetic", ws / "bad.json")
+
+
+def _diagnose_keys(ws, name, content):
+    (ws / name).write_bytes(content)
+    return run(ws, "diagnose-norms", "--keys", ws / name)
+
+
+@pytest.mark.parametrize("invoke,code", [
+    # --synthetic spec missing a required field, or with a bad value.
+    (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64})), 8),
+    (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": "many"})), 8),
+    (lambda ws: _diagnose_synthetic(ws, json.dumps([64, 40])), 8),
+    (lambda ws: _diagnose_synthetic(ws, '{"d": 64, "N": '), 4),
+    # Key files that do not parse as numbers.
+    (lambda ws: _diagnose_keys(ws, "bad.txt", b"1.0 2.0\n3.0 abc\n"), 4),
+    (lambda ws: _diagnose_keys(ws, "bad.npy", b"not an npy file"), 4),
+    # Codebook sidecar that is not JSON, or that holds no integer d.
+    (lambda ws: _quantize_with_sidecar(ws, '{"d": 128, "b"'), 4),
+    (lambda ws: _quantize_with_sidecar(ws, json.dumps({"d": "128", "b": 3})), 8),
+    (lambda ws: _quantize_with_sidecar(ws, json.dumps([128, 3])), 4),
+], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
+        "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
+        "sidecar-not-json", "sidecar-string-d", "sidecar-not-object"])
+def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
+    assert invoke(workspace) == code
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+
+
 def test_codebook_without_sidecar_needs_d(workspace):
     _build_pipeline(workspace)
     bare = workspace / "bare.cbrom"

@@ -1,6 +1,8 @@
 """Solver, closed forms, and ROM image for the shared scalar codebook."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,36 @@ from kvlut.codebook import (Codebook, analytic_distortion, deserialize_rom,
                             serialize_rom, solve_codebook, solve_lloyd_max)
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError,
                           NonConvergenceError)
+
+
+# sha256 of serialize_rom(solve_codebook(d, b)), recorded from the solver
+# that ran up to 10,000 alternation steps before its Newton polish.
+ROM_SHA256 = {
+    (64, 1): "043644db178e9a63ab9fb49e555e0c175495691c64de139cda618dee10d02d46",
+    (64, 2): "b83388e7960ce7e1fa78b65287c8520ad5f39b05c48afd5b2e2e1a1b0bc3479a",
+    (64, 3): "123324169811315ba4c3069f002fab543feb2dc496e0cbb90db6822448da895e",
+    (64, 4): "c60c20459c35c1857719c3dc60cc20cddf97fe31f006be47338d7439ed05e873",
+    (64, 5): "7cc81cef3a635e844638859b45cef7541524d38cebe1edce58d8a01d88da6837",
+    (64, 6): "0a39307aaa17dd0befc715fa4ba6fc3c93e3ff4cb24cbd42128bb69e9a40c314",
+    (64, 7): "d1b62bcbad88376b7d6099c4fb86f26b80e5443a95aa672ec994281e7cc828da",
+    (64, 8): "4ba40c568790aa0a6d4688f1f9c0babba7effb7cdee42ea84e4a3cd1c5e41673",
+    (128, 1): "803277ff3b0c02416f1013b32f73186004b710f21cd7e37850cf6ec54f7134de",
+    (128, 2): "800849b672ee8aaeba037812826345609a1730d1a29cfbf6a4ae52082b1d3d83",
+    (128, 3): "2e9a764544f8aaf324a4b2cc414cad7c01086167c5ba56faa45fc366df2439af",
+    (128, 4): "bba40865834328c212f2902082ddbc118c1955381c366358e7732c2a98900125",
+    (128, 5): "2f9669ab63e4c6efd38ade4daba32c656d211b3f42a7abe493a1852085e3672b",
+    (128, 6): "ac6e60cb773752724d6c2a556e4dd53d71462ea86ecd8764260f0433be95e210",
+    (128, 7): "28339de8cc6914df49ed2702007b32feb11f1ce76c88ac786146a747a833be25",
+    (128, 8): "9e3939d57ac181d524885cd40e210c38f12ab8bdda4693b8cf6a2f70e3f4f83c",
+    (256, 1): "f300ecebd23cde5d3aceaf81255108b3df8c150b84be63039f498c3e2448fd7a",
+    (256, 2): "79d7aac767cd92becd69fa698d855cb89184b5e4c2404bca76fa79d7341f91db",
+    (256, 3): "481921ff83908ed81f743b3aff1e3025d19787f31f69997bfae9f521ed3fa18a",
+    (256, 4): "be4f526488118ca7d59ee3cdb8fd92db25ecf6c98a1b74738ba72843a50e0a91",
+    (256, 5): "5f2e79958da210784ad9bbd8f9e0fcda0320265f3bf79dd5dffbf5be4bbd9828",
+    (256, 6): "8f1164e28857909f92ceab844b3cb5ba40334b764cd249971613fd63e608e782",
+    (256, 7): "539cf7bcc8c7a6bebccb808642638f96737e49bd7b87694a79c56bd3fae141d9",
+    (256, 8): "5ef46521b340c44b504675308358e2bf7896807a61972baccfc191da1d00b7a3",
+}
 
 
 def quad_distortion(sigma, centroids, boundaries):
@@ -146,6 +178,27 @@ def test_deserialize_rejects_bad_images():
     values[8:] = values[8:] - 1.0
     with pytest.raises(CorruptRomError):
         deserialize_rom(values.astype("<f2").tobytes(), 128, 3)
+
+
+@pytest.mark.parametrize("d", [64, 128, 256])
+def test_solver_roms_are_pinned(d):
+    for b in range(1, 9):
+        cb = solve_codebook(d, b)
+        assert hashlib.sha256(serialize_rom(cb)).hexdigest() == ROM_SHA256[(d, b)]
+        assert lloyd_residual(cb.centroids, cb.boundaries) < 1e-12
+        assert max_residual(cb.sigma, cb.centroids, cb.boundaries) < 1e-12
+
+
+@pytest.mark.parametrize("pos,value", [(7, np.inf), (0, -np.inf), (3, np.nan),
+                                       (9, np.nan)])
+def test_deserialize_rejects_non_finite_values(pos, value):
+    # b=3 image: centroids at 0..7, boundaries at 8..14.
+    values = np.frombuffer(serialize_rom(solve_codebook(128, 3)), dtype="<f2").copy()
+    values[pos] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptRomError):
+            deserialize_rom(values.tobytes(), 128, 3)
 
 
 def test_codebook_properties():

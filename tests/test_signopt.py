@@ -11,8 +11,9 @@ from kvlut.signopt import (RECOMMEND_INDETERMINATE, RECOMMEND_OPTIMIZE,
                            RECOMMEND_SAFE, CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs,
                            select_signs_all_layers)
-from kvlut.transform import (RotationSpec, inverse_rotate, random_signs,
-                             serialize_signs, unpack_sign_rom)
+from kvlut.transform import (RotationSpec, inverse_rotate, pack_sign_rom,
+                             random_signs, rotate, serialize_signs,
+                             unpack_sign_rom)
 
 D = 128
 
@@ -86,6 +87,27 @@ def test_select_signs_returns_argmin_bit_exactly():
     assert report.spread == report.worst_mse / report.best_mse
     np.testing.assert_array_equal(report.selected.signs,
                                   random_signs(D, report.selected_seed).signs)
+
+
+def searchsorted_qdq_mse(unit_rows, sign, cb):
+    """Rotated-domain quantize-dequantize MSE with a bisection quantizer, an
+    independent route to the per-candidate metric."""
+    y = rotate(RotationSpec(d=cb.d, sign=sign), unit_rows)
+    err = y - cb.centroids[np.searchsorted(cb.boundaries, y, side="right")]
+    return float(np.sum(err * err) / err.size)
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_select_signs_mses_match_searchsorted_quantizer(b):
+    keys = generate_keys(SyntheticSpec(
+        d=D, N=96, profiles=(LayerProfile(scale=5.0, direction_gain=6.0),),
+        seed=b))[0]
+    report = select_signs(keys, C=12, b=b, base_seed=7)
+    cb = solve_codebook(D, b)
+    unit = keys.keys / np.linalg.norm(keys.keys, axis=1, keepdims=True)
+    want = [searchsorted_qdq_mse(unit, random_signs(D, 7 + c), cb)
+            for c in range(1, 13)]
+    np.testing.assert_array_equal(report.mses, want)
 
 
 def test_select_signs_seed_window_and_determinism():
@@ -197,6 +219,24 @@ def test_select_all_layers_packs_rom_in_order():
         select_signs_all_layers({}, C=4, b=3)
     with pytest.raises(InvalidDimensionError):
         select_signs_all_layers({0: cal_set(), 1: cal_set(d=64)}, C=4, b=3)
+
+
+def test_all_layers_solves_the_codebook_once(monkeypatch):
+    import kvlut.signopt as signopt
+    layers = {i: cal_set(seed=40 + i, scale=1.0 + i) for i in range(3)}
+    solo = [select_signs(CalibrationSet(keys=cs.keys, layer_id=i), C=5, b=3,
+                         base_seed=2) for i, cs in layers.items()]
+    calls = []
+
+    def counting_solve(d, b):
+        calls.append((d, b))
+        return solve_codebook(d, b)
+
+    monkeypatch.setattr(signopt, "solve_codebook", counting_solve)
+    reports, rom = select_signs_all_layers(layers, C=5, b=3, base_seed=2)
+    assert calls == [(D, 3)]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in solo]
+    assert rom == pack_sign_rom([r.selected for r in solo])
 
 
 def test_layer_permutation_permutes_records_not_contents():

@@ -66,6 +66,46 @@ def test_fwht_counts_additions_only():
     assert ctr.additions["transform"] == 10 * 16 * 4
 
 
+def concat_butterfly(x):
+    """Row-wise butterfly network with one np.concatenate per stage: the
+    add order the contiguous in-place kernel must reproduce bit for bit."""
+    arr = np.asarray(x, dtype=np.float64)
+    d = arr.shape[-1]
+    rows = arr.reshape(-1, d)
+    if rows.shape[0] == 0:
+        return arr.copy()
+    y, h = rows, 1
+    while h < d:
+        y = y.reshape(rows.shape[0], -1, 2, h)
+        y = np.concatenate((y[:, :, 0, :] + y[:, :, 1, :],
+                            y[:, :, 0, :] - y[:, :, 1, :]), axis=2)
+        h *= 2
+    return (y.reshape(rows.shape[0], d) / np.sqrt(d)).reshape(arr.shape)
+
+
+@pytest.mark.parametrize("d", [2 ** e for e in range(1, 9)])
+def test_fwht_bit_identical_to_row_butterfly(d):
+    rng = np.random.default_rng(d)
+    for n in (0, 1, 3, 512):
+        x = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))
+        ctr = OpCounter()
+        got = fwht(x, ctr)
+        assert got.shape == (n, d) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      concat_butterfly(x).view(np.uint64))
+        assert ctr.additions["transform"] == n * d * (d.bit_length() - 1)
+        assert ctr.total_multiplications == 0
+    v = rng.normal(size=d)
+    got = fwht(v)
+    assert got.shape == (d,)
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  concat_butterfly(v).view(np.uint64))
+    # The input is never written.
+    before = x.copy()
+    fwht(x)
+    np.testing.assert_array_equal(x, before)
+
+
 def test_fwht_rejects_bad_shapes():
     with pytest.raises(InvalidDimensionError):
         fwht(np.ones(12))

@@ -54,6 +54,24 @@ def test_boundary_tie_goes_to_upper_cell():
                                   np.arange(1, CB.levels))
 
 
+@pytest.mark.parametrize("b", range(1, 9))
+def test_flat_comparator_counts_boundaries_like_searchsorted(b):
+    from kvlut.write_path import _comparator_indices
+    cb = solve_codebook(64, b)
+    t = cb.boundaries
+    rng = np.random.default_rng(b)
+    edge = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                           [0.0, -0.0, np.inf, -np.inf]])
+    y = np.concatenate([edge, rng.normal(scale=2 * cb.sigma, size=256)])
+    # Whole rows of d=64 coordinates, the tail filled by repeating the start.
+    y = np.resize(y, (y.size // 64 + 1, 64))
+    ctr = OpCounter()
+    got = _comparator_indices(y, cb, "flat", ctr, y.shape[0])
+    assert got.dtype == np.uint8 and got.shape == y.shape
+    np.testing.assert_array_equal(got, np.searchsorted(t, y, side="right"))
+    assert ctr.comparisons["quantize"] == y.size * (2**b - 1)
+
+
 def test_counter_charges():
     ctr = OpCounter()
     quantize_key(random_keys(1)[0], SPEC, CB, ctr, comparator="flat")
