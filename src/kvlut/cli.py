@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from .evalkit import (LayerProfile, SyntheticSpec, generate_keys,
 from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
-from .signopt import (CalibrationSet, norm_ratio_diagnostic, select_signs,
-                      select_signs_all_layers)
+from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
 from .transform import (RotationSpec, SignVector, random_signs, read_sign_rom,
                         write_sign_rom)
 from .write_path import (QuantizedKey, load_key_matrix, quantize_batch,
@@ -274,7 +272,7 @@ def _cmd_bench_mults(args) -> int:
     rng = np.random.default_rng(args.seed)
     keys = rng.normal(size=(T, d))
     q = rng.normal(size=d)
-    idx, norms = quantize_batch(keys, spec, cb) if T else (np.empty((0, d), np.uint8), np.empty(0))
+    idx, norms = quantize_batch(keys, spec, cb)
     cache = [QuantizedKey(indices=idx[i], norm=np.float16(norms[i])) for i in range(T)]
     _, lut_counter = score_sequence(q, cache, spec, cb)
     _, ref_counter = score_sequence_reference(q, cache, spec, cb)
@@ -453,9 +451,6 @@ def main(argv: list[str] | None = None) -> int:
     except KvlutError as exc:
         print(f"error: {exc}", flush=True)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", flush=True)
-        return IoError.exit_code
     except OSError as exc:
         print(f"error: {exc}", flush=True)
         return IoError.exit_code

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import CorruptRomError, FormatError, InvalidDimensionError, NonConvergenceError
+from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
+                     NonConvergenceError, _check_power_of_two)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -57,8 +58,7 @@ class Codebook:
 
 
 def _validate_design_point(d: int, b: int) -> None:
-    if d < 2 or d & (d - 1) != 0:
-        raise InvalidDimensionError(f"d must be a power of 2 with d >= 2, got {d}")
+    _check_power_of_two(d)
     if not 1 <= b <= MAX_BITS:
         raise InvalidDimensionError(f"b must be in 1..{MAX_BITS}, got {b}")
 
@@ -103,20 +103,20 @@ def _cell_means(sigma: float, boundaries: np.ndarray) -> np.ndarray:
     return sigma * _pdf_drop(edges[:-1], edges[1:]) / mass
 
 
-def _newton_refine(sigma: float, centroids: np.ndarray, tol: float,
-                   max_steps: int = 50) -> tuple[np.ndarray, bool]:
+def _newton_refine(sigma: float, centroids: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, bool]:
     """Newton iteration on G(c) = c - cellmeans(midpoints(c)).
 
     The alternating update converges linearly with a rate that approaches 1 as
     the level count grows, so for b >= 7 it cannot reach tight tolerances in
     any reasonable iteration budget.  Near the fixed point Newton converges
     quadratically; the Jacobian is tridiagonal with closed-form entries from
-    truncated-normal moment derivatives.
+    truncated-normal moment derivatives.  At most 50 steps are taken.
     """
     levels = centroids.size
     c = centroids.copy()
     prev_step = np.inf
-    for _ in range(max_steps):
+    for _ in range(50):
         t = 0.5 * (c[:-1] + c[1:])
         edges = np.concatenate(([-np.inf], t, [np.inf])) / sigma
         pdf = _phi(edges)

@@ -4,6 +4,8 @@ Each error class carries a distinct CLI exit code so batch scripts can
 dispatch on failure cause without parsing stderr.
 """
 
+import numpy as np
+
 
 class KvlutError(Exception):
     """Base class for all kvlut errors."""
@@ -67,3 +69,45 @@ class EmptyCalibrationError(KvlutError):
     """A calibration set contains no usable (nonzero) rows."""
 
     exit_code = 11
+
+
+# -- input rules shared by every module ----------------------------------
+
+def _check_power_of_two(d: int, what: str = "d") -> None:
+    if d < 2 or d & (d - 1):
+        raise InvalidDimensionError(f"{what} must be a power of 2 >= 2, got {d}")
+
+
+def _check_shape(arr: np.ndarray, d: int | None, ndims: tuple[int, ...] = (2,),
+                 what: str = "input") -> None:
+    """arr has one of the allowed ndims and, when d is given, last axis d."""
+    if arr.ndim not in ndims or (d is not None and arr.shape[-1] != d):
+        width = "any" if d is None else d
+        raise InvalidDimensionError(
+            f"{what} needs ndim in {ndims} and width {width}, got shape {arr.shape}")
+
+
+def _finite_array(x, d: int | None, ndims: tuple[int, ...] = (2,),
+                  what: str = "input") -> np.ndarray:
+    """x as float64, checked by _check_shape and then for non-finite values."""
+    arr = np.asarray(x, dtype=np.float64)
+    _check_shape(arr, d, ndims, what)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"non-finite values in {what}")
+    return arr
+
+
+def _check_same_d(*named: tuple[str, int]) -> int:
+    """The (name, d) pairs agree on d, which is returned."""
+    if len({d for _, d in named}) > 1:
+        raise InvalidDimensionError(
+            "dimension mismatch: " + ", ".join(f"{n} d={d}" for n, d in named))
+    return named[0][1]
+
+
+def _layer_items(layers) -> list:
+    """A mapping or iterable of (layer_id, CalibrationSet) as a non-empty list."""
+    items = list(layers.items()) if hasattr(layers, "items") else list(layers)
+    if not items:
+        raise EmptyCalibrationError("no calibration layers supplied")
+    return items

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Codebook, solve_codebook
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import InvalidInputError, _check_power_of_two, _check_shape
 from .signopt import CalibrationSet, candidate_mse
 from .read_path import score_sequence
 from .transform import RotationSpec, random_signs
-from .write_path import pack, packed_size, quantize_batch, QuantizedKey
+from .write_path import packed_size, quantize_batch, QuantizedKey
 
 __all__ = [
     "LayerProfile",
@@ -79,16 +79,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.d & (self.d - 1):
-            raise InvalidDimensionError(
-                f"dimension must be a power of 2 >= 2, got {self.d}")
+        _check_power_of_two(self.d, "dimension")
         if self.N < 1:
             raise InvalidInputError(f"need at least one key per layer, got N={self.N}")
         object.__setattr__(self, "profiles", tuple(self.profiles))
         for p in self.profiles:
-            if p.gain is not None and p.gain.shape != (self.d,):
-                raise InvalidDimensionError(
-                    f"gain vector must have length {self.d}, got {p.gain.shape}")
+            if p.gain is not None:
+                _check_shape(p.gain, self.d, (1,), "gain vector")
 
 
 def generate_keys(spec: SyntheticSpec) -> dict[int, CalibrationSet]:
@@ -142,16 +139,15 @@ def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
 
     Inner-product errors are normalized by ||q|| ||k|| per pair, so the
     statistics are scale-free and stay finite for near-orthogonal pairs.
-    Compression is measured from actual packed record bytes against 2d bytes
-    of half-precision storage.
+    Compression is the packed record size against 2d bytes of half-precision
+    storage.
     """
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
 
     idx, norms = quantize_batch(keys, spec, cb)
     cache = [QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)]
-    record = len(pack(cache[0], cb.b))
-    assert record == packed_size(cb.d, cb.b)
+    record = packed_size(cb.d, cb.b)
 
     rotated_mse = (candidate_mse(CalibrationSet(keys=keys), spec.sign, cb)
                    if np.any(norms > 0) else 0.0)

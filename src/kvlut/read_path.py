@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebook import Codebook
-from .errors import CorruptCacheError, InvalidDimensionError, InvalidInputError
+from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError,
+                     _check_same_d, _finite_array)
 from .opcount import OpCounter
 from .transform import RotationSpec, rotate
 from .write_path import QuantizedKey, _cache_rows
@@ -63,15 +64,8 @@ class Fp16Score(NamedTuple):
 def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
                      counter: OpCounter | None = None) -> PrecomputedTable:
     """Rotate the query and form the d x 2^b product table, once per query."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size != cb.d:
-        raise InvalidDimensionError(
-            f"expected a length-{cb.d} query, got shape {q.shape}")
-    if cb.d != spec.d:
-        raise InvalidDimensionError(
-            f"codebook dimension {cb.d} != rotation dimension {spec.d}")
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("query contains non-finite values")
+    _check_same_d(("codebook", cb.d), ("rotation", spec.d))
+    q = _finite_array(q, cb.d, (1,), "query")
     q_rot = rotate(spec, q, counter)
     entries = q_rot[:, None] * cb.centroids[None, :]
     if counter is not None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .codebook import Codebook
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import _finite_array
 from .opcount import OpCounter
 from .transform import RotationSpec
-from .write_path import QuantizedKey, dequantize_key
+from .write_path import QuantizedKey, _cache_rows, _dequantize_rows
 
 __all__ = ["score_sequence_reference"]
 
@@ -28,17 +28,14 @@ def score_sequence_reference(q: np.ndarray, cache: list[QuantizedKey],
     Per key the counter picks up the inverse transform's additions, the d
     reconstruction rescales (norm category), and a d-multiply dot product
     (score category); the score-category multiplication total is exactly T*d.
+    Each key's dot product is its own q @ row, as with one key at a time; a
+    matrix-vector product would sum in another order.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size != cb.d:
-        raise InvalidDimensionError(
-            f"expected a length-{cb.d} query, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("query contains non-finite values")
+    q = _finite_array(q, cb.d, (1,), "query")
     counter = OpCounter()
-    scores = np.empty(len(cache))
-    for t, qk in enumerate(cache):
-        rec = dequantize_key(qk, spec, cb, counter)
-        scores[t] = q @ rec
-        counter.add("score", mults=cb.d, adds=cb.d - 1)
+    idx, norms = _cache_rows(cache, cb.d)
+    recon = _dequantize_rows(idx, norms, spec, cb, counter)
+    scores = np.array([q @ row for row in recon], dtype=np.float64)
+    t = idx.shape[0]
+    counter.add("score", mults=t * cb.d, adds=t * (cb.d - 1))
     return scores, counter

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, solve_codebook
-from .errors import EmptyCalibrationError, InvalidDimensionError, InvalidInputError
+from .errors import (EmptyCalibrationError, InvalidDimensionError, InvalidInputError,
+                     _check_same_d, _finite_array, _layer_items)
 from .transform import (RotationSpec, SignVector, pack_sign_rom, random_signs,
                         rotate, serialize_signs)
 from .write_path import _comparator_indices
@@ -48,12 +49,9 @@ class CalibrationSet:
     source: str = ""
 
     def __post_init__(self) -> None:
-        keys = np.atleast_2d(np.asarray(self.keys, dtype=np.float64))
-        if keys.ndim != 2 or keys.shape[0] < 1:
-            raise InvalidDimensionError(
-                f"calibration keys must be a non-empty N x d matrix, got {keys.shape}")
-        if not np.all(np.isfinite(keys)):
-            raise InvalidInputError("calibration keys contain non-finite values")
+        keys = _finite_array(np.atleast_2d(self.keys), None, what="calibration keys")
+        if keys.shape[0] < 1:
+            raise InvalidDimensionError(f"calibration keys hold no rows: {keys.shape}")
         keys.setflags(write=False)
         object.__setattr__(self, "keys", keys)
 
@@ -104,15 +102,20 @@ class SignSearchReport:
         }
 
 
-def _normalized_rows(keys: CalibrationSet) -> tuple[np.ndarray, int]:
-    """Drop zero-norm rows, unit-normalize the rest; empty result is an error."""
+def _row_norms(keys: CalibrationSet) -> np.ndarray:
+    """Row norms of one layer's keys; a layer with no nonzero row is an error."""
     norms = np.linalg.norm(keys.keys, axis=1)
-    kept = norms > 0.0
-    dropped = int(np.count_nonzero(~kept))
-    if not kept.any():
+    if not norms.any():
         raise EmptyCalibrationError(
-            f"all {norms.size} calibration rows have zero norm")
-    return keys.keys[kept] / norms[kept, None], dropped
+            f"all {norms.size} calibration rows of layer {keys.layer_id} have zero norm")
+    return norms
+
+
+def _normalized_rows(keys: CalibrationSet) -> tuple[np.ndarray, int]:
+    """Drop zero-norm rows and unit-normalize the rest."""
+    norms = _row_norms(keys)
+    kept = norms > 0.0
+    return keys.keys[kept] / norms[kept, None], int(np.count_nonzero(~kept))
 
 
 def _qdq_mse(unit_rows: np.ndarray, sign: SignVector, cb: Codebook) -> float:
@@ -127,9 +130,7 @@ def _qdq_mse(unit_rows: np.ndarray, sign: SignVector, cb: Codebook) -> float:
 
 def candidate_mse(keys: CalibrationSet, s: SignVector, cb: Codebook) -> float:
     """Rotated-domain quantization MSE of one sign candidate on one layer."""
-    if keys.d != cb.d or s.d != cb.d:
-        raise InvalidDimensionError(
-            f"dimension mismatch: keys d={keys.d}, signs d={s.d}, codebook d={cb.d}")
+    _check_same_d(("keys", keys.d), ("signs", s.d), ("codebook", cb.d))
     unit, _ = _normalized_rows(keys)
     return _qdq_mse(unit, s, cb)
 
@@ -178,15 +179,10 @@ def select_signs_all_layers(layers, C: int, b: int, base_seed: int = 0
     layers.  36 layers at d=128 pack to 576 payload bytes after the 8-byte
     header.
     """
-    items = list(layers.items()) if hasattr(layers, "items") else list(layers)
-    if not items:
-        raise EmptyCalibrationError("no calibration layers supplied")
-    dims = {cs.d for _, cs in items}
-    if len(dims) != 1:
-        raise InvalidDimensionError(
-            f"calibration layers disagree on dimension: {sorted(dims)}")
+    items = _layer_items(layers)
+    d = _check_same_d(*((f"layer {layer_id}", cs.d) for layer_id, cs in items))
     _check_candidate_count(C)
-    cb = solve_codebook(dims.pop(), b)
+    cb = solve_codebook(d, b)
     reports = []
     for layer_id, cs in items:
         tagged = CalibrationSet(keys=cs.keys, layer_id=layer_id, source=cs.source)
@@ -216,16 +212,12 @@ def norm_ratio_diagnostic(layers) -> NormDiagnostic:
 
     Below 2x the default (calibration-free) signs are safe; above 5x the
     selection step is worth running; between, measure on the actual model.
+    A layer whose keys all have zero norm is an empty calibration layer.
     """
-    items = list(layers.items()) if hasattr(layers, "items") else list(layers)
-    if not items:
-        raise EmptyCalibrationError("no calibration layers supplied")
-    means: dict[int, float] = {}
-    for layer_id, cs in items:
-        norms = np.linalg.norm(cs.keys, axis=1)
-        means[layer_id] = float(norms.mean())
+    means = {layer_id: float(_row_norms(cs).mean())
+             for layer_id, cs in _layer_items(layers)}
     lo, hi = min(means.values()), max(means.values())
-    ratio = float("inf") if lo == 0.0 else hi / lo
+    ratio = hi / lo
     if ratio < 2.0:
         advice = RECOMMEND_SAFE
     elif ratio > 5.0:

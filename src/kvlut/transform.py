@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptRomError, FormatError, InvalidDimensionError
+from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
+                     _check_power_of_two, _check_same_d, _check_shape)
 from .opcount import OpCounter
 
 __all__ = [
@@ -50,9 +51,7 @@ class SignVector:
         signs = np.asarray(self.signs, dtype=np.int8)
         if self.d < 1:
             raise InvalidDimensionError(f"dimension must be >= 1, got {self.d}")
-        if signs.shape != (self.d,):
-            raise InvalidDimensionError(
-                f"expected {self.d} signs, got shape {signs.shape}")
+        _check_shape(signs, self.d, (1,), "sign vector")
         if not np.all(np.abs(signs) == 1):
             raise FormatError("sign entries must be exactly -1 or +1")
         if self.layer_id < 0:
@@ -69,16 +68,8 @@ class RotationSpec:
     sign: SignVector
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.d & (self.d - 1):
-            raise InvalidDimensionError(
-                f"rotation dimension must be a power of 2 >= 2, got {self.d}")
-        if self.sign.d != self.d:
-            raise InvalidDimensionError(
-                f"sign vector is length {self.sign.d}, rotation is {self.d}")
-
-    @property
-    def normalization(self) -> float:
-        return 1.0 / math.sqrt(self.d)
+        _check_power_of_two(self.d, "rotation dimension")
+        _check_same_d(("rotation", self.d), ("sign vector", self.sign.d))
 
 
 def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
@@ -96,12 +87,9 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     the add order of the row-wise network and comes back C-contiguous.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise InvalidDimensionError(f"expected 1-D or 2-D input, got {arr.ndim}-D")
+    _check_shape(arr, None, (1, 2))
     d = arr.shape[-1]
-    if d < 2 or d & (d - 1):
-        raise InvalidDimensionError(
-            f"transform length must be a power of 2 >= 2, got {d}")
+    _check_power_of_two(d, "transform length")
 
     rows = arr.reshape(-1, d)
     n = rows.shape[0]
@@ -134,9 +122,7 @@ def rotate(spec: RotationSpec, x: np.ndarray,
     network inputs), so the recorded cost is the butterfly's alone.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != spec.d:
-        raise InvalidDimensionError(
-            f"input length {arr.shape[-1]} does not match rotation dimension {spec.d}")
+    _check_shape(arr, spec.d, (1, 2))
     return fwht(arr * spec.sign.signs, counter)
 
 
@@ -144,9 +130,7 @@ def inverse_rotate(spec: RotationSpec, y: np.ndarray,
                    counter: OpCounter | None = None) -> np.ndarray:
     """Undo rotate(): R^-1 = R^T = diag(s) H_d / sqrt(d)."""
     arr = np.asarray(y, dtype=np.float64)
-    if arr.shape[-1] != spec.d:
-        raise InvalidDimensionError(
-            f"input length {arr.shape[-1]} does not match rotation dimension {spec.d}")
+    _check_shape(arr, spec.d, (1, 2))
     return fwht(arr, counter) * spec.sign.signs
 
 
@@ -172,8 +156,6 @@ def random_signs(d: int, seed: int, layer_id: int = 0) -> SignVector:
     encoding, so a generated vector serializes to the raw little-endian draw
     bytes truncated to d bits.
     """
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
     words = splitmix64_stream(seed, (d + 63) // 64)
     raw = b"".join(struct.pack("<Q", w) for w in words)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
@@ -217,9 +199,7 @@ def pack_sign_rom(signs: list[SignVector]) -> bytes:
     """Concatenate per-layer sign records under the .sgnrom header."""
     if not signs:
         raise FormatError("sign ROM needs at least one layer")
-    d = signs[0].d
-    if any(s.d != d for s in signs):
-        raise InvalidDimensionError("all layers in a sign ROM share one dimension")
+    d = _check_same_d(*((f"layer {i}", s.d) for i, s in enumerate(signs)))
     header = _ROM_HEADER.pack(_ROM_MAGIC, _ROM_VERSION, 0, d, len(signs))
     return header + b"".join(serialize_signs(s) for s in signs)
 

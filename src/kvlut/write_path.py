@@ -11,13 +11,14 @@ extractor's multiplies live in their own counter category.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import Codebook, _validate_design_point
 from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
-                     InvalidInputError)
+                     InvalidInputError, _check_same_d, _finite_array)
 from .opcount import OpCounter
 from .transform import RotationSpec, inverse_rotate, rotate
 
@@ -47,7 +48,7 @@ class QuantizedKey:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "norm", np.float16(self.norm))
-        if self.norm < 0:
+        if not self.norm >= 0:
             raise InvalidInputError(f"key norm must be non-negative, got {self.norm}")
 
 
@@ -102,15 +103,8 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
 
     Counter deltas are N times those of one key.
     """
-    keys = np.asarray(keys, dtype=np.float64)
-    if keys.ndim != 2 or keys.shape[1] != cb.d:
-        raise InvalidDimensionError(
-            f"expected an (N, {cb.d}) key matrix, got shape {keys.shape}")
-    if cb.d != spec.d:
-        raise InvalidDimensionError(
-            f"codebook dimension {cb.d} != rotation dimension {spec.d}")
-    if not np.all(np.isfinite(keys)):
-        raise InvalidInputError("key matrix contains non-finite values")
+    _check_same_d(("codebook", cb.d), ("rotation", spec.d))
+    keys = _finite_array(keys, cb.d, what="key matrix")
 
     norms = np.linalg.norm(keys, axis=1)
     _count_norm_ops(counter, cb.d, keys.shape[0])
@@ -128,12 +122,18 @@ def dequantize_key(qk: QuantizedKey, spec: RotationSpec, cb: Codebook,
     oracle that table lookups are checked against.  The counter charges the
     inverse transform's additions and the d norm-scaling multiplies.
     """
-    if qk.indices.size != spec.d or cb.d != spec.d:
-        raise InvalidDimensionError(
-            f"key has {qk.indices.size} indices, codebook d={cb.d}, rotation d={spec.d}")
+    idx, norms = _cache_rows([qk], cb.d)
+    return _dequantize_rows(idx, norms, spec, cb, counter)[0]
+
+
+def _dequantize_rows(idx: np.ndarray, norms: np.ndarray, spec: RotationSpec,
+                     cb: Codebook, counter: OpCounter | None) -> np.ndarray:
+    """dequantize_key, bit for bit, over (T, d) rows with one inverse rotation."""
+    _check_same_d(("codebook", cb.d), ("rotation", spec.d))
     if counter is not None:
-        counter.add("norm", mults=cb.d)
-    return inverse_rotate(spec, cb.centroids[qk.indices], counter) * float(qk.norm)
+        counter.add("norm", mults=idx.shape[0] * cb.d)
+    return (inverse_rotate(spec, cb.centroids[idx], counter)
+            * norms.astype(np.float64)[:, None])
 
 
 # -- packed record --------------------------------------------------------
@@ -235,6 +235,8 @@ def read_kvq(path) -> tuple[list[QuantizedKey], int, int, int]:
             f"got {len(data)}")
     rows = np.frombuffer(data, dtype=np.uint8)[_KVQ_HEADER.size:].reshape(count, record)
     idx, norms = _unpack_rows(rows, d, b)
+    if not np.all(norms >= 0):
+        raise CorruptCacheError(f"cache holds a NaN or negative norm: {norms[~(norms >= 0)]}")
     return ([QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)],
             d, b, layer_id)
 
@@ -245,7 +247,7 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
     """Load an (N, d) key matrix from .npy, whitespace text, or raw doubles.
 
     Raw files are row-major float64 and need d to recover the shape.  A
-    file that does not parse raises FormatError.
+    file that does not parse, or a text file with no values, raises FormatError.
     """
     name = str(path)
     if name.endswith((".npy", ".txt", ".csv")):
@@ -253,8 +255,10 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
             if name.endswith(".npy"):
                 mat = np.load(path)
             else:
-                mat = np.loadtxt(path, delimiter="," if name.endswith(".csv") else None)
-        except (ValueError, EOFError) as exc:
+                with warnings.catch_warnings():  # loadtxt only warns on no values
+                    warnings.simplefilter("error", UserWarning)
+                    mat = np.loadtxt(path, delimiter="," if name.endswith(".csv") else None)
+        except (ValueError, EOFError, UserWarning) as exc:
             raise FormatError(f"cannot parse key matrix {name}: {exc}") from exc
     else:
         if d is None:
@@ -264,10 +268,4 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
             raise FormatError(
                 f"raw key file holds {flat.size} doubles, not a multiple of d={d}")
         mat = flat.reshape(-1, d)
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    if d is not None and mat.shape[1] != d:
-        raise InvalidDimensionError(
-            f"key matrix is {mat.shape[1]}-dimensional, expected {d}")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidInputError("key matrix contains non-finite values")
-    return mat
+    return _finite_array(np.atleast_2d(mat), d, what="key matrix")

@@ -128,6 +128,10 @@ def test_bench_mults_report(workspace):
     assert payload["lookup_mults"] == 5120
     assert payload["reference_mults"] == 524288
     assert payload["ratio"] == 102.4
+    assert run(workspace, "bench-mults", "--d", 128, "--b", 3, "--T", 0,
+               "--report", report) == 0
+    payload = json.loads(report.read_text())
+    assert (payload["lookup_mults"], payload["reference_mults"]) == (1024, 0)
 
 
 def test_eval_and_diagnose(workspace):
@@ -232,12 +236,16 @@ def _diagnose_keys(ws, name, content):
     # Key files that do not parse as numbers.
     (lambda ws: _diagnose_keys(ws, "bad.txt", b"1.0 2.0\n3.0 abc\n"), 4),
     (lambda ws: _diagnose_keys(ws, "bad.npy", b"not an npy file"), 4),
+    # A key file with no values, and a layer whose keys all have zero norm.
+    (lambda ws: _diagnose_keys(ws, "empty.txt", b""), 4),
+    (lambda ws: _diagnose_keys(ws, "zeros.txt", b"0 0\n0 0\n"), 11),
     # Codebook sidecar that is not JSON, or that holds no integer d.
     (lambda ws: _quantize_with_sidecar(ws, '{"d": 128, "b"'), 4),
     (lambda ws: _quantize_with_sidecar(ws, json.dumps({"d": "128", "b": 3})), 8),
     (lambda ws: _quantize_with_sidecar(ws, json.dumps([128, 3])), 4),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
+        "txt-empty", "zero-norm-layer",
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code

@@ -57,6 +57,11 @@ def test_deserialize_rom_parses_or_raises(d, b, data):
         assert np.all(cb.boundaries < cb.centroids[1:])
 
 
+# Half-precision norm bytes: NaN, -0, -1, +inf, -inf and 1.0.
+_NORMS = [struct.pack("<e", v) for v in
+          (float("nan"), -0.0, -1.0, float("inf"), float("-inf"), 1.0)]
+
+
 @st.composite
 def kvq_images(draw):
     d = draw(st.sampled_from([0, 2, 3, 4, 8, 2 ** 31]))
@@ -65,6 +70,13 @@ def kvq_images(draw):
     version = draw(st.sampled_from([1, 1, 2]))
     header = struct.pack("<4sBBIII", b"KVQC", version, b, d, count,
                          draw(st.integers(0, 2 ** 32 - 1)))
+    if d <= 8 and draw(st.booleans()):
+        # Well-formed records whose norm is one of the edge values.
+        body = b"".join(
+            draw(st.binary(min_size=packed_size(d, b) - 2,
+                           max_size=packed_size(d, b) - 2))
+            + draw(st.sampled_from(_NORMS)) for _ in range(count))
+        return header + body
     exact = count * packed_size(d, b) if d <= 8 else 0
     size = draw(st.sampled_from([exact, draw(st.integers(0, 40))]))
     return header + draw(st.binary(min_size=size, max_size=size))
@@ -81,3 +93,4 @@ def test_read_kvq_parses_or_raises(tmp_path_factory, data):
         for qk in keys:
             assert qk.indices.shape == (d,) and qk.indices.dtype == np.uint8
             assert np.all(qk.indices < (1 << b))
+            assert qk.norm >= 0

@@ -1,0 +1,74 @@
+"""The row-batched dequantize-and-dot oracle against its per-key original."""
+
+import numpy as np
+import pytest
+
+import kvlut.write_path as write_path
+from kvlut.codebook import solve_codebook
+from kvlut.opcount import OpCounter
+from kvlut.reference import score_sequence_reference
+from kvlut.transform import RotationSpec, inverse_rotate, random_signs
+from kvlut.write_path import (QuantizedKey, _cache_rows, _dequantize_rows,
+                              dequantize_key, quantize_batch)
+
+D, B = 128, 3
+CB = solve_codebook(D, B)
+SPEC = RotationSpec(d=D, sign=random_signs(D, 5))
+
+
+def _per_key_reference(q, cache, spec, cb):
+    # The oracle as it was before it was row-batched: one key at a time.
+    counter = OpCounter()
+    scores = np.empty(len(cache))
+    for t, qk in enumerate(cache):
+        counter.add("norm", mults=cb.d)
+        rec = inverse_rotate(spec, cb.centroids[qk.indices], counter) * float(qk.norm)
+        scores[t] = q @ rec
+        counter.add("score", mults=cb.d, adds=cb.d - 1)
+    return scores, counter
+
+
+def _cache(T, seed):
+    rng = np.random.default_rng(seed)
+    idx, norms = quantize_batch(rng.normal(size=(T, D)) * 3.0, SPEC, CB)
+    norms = norms.astype(np.float16)
+    norms[0::5] = 0.0        # zero-norm keys
+    norms[3::5] = np.inf     # keys whose half norm overflowed
+    return [QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)]
+
+
+@pytest.mark.parametrize("T", [0, 1, 7, 1024])
+def test_oracle_matches_per_key_loop(T):
+    cache = _cache(T, seed=T)
+    q = np.random.default_rng(100 + T).normal(size=D)
+    with np.errstate(invalid="ignore"):
+        got, got_ctr = score_sequence_reference(q, cache, SPEC, CB)
+        want, want_ctr = _per_key_reference(q, cache, SPEC, CB)
+    assert got.dtype == np.float64 and got.shape == (T,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got_ctr.to_dict() == want_ctr.to_dict()
+    assert got_ctr.mults_in("score") == T * D
+
+
+def test_dequantize_key_is_a_row_of_the_block():
+    cache = _cache(7, seed=3)
+    idx, norms = _cache_rows(cache, D)
+    with np.errstate(invalid="ignore"):
+        block = _dequantize_rows(idx, norms, SPEC, CB, None)
+        for t, qk in enumerate(cache):
+            row = dequantize_key(qk, SPEC, CB)
+            np.testing.assert_array_equal(row.view(np.uint64), block[t].view(np.uint64))
+
+
+def test_oracle_inverse_rotates_the_block_once(monkeypatch):
+    shapes = []
+
+    def counting(spec, y, counter=None):
+        shapes.append(np.shape(y))
+        return inverse_rotate(spec, y, counter)
+
+    monkeypatch.setattr(write_path, "inverse_rotate", counting)
+    monkeypatch.setattr(write_path, "dequantize_key", None)
+    with np.errstate(invalid="ignore"):
+        score_sequence_reference(np.ones(D), _cache(9, seed=1)[1:], SPEC, CB)
+    assert shapes == [(8, D)]

@@ -286,7 +286,8 @@ def test_norm_diagnostic_thresholds():
     assert single.ratio == 1.0
     assert single.recommendation == RECOMMEND_SAFE
     zero = CalibrationSet(keys=np.zeros((4, D)), layer_id=1)
-    assert norm_ratio_diagnostic({0: lo, 1: zero}).ratio == float("inf")
+    with pytest.raises(EmptyCalibrationError):
+        norm_ratio_diagnostic({0: lo, 1: zero})
     with pytest.raises(EmptyCalibrationError):
         norm_ratio_diagnostic({})
 

@@ -255,6 +255,15 @@ def test_kvq_rejects_corruption(tmp_path):
     bad.write_bytes(blob[:10])
     with pytest.raises(FormatError):
         read_kvq(bad)
+    # Half norms: NaN and negative ones are corrupt; -0 and +inf load.
+    for norm in (np.nan, -1.0, -np.inf):
+        bad.write_bytes(blob[:-2] + np.float16(norm).tobytes())
+        with pytest.raises(CorruptCacheError):
+            read_kvq(bad)
+    for norm in (-0.0, np.inf):
+        bad.write_bytes(blob[:-2] + np.float16(norm).tobytes())
+        (qk,), _, _, _ = read_kvq(bad)
+        assert qk.norm.view(np.uint16) == np.float16(norm).view(np.uint16)
 
 
 def test_load_key_matrix_formats(tmp_path):
@@ -281,9 +290,22 @@ def test_load_key_matrix_formats(tmp_path):
     np.save(nan, np.full((2, 16), np.nan))
     with pytest.raises(InvalidInputError):
         load_key_matrix(nan)
+    cube = tmp_path / "cube.npy"
+    np.save(cube, np.ones((2, 3, 16)))
+    with pytest.raises(InvalidDimensionError):
+        load_key_matrix(cube)
+    for name in ("empty.txt", "empty.csv", "comments.txt"):
+        (tmp_path / name).write_text("# no values\n" if "comments" in name else "")
+        with pytest.raises(FormatError):
+            load_key_matrix(tmp_path / name)
+    empty = tmp_path / "empty.npy"
+    np.save(empty, np.ones((0, 16)))
+    assert load_key_matrix(empty).shape == (0, 16)
 
 
 def test_quantized_key_validation():
     with pytest.raises(InvalidInputError):
         QuantizedKey(indices=np.zeros(4, dtype=np.uint8),
                      norm=np.float16(-1.0))
+    with pytest.raises(InvalidInputError):
+        QuantizedKey(indices=np.zeros(4, dtype=np.uint8), norm=np.nan)
