@@ -30,9 +30,9 @@ from .transform import (RotationSpec, SignVector, deserialize_signs, fwht,
                         inverse_rotate, pack_sign_rom, random_signs,
                         read_sign_rom, rotate, serialize_signs,
                         splitmix64_stream, unpack_sign_rom, write_sign_rom)
-from .write_path import (QuantizedKey, dequantize_key, load_key_matrix, pack,
-                         packed_size, quantize_batch, quantize_key, read_kvq,
-                         unpack, write_kvq)
+from .write_path import (KVCache, QuantizedKey, dequantize_key, load_key_matrix,
+                         pack, packed_size, quantize_batch, quantize_key,
+                         read_kvq, unpack, write_kvq)
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "deserialize_signs", "pack_sign_rom", "unpack_sign_rom",
     "write_sign_rom", "read_sign_rom",
     # write path
-    "QuantizedKey", "quantize_key", "quantize_batch", "dequantize_key",
+    "QuantizedKey", "KVCache", "quantize_key", "quantize_batch", "dequantize_key",
     "pack", "unpack", "packed_size", "write_kvq", "read_kvq",
     "load_key_matrix",
     # read path

@@ -11,6 +11,7 @@ load.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 
 import numpy as np
@@ -26,8 +27,8 @@ from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
 from .transform import (RotationSpec, SignVector, random_signs, read_sign_rom,
                         write_sign_rom)
-from .write_path import (QuantizedKey, load_key_matrix, quantize_batch,
-                         read_kvq, write_kvq)
+from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
+                         write_kvq)
 
 __all__ = ["main"]
 
@@ -219,16 +220,14 @@ def _cmd_quantize(args) -> int:
     sign = _pick_layer(signs, args.layer)
     spec = RotationSpec(d=d, sign=sign)
     counter = OpCounter()
-    idx, norms = quantize_batch(keys, spec, cb, counter, comparator=args.comparator)
-    qks = [QuantizedKey(indices=idx[i], norm=np.float16(norms[i]))
-           for i in range(idx.shape[0])]
-    write_kvq(args.out, qks, d, cb.b, layer_id=args.layer)
+    cache = KVCache(*quantize_batch(keys, spec, cb, counter, comparator=args.comparator))
+    write_kvq(args.out, cache, d, cb.b, layer_id=args.layer)
     _write_json(args.report, {
-        "d": d, "b": cb.b, "T": len(qks), "layer": args.layer,
+        "d": d, "b": cb.b, "T": len(cache), "layer": args.layer,
         "comparator": args.comparator,
         "ops": counter.to_dict(),
     })
-    print(f"quantized {len(qks)} keys (d={d}, b={cb.b}) to {args.out}")
+    print(f"quantized {len(cache)} keys (d={d}, b={cb.b}) to {args.out}")
     return 0
 
 
@@ -272,8 +271,7 @@ def _cmd_bench_mults(args) -> int:
     rng = np.random.default_rng(args.seed)
     keys = rng.normal(size=(T, d))
     q = rng.normal(size=d)
-    idx, norms = quantize_batch(keys, spec, cb)
-    cache = [QuantizedKey(indices=idx[i], norm=np.float16(norms[i])) for i in range(T)]
+    cache = KVCache(*quantize_batch(keys, spec, cb))
     _, lut_counter = score_sequence(q, cache, spec, cb)
     _, ref_counter = score_sequence_reference(q, cache, spec, cb)
 
@@ -349,6 +347,7 @@ def _cmd_diagnose_norms(args) -> int:
 
 # -- argument wiring ------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kvlut",

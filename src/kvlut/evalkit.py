@@ -25,7 +25,7 @@ from .errors import InvalidInputError, _check_power_of_two, _check_shape
 from .signopt import CalibrationSet, candidate_mse
 from .read_path import score_sequence
 from .transform import RotationSpec, random_signs
-from .write_path import packed_size, quantize_batch, QuantizedKey
+from .write_path import KVCache, packed_size, quantize_batch
 
 __all__ = [
     "LayerProfile",
@@ -144,9 +144,12 @@ def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
     """
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if keys.shape[0] == 0 or queries.shape[0] == 0:
+        raise InvalidInputError(
+            f"need at least one key and one query, got {keys.shape[0]} and {queries.shape[0]}")
 
     idx, norms = quantize_batch(keys, spec, cb)
-    cache = [QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)]
+    cache = KVCache(idx, norms)
     record = packed_size(cb.d, cb.b)
 
     rotated_mse = (candidate_mse(CalibrationSet(keys=keys), spec.sign, cb)

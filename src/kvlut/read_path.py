@@ -15,6 +15,7 @@ and is used only as a test oracle; nothing here touches inverse rotation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,21 +79,25 @@ def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
     """Score T stored keys, (T, d) indices and (T,) half norms, in one gather.
 
     Rows come from _cache_rows, which checks their width against the table.
-    "fp16" rounds as score_key_fp16 describes; casting the table to half
-    before the gather rounds the same values and keeps the (T, d) reads
-    half width.
+    Entry (i, idx) sits at flat offset idx + i*2^b of the table.  "fp16"
+    rounds as score_key_fp16 describes, on a float32 copy of the half-rounded
+    table: a float32 sum of two halves rounded to half is the correctly
+    rounded half sum (24 >= 2*11 + 2 bits), and the only NaN the tree makes,
+    inf + -inf, has one payload, so every level matches half arithmetic bit
+    for bit.
     """
     if np.any(idx >= (1 << tbl.b)):
         raise CorruptCacheError(f"cache index exceeds 2^{tbl.b} - 1")
-    rows = np.arange(tbl.d)
+    offsets = idx + np.arange(0, tbl.d << tbl.b, 1 << tbl.b, dtype=np.intp)
     if mode == "double":
-        scores = tbl.entries[rows, idx].sum(axis=1) * norms.astype(np.float64)
+        scores = tbl.entries.ravel().take(offsets).sum(axis=1) * norms.astype(np.float64)
     elif mode == "fp16":
-        with np.errstate(over="ignore"):
-            acc = tbl.entries.astype(np.float16)[rows, idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = tbl.entries.astype(np.float16).astype(np.float32).ravel()
+            acc = table.take(offsets)
             while acc.shape[1] > 1:
-                acc = acc[:, 0::2] + acc[:, 1::2]
-            scores = acc[:, 0] * norms
+                acc = (acc[:, 0::2] + acc[:, 1::2]).astype(np.float16).astype(np.float32)
+            scores = acc[:, 0].astype(np.float16) * norms
     else:
         raise InvalidInputError(f"unknown scoring mode {mode!r}")
     if counter is not None:
@@ -122,7 +127,7 @@ def score_key_fp16(tbl: PrecomputedTable, qk: QuantizedKey,
     return Fp16Score(value=value, saturated=not math.isfinite(float(value)))
 
 
-def score_sequence(q: np.ndarray, cache: list[QuantizedKey], spec: RotationSpec,
+def score_sequence(q: np.ndarray, cache: Sequence[QuantizedKey], spec: RotationSpec,
                    cb: Codebook, mode: str = "double") -> tuple[np.ndarray, OpCounter]:
     """Score a query against a whole cache: one table, then T lookup passes.
 

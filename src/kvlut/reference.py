@@ -9,6 +9,8 @@ structured route.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .codebook import Codebook
@@ -20,7 +22,7 @@ from .write_path import QuantizedKey, _cache_rows, _dequantize_rows
 __all__ = ["score_sequence_reference"]
 
 
-def score_sequence_reference(q: np.ndarray, cache: list[QuantizedKey],
+def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],
                              spec: RotationSpec, cb: Codebook
                              ) -> tuple[np.ndarray, OpCounter]:
     """Score by reconstructing every key: T*d score multiplications.

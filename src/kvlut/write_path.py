@@ -10,20 +10,24 @@ extractor's multiplies live in their own counter category.
 
 from __future__ import annotations
 
+import operator
 import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import Codebook, _validate_design_point
 from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
-                     InvalidInputError, _check_same_d, _finite_array)
+                     InvalidInputError, _check_norms, _check_same_d,
+                     _check_shape, _finite_array)
 from .opcount import OpCounter
 from .transform import RotationSpec, inverse_rotate, rotate
 
 __all__ = [
     "QuantizedKey",
+    "KVCache",
     "quantize_key",
     "quantize_batch",
     "pack",
@@ -48,8 +52,42 @@ class QuantizedKey:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "norm", np.float16(self.norm))
-        if not self.norm >= 0:
-            raise InvalidInputError(f"key norm must be non-negative, got {self.norm}")
+        _check_norms(self.norm)
+
+
+@dataclass(frozen=True, eq=False)
+class KVCache(Sequence):
+    """A stored cache in columns: indices (T, d) uint8 and half norms (T,).
+
+    Both arrays are read-only copies, checked once here; the read and write
+    paths take them as they are.  As a Sequence it behaves like a list of
+    QuantizedKey: cache[i] is one key, a slice is a KVCache.
+    """
+
+    indices: np.ndarray
+    norms: np.ndarray
+
+    def __post_init__(self) -> None:
+        idx = np.array(self.indices, dtype=np.uint8)
+        _check_shape(idx, None, (2,), "cache indices")
+        norms = np.array(self.norms, dtype=np.float16)
+        if norms.shape != idx.shape[:1]:
+            raise InvalidDimensionError(
+                f"cache holds {idx.shape[0]} index rows but norms of shape {norms.shape}")
+        _check_norms(norms, "key norms")
+        for arr in (idx, norms):
+            arr.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "norms", norms)
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return KVCache(self.indices[i], self.norms[i])
+        i = operator.index(i)
+        return QuantizedKey(indices=self.indices[i], norm=self.norms[i])
 
 
 def _count_norm_ops(counter: OpCounter | None, d: int, n_keys: int = 1) -> None:
@@ -143,8 +181,15 @@ def packed_size(d: int, b: int) -> int:
     return (d * b + 7) // 8 + 2
 
 
-def _cache_rows(keys: list[QuantizedKey], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A list cache as (indices (T, d) uint8, norms (T,) float16)."""
+def _cache_rows(keys: Sequence[QuantizedKey], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cache as (indices (T, d) uint8, norms (T,) float16), checked to width d.
+
+    A KVCache gives its own arrays, uncopied; any other sequence of keys,
+    such as a list from a public caller, is stacked once.
+    """
+    if isinstance(keys, KVCache):
+        _check_shape(keys.indices, d, (2,), "cache indices")
+        return keys.indices, keys.norms
     bad = next((qk.indices.size for qk in keys if qk.indices.size != d), None)
     if bad is not None:
         raise InvalidDimensionError(f"key has {bad} indices, expected {d}")
@@ -169,8 +214,11 @@ def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
 def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), norms (T,))."""
     t = rows.shape[0]
-    bits = np.unpackbits(rows[:, :-2], axis=1, count=d * b, bitorder="little")
-    idx = np.packbits(bits.reshape(t, d, b), axis=2, bitorder="little")[:, :, 0]
+    bits = np.unpackbits(rows[:, :-2], axis=1, count=d * b,
+                         bitorder="little").reshape(t, d, b)
+    idx = np.zeros((t, d), dtype=np.uint8)
+    for j in range(b):
+        idx |= bits[:, :, j] << j
     norms = np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0].astype(np.float16)
     return idx, norms
 
@@ -201,19 +249,19 @@ _KVQ_VERSION = 1
 _KVQ_HEADER = struct.Struct("<4sBBIII")
 
 
-def write_kvq(path, keys: list[QuantizedKey], d: int, b: int,
+def write_kvq(path, keys: Sequence[QuantizedKey], d: int, b: int,
               layer_id: int = 0) -> None:
     _validate_design_point(d, b)
     idx, norms = _cache_rows(keys, d)
     records = _pack_rows(idx, norms, b)
-    header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, len(keys), layer_id)
+    header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, idx.shape[0], layer_id)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(records.tobytes())
 
 
-def read_kvq(path) -> tuple[list[QuantizedKey], int, int, int]:
-    """Read a .kvq cache; returns (keys, d, b, layer_id)."""
+def read_kvq(path) -> tuple[KVCache, int, int, int]:
+    """Read a .kvq cache; returns (cache, d, b, layer_id)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _KVQ_HEADER.size:
@@ -234,11 +282,11 @@ def read_kvq(path) -> tuple[list[QuantizedKey], int, int, int]:
             f"cache for d={d}, b={b}, T={count} must be {expected} bytes, "
             f"got {len(data)}")
     rows = np.frombuffer(data, dtype=np.uint8)[_KVQ_HEADER.size:].reshape(count, record)
-    idx, norms = _unpack_rows(rows, d, b)
-    if not np.all(norms >= 0):
-        raise CorruptCacheError(f"cache holds a NaN or negative norm: {norms[~(norms >= 0)]}")
-    return ([QuantizedKey(indices=i, norm=n) for i, n in zip(idx, norms)],
-            d, b, layer_id)
+    try:
+        cache = KVCache(*_unpack_rows(rows, d, b))
+    except InvalidInputError as exc:
+        raise CorruptCacheError(str(exc)) from exc
+    return cache, d, b, layer_id
 
 
 # -- key-matrix import ----------------------------------------------------
@@ -257,7 +305,8 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
             else:
                 with warnings.catch_warnings():  # loadtxt only warns on no values
                     warnings.simplefilter("error", UserWarning)
-                    mat = np.loadtxt(path, delimiter="," if name.endswith(".csv") else None)
+                    mat = np.loadtxt(path, delimiter="," if name.endswith(".csv") else None,
+                                     ndmin=2)
         except (ValueError, EOFError, UserWarning) as exc:
             raise FormatError(f"cannot parse key matrix {name}: {exc}") from exc
     else:

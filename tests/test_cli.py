@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from kvlut.cli import main
+from kvlut.cli import _build_parser, main
+from kvlut.errors import ConfigConflictError
 from kvlut.read_path import score_sequence
 from kvlut.transform import RotationSpec, read_sign_rom
 from kvlut.write_path import read_kvq
@@ -117,7 +118,47 @@ def test_quantize_empty_keys(workspace):
                "--codebook", workspace / "cb.cbrom", "--out", out) == 0
     assert out.stat().st_size == 18
     keys, d, b, _ = read_kvq(out)
-    assert keys == [] and (d, b) == (128, 3)
+    assert len(keys) == 0 and (d, b) == (128, 3)
+
+
+def test_one_column_text_file_holds_one_coordinate_per_key(workspace):
+    # Four 1-d keys, not one 4-d key: d=1 conflicts with the 4-d sign ROM.
+    ws = workspace
+    run(ws, "solve-codebook", "--d", 4, "--b", 2, "--out", ws / "cb4.cbrom")
+    run(ws, "gen-signs", "--d", 4, "--out", ws / "s4.sgnrom")
+    (ws / "col.txt").write_text("1\n2\n3\n4\n")
+    assert run(ws, "quantize", "--keys", ws / "col.txt", "--signs", ws / "s4.sgnrom",
+               "--codebook", ws / "cb4.cbrom", "--out", ws / "col.kvq") \
+        == ConfigConflictError.exit_code
+    assert not (ws / "col.kvq").exists()
+
+
+def test_repeated_main_calls_write_identical_reports(workspace):
+    ws = workspace
+    _build_pipeline(ws)
+    roms = ["--signs", ws / "s.sgnrom", "--codebook", ws / "cb.cbrom"]
+    sim = ["simulate-attention", "--query", ws / "query.npy", "--cache", ws / "c.kvq", *roms]
+    calls = {
+        "quantize": ["quantize", "--keys", ws / "keys.npy", *roms, "--out", ws / "r.kvq"],
+        "reference": [*sim, "--reference"],
+        "fp16": [*sim, "--mode", "fp16"],
+        # eval --synthetic reads the --keys default list; eval --keys in
+        # between must leave that list empty.
+        "eval-synthetic": ["eval", "--synthetic", ws / "synth.json", "--seeds", "1,2",
+                           "--jensen-std", "0.5", "--jensen-trials", 1000],
+        "eval-keys": ["eval", "--keys", ws / "cal0.npy", ws / "cal1.npy", "--seeds", "1,2"],
+        "diagnose": ["diagnose-norms", "--synthetic", ws / "synth.json"],
+    }
+    rounds = []
+    for _ in range(2):
+        outputs = {}
+        for name, argv in calls.items():
+            assert run(ws, *argv, "--report", ws / f"{name}.json") == 0
+            outputs[name] = (ws / f"{name}.json").read_bytes()
+        outputs["kvq"] = (ws / "r.kvq").read_bytes()
+        rounds.append(outputs)
+    assert rounds[0] == rounds[1]
+    assert _build_parser() is _build_parser()
 
 
 def test_bench_mults_report(workspace):

@@ -98,6 +98,17 @@ def test_evaluate_pipeline_report():
         evaluate_pipeline(keys, queries[:, :64], spec, cb)
 
 
+def test_evaluate_pipeline_rejects_empty_inputs():
+    cb = solve_codebook(64, 2)
+    spec = RotationSpec(d=64, sign=random_signs(64, 3))
+    rng = np.random.default_rng(5)
+    keys, queries = rng.normal(size=(10, 64)), rng.normal(size=(4, 64))
+    with pytest.raises(InvalidInputError):
+        evaluate_pipeline(np.zeros((0, 64)), queries, spec, cb)
+    with pytest.raises(InvalidInputError):
+        evaluate_pipeline(keys, np.zeros((0, 64)), spec, cb)
+
+
 def test_evaluate_pipeline_error_shrinks_with_bits():
     d = 64
     spec = RotationSpec(d=d, sign=random_signs(d, 9))

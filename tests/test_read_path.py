@@ -1,5 +1,7 @@
 """Read datapath: query tables, lookup scoring, fp16 rounding semantics."""
 
+import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from kvlut.opcount import OpCounter
 from kvlut.read_path import (Fp16Score, PrecomputedTable, precompute_table,
                              score_key, score_key_fp16, score_sequence)
 from kvlut.reference import score_sequence_reference
-from kvlut.transform import RotationSpec, random_signs, rotate
+from kvlut.transform import RotationSpec, inverse_rotate, random_signs, rotate
 from kvlut.write_path import QuantizedKey, quantize_batch, quantize_key
 
 D, B = 128, 3
@@ -196,44 +198,87 @@ def _tree_fp16(entries, qk):
     return acc[0] * qk.norm
 
 
+# The per-key equivalence tests run on every pair of these.
+GRID = list(itertools.product([1, 3, 8], [2, 128, 256]))
+
+
+@functools.cache
+def _design(d, b):
+    return solve_codebook(d, b), RotationSpec(d=d, sign=random_signs(d, d + b))
+
+
 def test_fp16_sequence_matches_per_key_adder_tree():
-    rng = np.random.default_rng(31)
-    q = rng.normal(size=D)
-    q *= 2e5 / np.linalg.norm(q)
-    tbl = precompute_table(q, SPEC, CB)
+    for b, d in GRID:
+        cb, spec = _design(d, b)
+        rng = np.random.default_rng(31 + d + b)
+        n = max(1, d // 8)
 
-    def keys(n, norm):
-        return [QuantizedKey(indices=rng.integers(0, 2**B, size=D, dtype=np.uint8),
-                             norm=np.float16(norm)) for _ in range(n)]
+        def keys(count, norm):
+            return [QuantizedKey(indices=rng.integers(0, 2**b, size=d, dtype=np.uint8),
+                                 norm=np.float16(norm)) for _ in range(count)]
 
-    cache = keys(40, 0.5) + keys(10, 3e4)
-    # Keys aligned with the query: the adder tree itself overflows.
-    for pick, norm in ((np.argmax, 1.0), (np.argmin, 0.25), (np.argmax, 0.0)):
-        cache.append(QuantizedKey(indices=pick(tbl.entries, axis=1).astype(np.uint8),
-                                  norm=np.float16(norm)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.array([_tree_fp16(tbl.entries, qk) for qk in cache],
-                        dtype=np.float16)
-        sums = np.array([_tree_fp16(tbl.entries, QuantizedKey(qk.indices, 1.0))
-                         for qk in cache], dtype=np.float16)
-        got, _ = score_sequence(q, cache, SPEC, CB, mode="fp16")
-        singles = np.array([score_key_fp16(tbl, qk).value for qk in cache])
-    tree_over = ~np.isfinite(sums)
-    norm_over = np.isfinite(sums) & ~np.isfinite(want)
-    assert tree_over.sum() >= 3 and norm_over.sum() >= 5
-    assert np.isfinite(want).sum() >= 30
-    np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16))
-    np.testing.assert_array_equal(singles.view(np.uint16), want.view(np.uint16))
+        # A random query (its table rows all differ), scaled so the tree over
+        # its largest entries reaches 1.5x the half maximum.  Then two whose
+        # rotated coordinates are all equal, so every table row peaks at
+        # `peak`: first every tree stays in half range, then n entries overflow.
+        q = rng.normal(size=d)
+        q *= 1.5 * 65504 / precompute_table(q, spec, cb).entries.max(axis=1).sum()
+        queries = [("random", q)] + [
+            (peak, inverse_rotate(spec, np.full(d, peak / cb.centroids[-1])))
+            for peak in (0.9 * 65504 / d, 2 * 65504 / n)]
+        base = keys(40, 0.5) + keys(10, 3e4)
+        for kind, q in queries:
+            tbl = precompute_table(q, spec, cb)
+            hi, lo = (np.argmax(tbl.entries, axis=1).astype(np.uint8),
+                      np.argmin(tbl.entries, axis=1).astype(np.uint8))
+            # Keys aligned with the query: the adder tree itself overflows.
+            cache = base + [QuantizedKey(indices=cells, norm=np.float16(norm))
+                            for cells, norm in ((hi, 1.0), (lo, 0.25), (hi, 0.0))]
+            # Coordinates [0, n) sum high and [n, 2n) low: at the overflowing
+            # peak that is +inf beside -inf, a NaN mid-tree.
+            mixed = rng.integers(0, 2**b, size=d, dtype=np.uint8)
+            mixed[:n], mixed[n:2 * n] = hi[:n], lo[n:2 * n]
+            cache.append(QuantizedKey(indices=mixed, norm=np.float16(1.0)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.array([_tree_fp16(tbl.entries, qk) for qk in cache],
+                                dtype=np.float16)
+                sums = np.array([_tree_fp16(tbl.entries, QuantizedKey(qk.indices, 1.0))
+                                 for qk in cache], dtype=np.float16)
+                got, _ = score_sequence(q, cache, spec, cb, mode="fp16")
+                singles = np.array([score_key_fp16(tbl, qk).value for qk in cache])
+            where = f"d={d}, b={b}, query={kind}"
+            np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16), where)
+            np.testing.assert_array_equal(singles.view(np.uint16), want.view(np.uint16),
+                                          where)
+            tree_over = ~np.isfinite(sums)
+            norm_over = np.isfinite(sums) & ~np.isfinite(want)
+            if kind == "random":
+                # At d=2, b=1 a random key often is the aligned one, so fewer
+                # than 30 of the 50 random keys stay finite there.
+                assert tree_over.sum() >= 3 and norm_over.sum() >= 5, where
+                assert np.isfinite(want).sum() >= 20, where
+            elif kind < 65504 / d:
+                assert not tree_over.any() and norm_over.sum() >= 5, where
+                assert np.isfinite(want).sum() >= 30, where
+            else:
+                assert (sums[-4] == np.inf and sums[-3] == -np.inf
+                        and np.isnan(want[-2]) and np.isnan(sums[-1])), where
 
 
 def test_double_sequence_matches_per_key_gather_sum():
-    cache = make_cache(300, seed=14)
-    q = np.random.default_rng(15).normal(size=D)
-    got, _ = score_sequence(q, cache, SPEC, CB)
-    tbl = precompute_table(q, SPEC, CB)
-    want = np.array([tbl.entries[np.arange(D), qk.indices].sum() * float(qk.norm)
-                     for qk in cache])
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for b, d in GRID:
+        cb, spec = _design(d, b)
+        rng = np.random.default_rng(14 + d + b)
+        idx, norms = quantize_batch(rng.normal(size=(300, d)), spec, cb)
+        cache = [QuantizedKey(indices=idx[i], norm=np.float16(norms[i]))
+                 for i in range(300)]
+        q = rng.normal(size=d)
+        got, _ = score_sequence(q, cache, spec, cb)
+        tbl = precompute_table(q, spec, cb)
+        want = np.array([tbl.entries[np.arange(d), qk.indices].sum() * float(qk.norm)
+                         for qk in cache])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                      f"d={d}, b={b}")
 
 
 @pytest.mark.parametrize("mode, dtype", [("double", np.float64), ("fp16", np.float16)])

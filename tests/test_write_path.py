@@ -196,7 +196,7 @@ def test_kvq_empty_cache(tmp_path):
     write_kvq(path, [], D, B)
     assert path.stat().st_size == 18
     back, d, b, layer_id = read_kvq(path)
-    assert back == [] and (d, b) == (D, B)
+    assert len(back) == 0 and (d, b) == (D, B)
 
 
 def _reference_record(qk, b):
@@ -301,6 +301,13 @@ def test_load_key_matrix_formats(tmp_path):
     empty = tmp_path / "empty.npy"
     np.save(empty, np.ones((0, 16)))
     assert load_key_matrix(empty).shape == (0, 16)
+    # One value per line is one column; one line is one row.
+    for name, text, shape in (("col.txt", "1\n2\n3\n4\n", (4, 1)),
+                              ("col.csv", "1\n2\n3\n", (3, 1)),
+                              ("row.txt", "1 2 3 4\n", (1, 4)),
+                              ("row.csv", "1,2,3,4\n", (1, 4))):
+        (tmp_path / name).write_text(text)
+        assert load_key_matrix(tmp_path / name).shape == shape
 
 
 def test_quantized_key_validation():
