@@ -25,8 +25,7 @@ from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
-from .transform import (RotationSpec, SignVector, random_signs, read_sign_rom,
-                        write_sign_rom)
+from .transform import RotationSpec, _open_sign_rom, random_signs, write_sign_rom
 from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
                          write_kvq)
 
@@ -89,14 +88,6 @@ def _load_codebook(path: str, d_sources: list[tuple[str, int | None]],
                           ("sidecar", side_b))
     d = _check_consistent("d", *d_sources, ("sidecar", side_d))
     return cbmod.deserialize_rom(blob, d, b)
-
-
-def _pick_layer(signs: list[SignVector], layer: int) -> SignVector:
-    for s in signs:
-        if s.layer_id == layer:
-            return s
-    raise InvalidInputError(
-        f"sign ROM holds layers 0..{len(signs) - 1}, requested {layer}")
 
 
 def _load_keys_cli(path: str, d_flag: int | None) -> np.ndarray:
@@ -211,14 +202,13 @@ def _cmd_optimize_signs(args) -> int:
 
 def _cmd_quantize(args) -> int:
     keys = _load_keys_cli(args.keys, args.d)
-    signs = read_sign_rom(args.signs)
+    rom = _open_sign_rom(args.signs)
     cb = _load_codebook(
         args.codebook,
-        [("--d", args.d), ("key-matrix", keys.shape[1]), ("sign-rom", signs[0].d)],
+        [("--d", args.d), ("key-matrix", keys.shape[1]), ("sign-rom", rom.d)],
         [("--b", args.b)])
     d = cb.d
-    sign = _pick_layer(signs, args.layer)
-    spec = RotationSpec(d=d, sign=sign)
+    spec = RotationSpec(d=d, sign=rom.layer(args.layer))
     counter = OpCounter()
     cache = KVCache(*quantize_batch(keys, spec, cb, counter, comparator=args.comparator))
     write_kvq(args.out, cache, d, cb.b, layer_id=args.layer)
@@ -237,14 +227,14 @@ def _cmd_simulate_attention(args) -> int:
         raise InvalidInputError(
             f"query file must hold exactly one row, got {qmat.shape[0]}")
     cache, cache_d, cache_b, layer_id = read_kvq(args.cache)
-    signs = read_sign_rom(args.signs)
+    rom = _open_sign_rom(args.signs)
     cb = _load_codebook(
         args.codebook,
         [("--d", args.d), ("query", qmat.shape[1]), ("cache", cache_d),
-         ("sign-rom", signs[0].d)],
+         ("sign-rom", rom.d)],
         [("--b", args.b), ("cache", cache_b)])
     d = cb.d
-    spec = RotationSpec(d=d, sign=_pick_layer(signs, layer_id))
+    spec = RotationSpec(d=d, sign=rom.layer(layer_id))
     scores, counter = score_sequence(qmat[0], cache, spec, cb, mode=args.mode)
     payload = {
         "d": d, "b": cb.b, "T": len(cache), "layer": layer_id,

@@ -26,7 +26,7 @@ from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError
                      _check_same_d, _finite_array)
 from .opcount import OpCounter
 from .transform import RotationSpec, rotate
-from .write_path import QuantizedKey, _cache_rows
+from .write_path import QuantizedKey, _cache_rows, _row_tiles
 
 __all__ = [
     "PrecomputedTable",
@@ -76,32 +76,40 @@ def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
 
 def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
                 mode: str, counter: OpCounter | None) -> np.ndarray:
-    """Score T stored keys, (T, d) indices and (T,) half norms, in one gather.
+    """Score T stored keys, (T, d) indices and (T,) half norms, tile by tile.
 
     Rows come from _cache_rows, which checks their width against the table.
-    Entry (i, idx) sits at flat offset idx + i*2^b of the table.  "fp16"
-    rounds as score_key_fp16 describes, on a float32 copy of the half-rounded
-    table: a float32 sum of two halves rounded to half is the correctly
-    rounded half sum (24 >= 2*11 + 2 bits), and the only NaN the tree makes,
-    inf + -inf, has one payload, so every level matches half arithmetic bit
-    for bit.
+    Entry (i, idx) sits at flat offset idx + i*2^b of the table; each row
+    tile (write_path._row_tiles) gathers its entries with one take, sums
+    them and writes its scores into the preallocated (T,) output, so no
+    temporary outgrows a tile.  Every step is row by row, so the tiling
+    changes no bit.  "fp16" rounds as score_key_fp16 describes, on a float32
+    copy of the half-rounded table: a float32 sum of two halves rounded to
+    half is the correctly rounded half sum (24 >= 2*11 + 2 bits), and the
+    only NaN the tree makes, inf + -inf, has one payload, so every level
+    matches half arithmetic bit for bit.
     """
-    if np.any(idx >= (1 << tbl.b)):
+    if idx.size and idx.max() >= (1 << tbl.b):
         raise CorruptCacheError(f"cache index exceeds 2^{tbl.b} - 1")
-    offsets = idx + np.arange(0, tbl.d << tbl.b, 1 << tbl.b, dtype=np.intp)
+    base = np.arange(0, tbl.d << tbl.b, 1 << tbl.b, dtype=np.intp)
+    n = idx.shape[0]
     if mode == "double":
-        scores = tbl.entries.ravel().take(offsets).sum(axis=1) * norms.astype(np.float64)
+        table = tbl.entries.ravel()
+        scores = np.empty(n)
+        for rows in _row_tiles(n, tbl.d):
+            scores[rows] = table.take(idx[rows] + base).sum(axis=1) * norms[rows].astype(np.float64)
     elif mode == "fp16":
+        scores = np.empty(n, dtype=np.float16)
         with np.errstate(over="ignore", invalid="ignore"):
             table = tbl.entries.astype(np.float16).astype(np.float32).ravel()
-            acc = table.take(offsets)
-            while acc.shape[1] > 1:
-                acc = (acc[:, 0::2] + acc[:, 1::2]).astype(np.float16).astype(np.float32)
-            scores = acc[:, 0].astype(np.float16) * norms
+            for rows in _row_tiles(n, tbl.d):
+                acc = table.take(idx[rows] + base)
+                while acc.shape[1] > 1:
+                    acc = (acc[:, 0::2] + acc[:, 1::2]).astype(np.float16).astype(np.float32)
+                scores[rows] = acc[:, 0].astype(np.float16) * norms[rows]
     else:
         raise InvalidInputError(f"unknown scoring mode {mode!r}")
     if counter is not None:
-        n = idx.shape[0]
         counter.add("score", mults=n, adds=n * (tbl.d - 1), lookups=n * tbl.d)
     return scores
 

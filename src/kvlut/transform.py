@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
-                     _check_power_of_two, _check_same_d, _check_shape)
+                     InvalidInputError, _check_power_of_two, _check_same_d,
+                     _check_shape)
 from .opcount import OpCounter
 
 __all__ = [
@@ -39,6 +41,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def _check_positive_d(d: int) -> None:
+    if d < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+
+
 @dataclass(frozen=True)
 class SignVector:
     """A {-1, +1} diagonal for one layer's rotation."""
@@ -49,8 +56,7 @@ class SignVector:
 
     def __post_init__(self) -> None:
         signs = np.asarray(self.signs, dtype=np.int8)
-        if self.d < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {self.d}")
+        _check_positive_d(self.d)
         _check_shape(signs, self.d, (1,), "sign vector")
         if not np.all(np.abs(signs) == 1):
             raise FormatError("sign entries must be exactly -1 or +1")
@@ -204,8 +210,25 @@ def pack_sign_rom(signs: list[SignVector]) -> bytes:
     return header + b"".join(serialize_signs(s) for s in signs)
 
 
-def unpack_sign_rom(data: bytes) -> list[SignVector]:
-    """Parse a .sgnrom image; layer_id is assigned from record position."""
+class _SignRom(NamedTuple):
+    """A .sgnrom image whose header and length are checked; records decode lazily."""
+
+    data: bytes
+    d: int
+    count: int
+
+    def layer(self, layer: int) -> SignVector:
+        """Decode one layer's record; layer_id is its record position."""
+        if not 0 <= layer < self.count:
+            raise InvalidInputError(
+                f"sign ROM holds layers 0..{self.count - 1}, requested {layer}")
+        record = (self.d + 7) // 8
+        start = _ROM_HEADER.size + layer * record
+        return deserialize_signs(self.data[start:start + record], self.d, layer_id=layer)
+
+
+def _parse_sign_rom(data: bytes) -> _SignRom:
+    """Check a .sgnrom image's header and length, decoding no record."""
     if len(data) < _ROM_HEADER.size:
         raise FormatError(f"sign ROM truncated: {len(data)} bytes")
     magic, version, _, d, count = _ROM_HEADER.unpack_from(data)
@@ -213,17 +236,21 @@ def unpack_sign_rom(data: bytes) -> list[SignVector]:
         raise CorruptRomError(f"bad sign ROM magic {magic!r}")
     if version != _ROM_VERSION:
         raise CorruptRomError(f"unsupported sign ROM version {version}")
-    record = (d + 7) // 8
-    expected = _ROM_HEADER.size + count * record
+    expected = _ROM_HEADER.size + count * ((d + 7) // 8)
     if len(data) != expected:
         raise FormatError(
             f"sign ROM for d={d} x {count} layers must be {expected} bytes, "
             f"got {len(data)}")
-    out = []
-    for i in range(count):
-        start = _ROM_HEADER.size + i * record
-        out.append(deserialize_signs(data[start:start + record], d, layer_id=i))
-    return out
+    if not count:
+        raise FormatError("sign ROM needs at least one layer")
+    _check_positive_d(d)
+    return _SignRom(data, d, count)
+
+
+def unpack_sign_rom(data: bytes) -> list[SignVector]:
+    """Parse a .sgnrom image; layer_id is assigned from record position."""
+    rom = _parse_sign_rom(data)
+    return [rom.layer(i) for i in range(rom.count)]
 
 
 def write_sign_rom(path, signs: list[SignVector]) -> None:
@@ -234,3 +261,9 @@ def write_sign_rom(path, signs: list[SignVector]) -> None:
 def read_sign_rom(path) -> list[SignVector]:
     with open(path, "rb") as fh:
         return unpack_sign_rom(fh.read())
+
+
+def _open_sign_rom(path) -> _SignRom:
+    """read_sign_rom's checks, decoding no record until one is asked for."""
+    with open(path, "rb") as fh:
+        return _parse_sign_rom(fh.read())

@@ -90,6 +90,25 @@ class KVCache(Sequence):
         return QuantizedKey(indices=self.indices[i], norm=self.norms[i])
 
 
+# Elements per row tile of the batched kernels.  A 4,096 x 128 temporary
+# (4 MiB) is handed back to the kernel when freed and page-faulted in again
+# on the next call; tiles of 2^15 elements (256 KiB as float64) are reused
+# from the heap instead.  At 2^16 a fresh process still faults on every
+# double query, as the heap trims at a lower mark there.  Every kernel step
+# is row-independent, so the tile size changes no bit.
+_TILE_ELEMS = 1 << 15
+
+
+def _row_tiles(n: int, d: int):
+    """Row slices covering range(n), each at most max(1, _TILE_ELEMS // d) rows.
+
+    n = 0 gives one empty slice, so a kernel still checks its mode on no rows.
+    """
+    step = max(1, _TILE_ELEMS // d)
+    for start in range(0, max(n, 1), step):
+        yield slice(start, min(start + step, n))
+
+
 def _count_norm_ops(counter: OpCounter | None, d: int, n_keys: int = 1) -> None:
     # d squares + (d-1)-term sum for ||k||^2, then d multiplies by 1/n to
     # normalize; all charged to the norm extractor, never to the transform.
@@ -139,16 +158,23 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
                    comparator: str = "binary") -> tuple[np.ndarray, np.ndarray]:
     """Vectorized write path over N keys: (N, d) -> (indices (N, d), norms (N,)).
 
-    Counter deltas are N times those of one key.
+    Keys run through norm, normalize, rotate and comparator one row tile at
+    a time (_row_tiles), each tile writing into the preallocated outputs, so
+    no temporary outgrows a tile.  Counter deltas are N times those of one key.
     """
     _check_same_d(("codebook", cb.d), ("rotation", spec.d))
     keys = _finite_array(keys, cb.d, what="key matrix")
 
-    norms = np.linalg.norm(keys, axis=1)
-    _count_norm_ops(counter, cb.d, keys.shape[0])
-    unit = np.where(norms[:, None] > 0.0, keys / np.where(norms == 0.0, 1.0, norms)[:, None], keys)
-    y = rotate(spec, unit, counter)
-    idx = _comparator_indices(y, cb, comparator, counter, keys.shape[0])
+    n = keys.shape[0]
+    idx = np.empty((n, cb.d), dtype=np.uint8)
+    norms = np.empty(n)
+    _count_norm_ops(counter, cb.d, n)
+    for rows in _row_tiles(n, cb.d):
+        tile = keys[rows]
+        nrm = norms[rows] = np.linalg.norm(tile, axis=1)
+        unit = np.where(nrm[:, None] > 0.0, tile / np.where(nrm == 0.0, 1.0, nrm)[:, None], tile)
+        y = rotate(spec, unit, counter)
+        idx[rows] = _comparator_indices(y, cb, comparator, counter, y.shape[0])
     return idx, norms
 
 

@@ -1,6 +1,7 @@
 """Subcommand behavior, artifact formats, and exit-code classes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -268,6 +269,17 @@ def _diagnose_keys(ws, name, content):
     return run(ws, "diagnose-norms", "--keys", ws / name)
 
 
+def _with_zero_layer_rom(ws, command):
+    # A well-formed 8-byte header for d=128 whose record count is 0.
+    _build_pipeline(ws)
+    (ws / "none.sgnrom").write_bytes(struct.pack("<2sBBHH", b"SG", 1, 0, 128, 0))
+    if command == "quantize":
+        return run(ws, "quantize", "--keys", ws / "keys.npy", "--signs", ws / "none.sgnrom",
+                   "--codebook", ws / "cb.cbrom", "--out", ws / "x.kvq")
+    return run(ws, "simulate-attention", "--query", ws / "query.npy", "--cache", ws / "c.kvq",
+               "--signs", ws / "none.sgnrom", "--codebook", ws / "cb.cbrom")
+
+
 @pytest.mark.parametrize("invoke,code", [
     # --synthetic spec missing a required field, or with a bad value.
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64})), 8),
@@ -284,13 +296,38 @@ def _diagnose_keys(ws, name, content):
     (lambda ws: _quantize_with_sidecar(ws, '{"d": 128, "b"'), 4),
     (lambda ws: _quantize_with_sidecar(ws, json.dumps({"d": "128", "b": 3})), 8),
     (lambda ws: _quantize_with_sidecar(ws, json.dumps([128, 3])), 4),
+    # A sign ROM that holds no layer.
+    (lambda ws: _with_zero_layer_rom(ws, "quantize"), 4),
+    (lambda ws: _with_zero_layer_rom(ws, "simulate-attention"), 4),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "txt-empty", "zero-norm-layer",
-        "sidecar-not-json", "sidecar-string-d", "sidecar-not-object"])
+        "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
+        "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+
+
+def test_sign_rom_layer_is_checked_after_dimensions(workspace, capsys):
+    _build_pipeline(workspace)
+    ws = workspace
+    quantize = ["quantize", "--keys", ws / "keys.npy", "--codebook", ws / "cb.cbrom"]
+    assert run(ws, *quantize, "--signs", ws / "s.sgnrom", "--out", ws / "x.kvq",
+               "--layer", 3) == 8
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "error: sign ROM holds layers 0..0, requested 3"
+    # A dimension conflict is reported before the missing layer.
+    assert run(ws, *quantize, "--signs", ws / "s.sgnrom", "--out", ws / "x.kvq",
+               "--layer", 3, "--d", 64) == 10
+    # simulate-attention asks for the cache's layer.
+    run(ws, "gen-signs", "--d", 128, "--layers", 2, "--out", ws / "s2.sgnrom")
+    assert run(ws, *quantize, "--signs", ws / "s2.sgnrom", "--out", ws / "l1.kvq",
+               "--layer", 1) == 0
+    assert run(ws, "simulate-attention", "--query", ws / "query.npy", "--cache", ws / "l1.kvq",
+               "--signs", ws / "s.sgnrom", "--codebook", ws / "cb.cbrom") == 8
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "error: sign ROM holds layers 0..0, requested 1"
 
 
 def test_codebook_without_sidecar_needs_d(workspace):

@@ -36,7 +36,8 @@ def sign_rom_images(draw):
 def test_unpack_sign_rom_parses_or_raises(data):
     out = _parses_or_kvlut_error(unpack_sign_rom, data)
     if out is not None:
-        d = struct.unpack_from("<H", data, 4)[0]
+        d, count = struct.unpack_from("<HH", data, 4)
+        assert len(out) == count >= 1
         for i, s in enumerate(out):
             assert s.layer_id == i and s.signs.shape == (d,)
             assert np.all(np.abs(s.signs) == 1)

@@ -15,7 +15,8 @@ from kvlut.read_path import (Fp16Score, PrecomputedTable, precompute_table,
                              score_key, score_key_fp16, score_sequence)
 from kvlut.reference import score_sequence_reference
 from kvlut.transform import RotationSpec, inverse_rotate, random_signs, rotate
-from kvlut.write_path import QuantizedKey, quantize_batch, quantize_key
+from kvlut.write_path import (_TILE_ELEMS, KVCache, QuantizedKey, _row_tiles,
+                              quantize_batch, quantize_key)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -279,6 +280,77 @@ def test_double_sequence_matches_per_key_gather_sum():
                          for qk in cache])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
                                       f"d={d}, b={b}")
+
+
+def _score_closed_form(d, b, T):
+    ctr = OpCounter()
+    ctr.add("transform", adds=d * (d.bit_length() - 1))
+    ctr.add("table", mults=d * 2**b)
+    ctr.add("score", mults=T, adds=T * (d - 1), lookups=T * d)
+    return ctr.to_dict()
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("d", [128, 256])
+def test_sequence_matches_per_key_route_across_row_tiles(d, b):
+    cb, spec = _design(d, b)
+    T = 2 * (_TILE_ELEMS // d) + 1
+    tiles = list(_row_tiles(T, d))
+    assert [t.stop - t.start for t in tiles] == [T // 2, T // 2, 1]
+    rng = np.random.default_rng(5 * d + b)
+    n = d // 8
+    q = rng.normal(size=d)
+    q *= 1.5 * 65504 / precompute_table(q, spec, cb).entries.max(axis=1).sum()
+    # A random query; one whose table rows all peak at 2*65504/n, so n
+    # aligned coordinates sum past the half range; and a zero query.
+    peak = inverse_rotate(spec, np.full(d, 2 * 65504 / n / cb.centroids[-1]))
+    # The one-row last tile holds only the saturating key.
+    firsts, lasts = [t.start for t in tiles], [t.stop - 1 for t in tiles[:2]]
+    for kind, q in (("random", q), ("peak", peak), ("zero", np.zeros(d))):
+        tbl = precompute_table(q, spec, cb)
+        hi, lo = (np.argmax(tbl.entries, axis=1).astype(np.uint8),
+                  np.argmin(tbl.entries, axis=1).astype(np.uint8))
+        idx = rng.integers(0, 2**b, size=(T, d), dtype=np.uint8)
+        norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
+        # Each tile opens on a saturating key (aligned with the query, norm
+        # +inf) and then the key aligned against it; it closes on a zero norm,
+        # a norm that overflows half, and a key whose half tree sums +inf
+        # beside -inf.
+        mixed = idx[0].copy()
+        mixed[:n], mixed[n:2 * n] = hi[:n], lo[n:2 * n]
+        for start in firsts:
+            idx[start], norms[start] = hi, np.inf
+        for start, stop in zip(firsts, lasts):
+            idx[start + 1], norms[start + 1] = lo, 1.0
+            idx[stop], norms[stop] = mixed, 1.0
+            norms[stop - 1] = 3e4
+            idx[stop - 2], norms[stop - 2] = hi, 0.0
+        cache = KVCache(idx, norms)
+        where = f"d={d}, b={b}, query={kind}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ctr = score_sequence(q, cache, spec, cb)
+            gather = tbl.entries[np.arange(d), idx].sum(axis=1) * norms.astype(np.float64)
+            want = np.array([tbl.entries[np.arange(d), qk.indices].sum() * float(qk.norm)
+                             for qk in cache])
+            singles = np.array([score_key(tbl, qk) for qk in cache])
+            got16, ctr16 = score_sequence(q, cache, spec, cb, mode="fp16")
+            want16 = np.array([_tree_fp16(tbl.entries, qk) for qk in cache], dtype=np.float16)
+            singles16 = np.array([score_key_fp16(tbl, qk).value for qk in cache])
+            for t in (0, 1):
+                assert score_sequence(q, cache[:t], spec, cb)[1].to_dict() == \
+                    _score_closed_form(d, b, t), where
+        for other in (want, singles, gather):
+            np.testing.assert_array_equal(got.view(np.uint64), other.view(np.uint64), where)
+        for other in (want16, singles16):
+            np.testing.assert_array_equal(got16.view(np.uint16), other.view(np.uint16), where)
+        assert ctr.to_dict() == ctr16.to_dict() == _score_closed_form(d, b, T), where
+        if kind == "random":
+            assert np.all(got[firsts] == np.inf) and np.all(got16[firsts] == np.inf), where
+        elif kind == "peak":
+            assert np.all(np.isnan(got16[lasts])) and np.all(got16[firsts] == np.inf), where
+            assert np.all(got16[[i + 1 for i in firsts[:2]]] == -np.inf), where
+        else:
+            assert np.all(np.isnan(got[firsts])) and np.all(np.isnan(got16[firsts])), where
 
 
 @pytest.mark.parametrize("mode, dtype", [("double", np.float64), ("fp16", np.float16)])

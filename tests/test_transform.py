@@ -212,6 +212,11 @@ def test_sign_rom_rejects_corruption():
         unpack_sign_rom(blob[:-1])
     with pytest.raises(FormatError):
         unpack_sign_rom(blob[:4])
+    # No layers, and one layer of zero coordinates.
+    with pytest.raises(FormatError, match="at least one layer"):
+        unpack_sign_rom(blob[:6] + b"\x00\x00")
+    with pytest.raises(InvalidDimensionError):
+        unpack_sign_rom(blob[:4] + b"\x00\x00\x01\x00")
     with pytest.raises(FormatError):
         pack_sign_rom([])
     with pytest.raises(InvalidDimensionError):

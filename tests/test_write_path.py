@@ -12,7 +12,8 @@ from kvlut.errors import (CorruptCacheError, FormatError,
                           InvalidDimensionError, InvalidInputError)
 from kvlut.opcount import OpCounter
 from kvlut.transform import RotationSpec, random_signs, rotate
-from kvlut.write_path import (QuantizedKey, dequantize_key, load_key_matrix,
+from kvlut.write_path import (_TILE_ELEMS, QuantizedKey, _row_tiles,
+                              dequantize_key, load_key_matrix,
                               pack, packed_size, quantize_batch, quantize_key,
                               read_kvq, unpack, write_kvq)
 
@@ -97,6 +98,43 @@ def test_batch_matches_per_key_results_and_counts():
     assert batch_ctr.to_dict() == single_ctr.to_dict()
 
 
+def _quantize_closed_form(d, b, T, comparator):
+    ctr = OpCounter()
+    ctr.add("norm", mults=2 * d * T, adds=(d - 1) * T)
+    ctr.add("transform", adds=T * d * (d.bit_length() - 1))
+    ctr.add("quantize", comps=T * d * (2**b - 1 if comparator == "flat" else b))
+    return ctr.to_dict()
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("d", [128, 256])
+def test_batch_matches_per_key_route_across_row_tiles(d, b):
+    cb = solve_codebook(d, b)
+    spec = RotationSpec(d=d, sign=random_signs(d, b))
+    T = 2 * (_TILE_ELEMS // d) + 1
+    tiles = list(_row_tiles(T, d))
+    assert [t.stop - t.start for t in tiles] == [T // 2, T // 2, 1]
+    keys = random_keys(T, d, seed=d + b) * np.random.default_rng(b).uniform(1e-3, 1e3, (T, 1))
+    # Zero keys open and close every tile.
+    keys[[t.start for t in tiles] + [t.stop - 1 for t in tiles]] = 0.0
+    for comparator in ("flat", "binary"):
+        ctr = OpCounter()
+        idx, norms = quantize_batch(keys, spec, cb, ctr, comparator=comparator)
+        assert ctr.to_dict() == _quantize_closed_form(d, b, T, comparator)
+        for t in (0, 1):
+            ctr = OpCounter()
+            quantize_batch(keys[:t], spec, cb, ctr, comparator=comparator)
+            assert ctr.to_dict() == _quantize_closed_form(d, b, t, comparator)
+        singles = [quantize_key(k, spec, cb, comparator=comparator) for k in keys]
+        np.testing.assert_array_equal(idx, np.array([qk.indices for qk in singles]))
+        np.testing.assert_array_equal(norms.astype(np.float16).view(np.uint16),
+                                      np.array([qk.norm for qk in singles]).view(np.uint16))
+    # The float64 norms too, against one-row batches.
+    row_norms = np.concatenate([quantize_batch(k[None], spec, cb)[1] for k in keys])
+    np.testing.assert_array_equal(norms.view(np.uint64), row_norms.view(np.uint64))
+    assert not norms[[t.start for t in tiles]].any()
+
+
 def test_zero_key_quantizes_to_zero_norm():
     qk = quantize_key(np.zeros(D), SPEC, CB)
     assert float(qk.norm) == 0.0
@@ -111,8 +149,9 @@ def test_input_validation():
         quantize_key(np.full(D, np.nan), SPEC, CB)
     with pytest.raises(InvalidDimensionError):
         quantize_batch(np.ones((2, 64)), SPEC, CB)
-    with pytest.raises(InvalidInputError):
-        quantize_batch(np.ones((2, D)), SPEC, CB, comparator="bogus")
+    for n in (2, 0):
+        with pytest.raises(InvalidInputError):
+            quantize_batch(np.ones((n, D)), SPEC, CB, comparator="bogus")
     other = RotationSpec(d=64, sign=random_signs(64, 1))
     with pytest.raises(InvalidDimensionError):
         quantize_key(np.ones(64), other, CB)
