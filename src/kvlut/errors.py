@@ -97,6 +97,13 @@ def _finite_array(x, d: int | None, ndims: tuple[int, ...] = (2,),
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr; arr's own flags are left alone (no copy)."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 def _check_norms(norms: np.ndarray, what: str = "key norm") -> None:
     """Stored norms are neither NaN nor negative (+inf marks an overflow)."""
     norms = np.ravel(norms)

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Codebook, solve_codebook
-from .errors import InvalidInputError, _check_power_of_two, _check_shape
-from .signopt import CalibrationSet, candidate_mse
+from .errors import (InvalidInputError, _check_power_of_two, _check_same_d,
+                     _check_shape, _read_only)
+from .signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
+                      candidate_mse)
 from .read_path import score_sequence
 from .transform import RotationSpec, random_signs
 from .write_path import KVCache, packed_size, quantize_batch
@@ -65,8 +67,7 @@ class LayerProfile:
             gain = np.asarray(self.gain, dtype=np.float64)
             if not (np.all(np.isfinite(gain)) and np.all(gain > 0)):
                 raise InvalidInputError("gain entries must be finite and positive")
-            gain.setflags(write=False)
-            object.__setattr__(self, "gain", gain)
+            object.__setattr__(self, "gain", _read_only(gain))
 
 
 @dataclass(frozen=True)
@@ -279,11 +280,13 @@ def sensitivity_sweep(keys: CalibrationSet, seeds, bs,
     bs = tuple(int(x) for x in bs)
     if not seeds or not bs:
         raise InvalidInputError("need at least one seed and one bit-width")
+    unit, _ = _normalized_rows(keys)
+    signs = [random_signs(keys.d, sd) for sd in seeds]
     mses = np.empty((len(seeds), len(bs)))
     for j, b in enumerate(bs):
         cb = solver(keys.d, b)
-        for i, sd in enumerate(seeds):
-            mses[i, j] = candidate_mse(keys, random_signs(keys.d, sd), cb)
+        _check_same_d(("keys", keys.d), ("codebook", cb.d))
+        mses[:, j] = _candidate_mses(unit, signs, cb)
     maxmin = {b: float(mses[:, j].max() / mses[:, j].min()) for j, b in enumerate(bs)}
     stdmean = {b: float(mses[:, j].std() / mses[:, j].mean()) for j, b in enumerate(bs)}
     return SweepResult(seeds=seeds, bs=bs, mses=mses,

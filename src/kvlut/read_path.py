@@ -23,7 +23,7 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError,
-                     _check_same_d, _finite_array)
+                     _check_same_d, _finite_array, _read_only)
 from .opcount import OpCounter
 from .transform import RotationSpec, rotate
 from .write_path import QuantizedKey, _cache_rows, _row_tiles
@@ -51,8 +51,7 @@ class PrecomputedTable:
         if entries.shape != (self.d, 1 << self.b):
             raise InvalidDimensionError(
                 f"table must be {self.d} x {1 << self.b}, got {entries.shape}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _read_only(entries))
 
 
 class Fp16Score(NamedTuple):

@@ -11,15 +11,16 @@ alike, while a dominant coordinate direction separates them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import Codebook, solve_codebook
 from .errors import (EmptyCalibrationError, InvalidDimensionError, InvalidInputError,
-                     _check_same_d, _finite_array, _layer_items)
-from .transform import (RotationSpec, SignVector, pack_sign_rom, random_signs,
-                        rotate, serialize_signs)
+                     _check_same_d, _finite_array, _layer_items, _read_only)
+from .transform import (SignVector, _butterflies, pack_sign_rom, random_signs,
+                        serialize_signs)
 from .write_path import _comparator_indices
 
 __all__ = [
@@ -52,8 +53,7 @@ class CalibrationSet:
         keys = _finite_array(np.atleast_2d(self.keys), None, what="calibration keys")
         if keys.shape[0] < 1:
             raise InvalidDimensionError(f"calibration keys hold no rows: {keys.shape}")
-        keys.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "keys", _read_only(keys))
 
     @property
     def d(self) -> int:
@@ -118,21 +118,41 @@ def _normalized_rows(keys: CalibrationSet) -> tuple[np.ndarray, int]:
     return keys.keys[kept] / norms[kept, None], int(np.count_nonzero(~kept))
 
 
-def _qdq_mse(unit_rows: np.ndarray, sign: SignVector, cb: Codebook) -> float:
-    # Quantize-dequantize entirely in the rotated domain: the selection metric
-    # measures codebook fit, so no inverse rotation and no norm rescale.
-    spec = RotationSpec(d=cb.d, sign=sign)
-    y = rotate(spec, unit_rows)
-    idx = _comparator_indices(y, cb, "flat", None, unit_rows.shape[0])
-    err = y - cb.centroids[idx]
-    return float(np.sum(err * err) / err.size)
+def _candidate_mses(unit_rows: np.ndarray, signs, cb: Codebook) -> np.ndarray:
+    """Rotated-domain quantize-dequantize MSE of each sign candidate.
+
+    The selection metric measures codebook fit, so there is no inverse
+    rotation and no norm rescale.  One set of (N, d)-sized buffers serves
+    every candidate: blocks of that size sit above the allocator's mmap and
+    trim marks, and a fresh set per candidate is mapped, page-faulted in and
+    handed back each time.  Every step does rotate()'s arithmetic in its
+    order, and the sum runs over a C-ordered (N, d) error array, so each MSE
+    equals rotate(), quantize, subtract, square and sum bit for bit.
+    """
+    n, d = unit_rows.shape
+    unit_t = np.array(unit_rows.T, order="C")
+    yt, diff = np.empty((d, n)), np.empty((d // 2) * n)
+    y, err = np.empty((n, d)), np.empty((n, d))
+    mses = np.empty(len(signs))
+    for c, s in enumerate(signs):
+        np.multiply(unit_t, s.signs[:, None], out=yt)
+        _butterflies(yt, diff)
+        np.divide(yt.T, math.sqrt(d), out=y)
+        idx = _comparator_indices(y, cb, "flat", None, n)
+        # Cell indices are below 2^b by construction; "clip" lets take()
+        # write straight into err, where "raise" buffers a full copy.
+        np.take(cb.centroids, idx, out=err, mode="clip")
+        np.subtract(y, err, out=err)
+        np.multiply(err, err, out=err)
+        mses[c] = np.sum(err) / err.size
+    return mses
 
 
 def candidate_mse(keys: CalibrationSet, s: SignVector, cb: Codebook) -> float:
     """Rotated-domain quantization MSE of one sign candidate on one layer."""
     _check_same_d(("keys", keys.d), ("signs", s.d), ("codebook", cb.d))
     unit, _ = _normalized_rows(keys)
-    return _qdq_mse(unit, s, cb)
+    return float(_candidate_mses(unit, [s], cb)[0])
 
 
 def _check_candidate_count(C: int) -> None:
@@ -145,9 +165,8 @@ def _search_layer(keys: CalibrationSet, C: int, cb: Codebook,
     """One layer's candidate search under an already solved codebook."""
     d = keys.d
     unit, dropped = _normalized_rows(keys)
-    mses = np.empty(C)
-    for c in range(1, C + 1):
-        mses[c - 1] = _qdq_mse(unit, random_signs(d, base_seed + c), cb)
+    mses = _candidate_mses(
+        unit, [random_signs(d, base_seed + c) for c in range(1, C + 1)], cb)
     pick = int(np.argmin(mses))
     seed = base_seed + pick + 1
     return SignSearchReport(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
                      InvalidInputError, _check_power_of_two, _check_same_d,
-                     _check_shape)
+                     _check_shape, _read_only)
 from .opcount import OpCounter
 
 __all__ = [
@@ -62,8 +62,7 @@ class SignVector:
             raise FormatError("sign entries must be exactly -1 or +1")
         if self.layer_id < 0:
             raise FormatError(f"layer_id must be non-negative, got {self.layer_id}")
-        signs.setflags(write=False)
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", _read_only(signs))
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,24 @@ class RotationSpec:
     def __post_init__(self) -> None:
         _check_power_of_two(self.d, "rotation dimension")
         _check_same_d(("rotation", self.d), ("sign vector", self.sign.d))
+
+
+def _butterflies(y: np.ndarray, diff: np.ndarray) -> None:
+    """The unscaled butterfly network, in place on a C-ordered (d, N) block.
+
+    Column j of y is one vector.  Each of the log2(d) stages adds and
+    subtracts whole contiguous blocks of N values; diff is scratch space of
+    (d/2) * N elements, so a caller looping over many blocks allocates none.
+    """
+    d, n = y.shape
+    h = 1
+    while h < d:
+        pairs = y.reshape(-1, 2, h, n)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        delta = np.subtract(lo, hi, out=diff.reshape(lo.shape))
+        lo += hi
+        hi[...] = delta
+        h *= 2
 
 
 def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
@@ -103,15 +120,7 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
         return arr.copy()
     stages = d.bit_length() - 1
     y = np.array(rows.T, order="C")
-    diff = np.empty((d // 2) * n)
-    h = 1
-    while h < d:
-        pairs = y.reshape(-1, 2, h, n)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        delta = np.subtract(lo, hi, out=diff.reshape(lo.shape))
-        lo += hi
-        hi[...] = delta
-        h *= 2
+    _butterflies(y, np.empty((d // 2) * n))
     out = np.ascontiguousarray(y.T)
     out /= math.sqrt(d)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .codebook import Codebook, _validate_design_point
 from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
                      InvalidInputError, _check_norms, _check_same_d,
-                     _check_shape, _finite_array)
+                     _check_shape, _finite_array, _read_only)
 from .opcount import OpCounter
 from .transform import RotationSpec, inverse_rotate, rotate
 
@@ -48,9 +48,8 @@ class QuantizedKey:
     norm: np.float16
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.uint8)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices",
+                           _read_only(np.asarray(self.indices, dtype=np.uint8)))
         object.__setattr__(self, "norm", np.float16(self.norm))
         _check_norms(self.norm)
 

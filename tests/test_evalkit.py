@@ -10,7 +10,7 @@ from kvlut.errors import (InvalidDimensionError, InvalidInputError)
 from kvlut.evalkit import (LayerProfile, SyntheticSpec, evaluate_pipeline,
                            generate_keys, jensen_bias_probe,
                            sensitivity_sweep)
-from kvlut.signopt import (RECOMMEND_OPTIMIZE, CalibrationSet,
+from kvlut.signopt import (RECOMMEND_OPTIMIZE, CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic)
 from kvlut.transform import RotationSpec, random_signs
 from kvlut.write_path import packed_size
@@ -174,6 +174,22 @@ def test_sensitivity_sweep_matrix_and_spreads():
     assert set(payload["spread_maxmin"]) == {"2", "3"}
     with pytest.raises(InvalidInputError):
         sensitivity_sweep(cs, seeds=(), bs=(2,))
+
+
+def test_sensitivity_sweep_equals_per_pair_candidate_mse():
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(50, 64))
+    rows[7] = 0.0  # dropped by both routes
+    cs = CalibrationSet(keys=rows)
+    seeds, bs = (9, 2, 6, 5), (1, 3, 8)
+    sweep = sensitivity_sweep(cs, seeds, bs)
+    want = np.array([[candidate_mse(cs, random_signs(64, sd), solve_codebook(64, b))
+                      for b in bs] for sd in seeds])
+    assert sweep.mses.tobytes() == want.tobytes()
+    for j, b in enumerate(bs):
+        col = want[:, j]
+        assert sweep.spread_maxmin[b] == float(col.max() / col.min())
+        assert sweep.spread_stdmean[b] == float(col.std() / col.mean())
 
 
 def test_norm_pair_reproduces_through_generator():

@@ -8,12 +8,14 @@ from kvlut.errors import (EmptyCalibrationError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.evalkit import LayerProfile, SyntheticSpec, generate_keys
 from kvlut.signopt import (RECOMMEND_INDETERMINATE, RECOMMEND_OPTIMIZE,
-                           RECOMMEND_SAFE, CalibrationSet, candidate_mse,
+                           RECOMMEND_SAFE, CalibrationSet, _candidate_mses,
+                           _normalized_rows, candidate_mse,
                            norm_ratio_diagnostic, select_signs,
                            select_signs_all_layers)
 from kvlut.transform import (RotationSpec, inverse_rotate, pack_sign_rom,
                              random_signs, rotate, serialize_signs,
                              unpack_sign_rom)
+from kvlut.write_path import _comparator_indices
 
 D = 128
 
@@ -95,6 +97,37 @@ def searchsorted_qdq_mse(unit_rows, sign, cb):
     y = rotate(RotationSpec(d=cb.d, sign=sign), unit_rows)
     err = y - cb.centroids[np.searchsorted(cb.boundaries, y, side="right")]
     return float(np.sum(err * err) / err.size)
+
+
+def rotate_qdq_mse(unit_rows, sign, cb):
+    """The per-candidate metric as separate steps: rotate(), the flat
+    comparator, a centroid gather, then the squared error summed over the
+    row-major (N, d) array."""
+    y = rotate(RotationSpec(d=cb.d, sign=sign), unit_rows)
+    err = y - cb.centroids[_comparator_indices(y, cb, "flat", None, y.shape[0])]
+    return np.sum(err * err) / err.size
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 3, 512])
+@pytest.mark.parametrize("d", [2, 4, 128, 256])
+def test_candidate_loop_is_bit_identical_to_rotate_oracle(d, n, b):
+    rng = np.random.default_rng([d, n, b])
+    rows = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+    keys = CalibrationSet(keys=rows)
+    C, base = 6, 40
+    report = select_signs(keys, C=C, b=b, base_seed=base)
+    cb = solve_codebook(d, b)
+    unit, _ = _normalized_rows(keys)
+    signs = [random_signs(d, base + c) for c in range(1, C + 1)]
+    want = np.array([rotate_qdq_mse(unit, s, cb) for s in signs])
+    np.testing.assert_array_equal(report.mses.view(np.uint64), want.view(np.uint64))
+    # The buffers reused across candidates carry nothing from one to the next.
+    backwards = _candidate_mses(unit, signs[::-1], cb)
+    np.testing.assert_array_equal(backwards.view(np.uint64),
+                                  report.mses[::-1].view(np.uint64))
+    for i, s in enumerate(signs):
+        assert candidate_mse(keys, s, cb) == report.mses[i]
 
 
 @pytest.mark.parametrize("b", [1, 3, 8])

@@ -1,6 +1,7 @@
 """Each public entry point raises the same exception class for the same bad
 input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, and a
-codebook/rotation d mismatch.  Dimension checks run before finiteness."""
+codebook/rotation d mismatch.  Dimension checks run before finiteness.
+Constructors store read-only views and leave the caller's arrays writeable."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (EmptyCalibrationError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.evalkit import LayerProfile, SyntheticSpec
-from kvlut.read_path import precompute_table, score_sequence
+from kvlut.read_path import PrecomputedTable, precompute_table, score_sequence
 from kvlut.reference import score_sequence_reference
 from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
@@ -137,3 +138,26 @@ def test_bad_input_raises_its_class(name, tmp_path):
     with pytest.raises(expected) as info:
         call(tmp_path)
     assert type(info.value) is expected
+
+
+# (constructor, caller's array already in the stored dtype, stored attribute)
+FROZEN_FIELDS = {
+    "CalibrationSet": (lambda a: CalibrationSet(keys=a), np.ones((4, D)), "keys"),
+    "SignVector": (lambda a: SignVector(d=D, signs=a), np.ones(D, np.int8), "signs"),
+    "QuantizedKey": (lambda a: QuantizedKey(indices=a, norm=1.0),
+                     np.zeros(D, np.uint8), "indices"),
+    "PrecomputedTable": (lambda a: PrecomputedTable(d=D, b=B, entries=a),
+                         np.ones((D, 1 << B)), "entries"),
+    "LayerProfile": (lambda a: LayerProfile(gain=a), np.ones(D), "gain"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FIELDS))
+def test_constructor_leaves_callers_array_writeable(name):
+    make, arr, attr = FROZEN_FIELDS[name]
+    stored = getattr(make(arr), attr)
+    assert arr.flags.writeable
+    assert not stored.flags.writeable
+    assert np.shares_memory(stored, arr)
+    with pytest.raises(ValueError):
+        stored[...] = 0
