@@ -256,6 +256,8 @@ def _cmd_simulate_attention(args) -> int:
 
 def _cmd_bench_mults(args) -> int:
     d, b, T = args.d, args.b, args.T
+    if T < 0:
+        raise InvalidInputError(f"--T must be >= 0, got {T}")
     cb = cbmod.solve_codebook(d, b)
     spec = RotationSpec(d=d, sign=random_signs(d, args.seed + 1))
     rng = np.random.default_rng(args.seed)

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
-                     NonConvergenceError, _check_power_of_two)
+                     InvalidInputError, NonConvergenceError, _check_power_of_two)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 MAX_BITS = 8
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 50
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -31,6 +31,15 @@ def _phi(z: np.ndarray) -> np.ndarray:
     finite = np.isfinite(z)
     out[finite] = np.exp(-0.5 * z[finite] ** 2) / _SQRT_2PI
     return out
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-D array, 0.5 * erfc(-z / sqrt(2)) per element.
+
+    The solver evaluates at most 2^b + 1 edges, so math.erfc elementwise is
+    cheap, and it keeps full relative precision in the left tail.
+    """
+    return np.array([0.5 * math.erfc(-x / _SQRT_2) for x in z.tolist()])
 
 
 @dataclass
@@ -81,15 +90,16 @@ def _pdf_drop(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_mass(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """PHI(hi) - PHI(lo) per cell, standardized edges.
+def _cell_mass(edges: np.ndarray) -> np.ndarray:
+    """PHI(hi) - PHI(lo) per cell, from the standardized edge vector.
 
     Cells entirely in the right tail evaluate through the survival side,
-    ndtr(-lo) - ndtr(-hi): there both terms are small and keep full relative
+    PHI(-lo) - PHI(-hi): there both terms are small and keep full relative
     precision, while the direct form differences two values near 1.0 and
     leaves the outermost cells with only absolute 1-ulp accuracy.
     """
-    return np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    cdf, sf = _ndtr(edges), _ndtr(-edges)
+    return np.where(edges[:-1] >= 0.0, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
 
 
 def _cell_means(sigma: float, boundaries: np.ndarray) -> np.ndarray:
@@ -99,19 +109,20 @@ def _cell_means(sigma: float, boundaries: np.ndarray) -> np.ndarray:
     - PHI(a/s)); the outermost cells use infinite edges.
     """
     edges = np.concatenate(([-np.inf], boundaries, [np.inf])) / sigma
-    mass = _cell_mass(edges[:-1], edges[1:])
-    return sigma * _pdf_drop(edges[:-1], edges[1:]) / mass
+    return sigma * _pdf_drop(edges[:-1], edges[1:]) / _cell_mass(edges)
 
 
-def _newton_refine(sigma: float, centroids: np.ndarray,
-                   tol: float) -> tuple[np.ndarray, bool]:
+def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarray:
     """Newton iteration on G(c) = c - cellmeans(midpoints(c)).
 
-    The alternating update converges linearly with a rate that approaches 1 as
-    the level count grows, so for b >= 7 it cannot reach tight tolerances in
-    any reasonable iteration budget.  Near the fixed point Newton converges
-    quadratically; the Jacobian is tridiagonal with closed-form entries from
-    truncated-normal moment derivatives.  At most 50 steps are taken.
+    A zero of G is a Lloyd-Max fixed point: every centroid is the mean of its
+    cell and every boundary the midpoint of its neighbours.  The Jacobian is
+    tridiagonal with closed-form entries from truncated-normal moment
+    derivatives, and from the quantile start's cell means the iteration
+    contracts quadratically.  It stops once a step drops below tol/10, or
+    once a step fails to halve the previous one (the floating-point floor),
+    and after at most 50 steps; the caller's residual check decides whether
+    tol was reached.
     """
     levels = centroids.size
     c = centroids.copy()
@@ -120,7 +131,7 @@ def _newton_refine(sigma: float, centroids: np.ndarray,
         t = 0.5 * (c[:-1] + c[1:])
         edges = np.concatenate(([-np.inf], t, [np.inf])) / sigma
         pdf = _phi(edges)
-        mass = _cell_mass(edges[:-1], edges[1:])
+        mass = _cell_mass(edges)
         m = sigma * _pdf_drop(edges[:-1], edges[1:]) / mass
 
         # dm/d(edge): phi(edge) * (m - edge) / (sigma * mass), zero at +-inf.
@@ -138,66 +149,45 @@ def _newton_refine(sigma: float, centroids: np.ndarray,
         delta = np.linalg.solve(jac, m - c)
         c = c + delta
         step = float(np.max(np.abs(delta)))
-        if step < tol / 10.0:
-            return c, True
-        if step >= 0.5 * prev_step:
-            # Quadratic contraction has hit the floating-point floor; the
-            # final residual check decides whether tol was reached.
+        if step < tol / 10.0 or step >= 0.5 * prev_step:
             break
         prev_step = step
-    return c, False
+    return c
 
 
 def solve_lloyd_max(sigma: float, b: int, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Solve the minimum-MSE b-bit quantizer for N(0, sigma^2).
 
-    Alternates centroid updates (conditional cell means) with boundary updates
-    (adjacent-centroid midpoints) from quantile-spaced initial boundaries, for
-    at most MAX_ITERATIONS (50) steps, stopping early once the largest
-    parameter change drops below tol/10.  The alternation's linear rate
-    degrades with level count, so it only brings the start into Newton's
-    basin: when it has not converged by then, a tridiagonal Newton polish
-    finishes the solve.  The result is antisymmetrized (the exact solution is
-    odd-symmetric) and then checked against both optimality conditions.
+    Starts from quantile-spaced boundaries, sigma * PHI^-1(k / 2^b), takes
+    their cell means, and solves the Lloyd-Max optimality conditions from
+    there by Newton's method (_newton_refine).  The boundaries are the
+    midpoints of the solved centroids.  The result is antisymmetrized (the
+    exact solution is odd-symmetric) and then checked against both
+    optimality conditions.
 
     Returns:
         ``(centroids, boundaries)`` as float64 arrays.
 
     Raises:
-        NonConvergenceError: neither stage converged, or the converged point
-            fails the optimality residual check at ``tol``.
+        InvalidInputError: ``tol`` is not a finite number > 0.
+        NonConvergenceError: the solved point fails the optimality residual
+            check at ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"tol must be finite and > 0, got {tol}")
     levels = 1 << b
-    # Quantile-spaced start: monotone by construction.
-    boundaries = sigma * ndtri(np.arange(1, levels) / levels)
-    centroids = _cell_means(sigma, boundaries)
-
-    converged = False
-    for _ in range(MAX_ITERATIONS):
-        new_centroids = _cell_means(sigma, boundaries)
-        new_boundaries = 0.5 * (new_centroids[:-1] + new_centroids[1:])
-        change = max(
-            np.max(np.abs(new_centroids - centroids)),
-            np.max(np.abs(new_boundaries - boundaries)),
-        )
-        centroids, boundaries = new_centroids, new_boundaries
-        if change < tol / 10.0:
-            converged = True
-            break
-
-    if not converged:
-        centroids, _ = _newton_refine(sigma, centroids, tol)
-        boundaries = 0.5 * (centroids[:-1] + centroids[1:])
+    inv_cdf = NormalDist().inv_cdf
+    boundaries = sigma * np.array([inv_cdf(k / levels) for k in range(1, levels)])
+    centroids = _newton_refine(sigma, _cell_means(sigma, boundaries), tol)
+    boundaries = 0.5 * (centroids[:-1] + centroids[1:])
 
     # Project onto the odd-symmetric subspace; the fixed point lies there and
     # this pins the middle boundary to exactly 0.0.
     centroids = 0.5 * (centroids - centroids[::-1])
     boundaries = 0.5 * (boundaries - boundaries[::-1])
 
-    # The residual check is the authority: the stopping rules above only
-    # decide when to stop iterating.
+    # The residual check is the authority: Newton's stopping rule only
+    # decides when to stop iterating.
     residual = max(lloyd_residual(centroids, boundaries),
                    max_residual(sigma, centroids, boundaries))
     if residual >= tol:
@@ -244,7 +234,7 @@ def analytic_distortion(cb: Codebook) -> float:
     # x * phi(x) -> 0 at infinite edges.
     xpdf = np.where(np.isfinite(edges), edges, 0.0) * pdf
     lo, hi = slice(None, -1), slice(1, None)
-    cell = ((1.0 + m**2) * _cell_mass(edges[lo], edges[hi])
+    cell = ((1.0 + m**2) * _cell_mass(edges)
             + xpdf[lo] - xpdf[hi]
             - 2.0 * m * (pdf[lo] - pdf[hi]))
     return float(sigma**2 * np.sum(cell))

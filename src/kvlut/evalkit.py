@@ -222,6 +222,8 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     s = np.atleast_1d(np.asarray(true_scores, dtype=np.float64))
+    if not s.size:
+        raise InvalidInputError("true_scores must hold at least one score")
     rng = np.random.default_rng(seed)
     base_weights = _softmax(s)
 

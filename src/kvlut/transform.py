@@ -171,12 +171,10 @@ def random_signs(d: int, seed: int, layer_id: int = 0) -> SignVector:
     encoding, so a generated vector serializes to the raw little-endian draw
     bytes truncated to d bits.
     """
+    _check_positive_d(d)
     words = splitmix64_stream(seed, (d + 63) // 64)
     raw = b"".join(struct.pack("<Q", w) for w in words)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little")[:d]
-    signs = (1 - 2 * bits.astype(np.int8)).astype(np.int8)
-    return SignVector(d=d, signs=signs, layer_id=layer_id)
+    return deserialize_signs(raw[:(d + 7) // 8], d, layer_id)
 
 
 # -- serialization --------------------------------------------------------
@@ -215,6 +213,9 @@ def pack_sign_rom(signs: list[SignVector]) -> bytes:
     if not signs:
         raise FormatError("sign ROM needs at least one layer")
     d = _check_same_d(*((f"layer {i}", s.d) for i, s in enumerate(signs)))
+    if max(d, len(signs)) > 0xFFFF:
+        raise FormatError(f"sign ROM header holds d and the layer count as u16, "
+                          f"got d={d} and {len(signs)} layers")
     header = _ROM_HEADER.pack(_ROM_MAGIC, _ROM_VERSION, 0, d, len(signs))
     return header + b"".join(serialize_signs(s) for s in signs)
 
@@ -263,8 +264,9 @@ def unpack_sign_rom(data: bytes) -> list[SignVector]:
 
 
 def write_sign_rom(path, signs: list[SignVector]) -> None:
+    data = pack_sign_rom(signs)
     with open(path, "wb") as fh:
-        fh.write(pack_sign_rom(signs))
+        fh.write(data)
 
 
 def read_sign_rom(path) -> list[SignVector]:

@@ -1,7 +1,11 @@
 """Subcommand behavior, artifact formats, and exit-code classes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,11 +303,24 @@ def _with_zero_layer_rom(ws, command):
     # A sign ROM that holds no layer.
     (lambda ws: _with_zero_layer_rom(ws, "quantize"), 4),
     (lambda ws: _with_zero_layer_rom(ws, "simulate-attention"), 4),
+    # A solver tolerance that is not a finite number > 0.
+    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", 0), 8),
+    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", -1), 8),
+    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", "nan"), 8),
+    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", "inf"), 8),
+    # d past the sign ROM header's u16 field.
+    (lambda ws: run(ws, "gen-signs", "--d", 65536, "--out", ws / "big.sgnrom"), 4),
+    # A negative key count, and an empty score vector for the Jensen probe.
+    (lambda ws: run(ws, "bench-mults", "--d", 128, "--b", 3, "--T", -1), 8),
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
+                    "--jensen-std", "0.1", "--jensen-scores", 0), 8),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "txt-empty", "zero-norm-layer",
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
-        "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate"])
+        "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
+        "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
+        "bench-mults-negative-T", "jensen-no-scores"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
@@ -345,6 +362,35 @@ def test_codebook_without_sidecar_needs_d(workspace):
     assert run(workspace, "quantize", "--keys", raw, "--signs",
                workspace / "s.sgnrom", "--codebook", bare,
                "--out", workspace / "x.kvq") == 4
+
+
+# Runs the artifact-producing subcommands in one interpreter, then prints
+# every scipy module that got imported along the way.
+_SCIPY_PROBE = """
+import sys
+import kvlut.cli
+ws = sys.argv[1]
+for argv in (
+    ["solve-codebook", "--d", "128", "--b", "3", "--out", f"{ws}/cb.cbrom"],
+    ["gen-signs", "--d", "128", "--out", f"{ws}/s.sgnrom"],
+    ["quantize", "--keys", f"{ws}/keys.npy", "--signs", f"{ws}/s.sgnrom",
+     "--codebook", f"{ws}/cb.cbrom", "--out", f"{ws}/c.kvq"],
+    ["simulate-attention", "--query", f"{ws}/query.npy", "--cache", f"{ws}/c.kvq",
+     "--signs", f"{ws}/s.sgnrom", "--codebook", f"{ws}/cb.cbrom", "--reference"],
+    ["optimize-signs", "--keys", f"{ws}/cal0.npy", "--b", "3", "--candidates", "4",
+     "--out", f"{ws}/o.sgnrom"],
+):
+    assert kvlut.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_imports_no_scipy(workspace):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(workspace)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_report_json_is_stable(workspace):

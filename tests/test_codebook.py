@@ -7,13 +7,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
-from kvlut.codebook import (Codebook, analytic_distortion, deserialize_rom,
+from kvlut.codebook import (Codebook, _ndtr, analytic_distortion, deserialize_rom,
                             infer_b, lloyd_residual, max_residual, rom_size,
                             serialize_rom, solve_codebook, solve_lloyd_max)
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError,
-                          NonConvergenceError)
+                          InvalidInputError, NonConvergenceError)
 
 
 # sha256 of serialize_rom(solve_codebook(d, b)), recorded from the solver
@@ -58,10 +59,11 @@ def quad_distortion(sigma, centroids, boundaries):
 
 
 def test_all_bitwidths_converge_at_default_tol():
-    for b in range(1, 9):
-        cb = solve_codebook(128, b)
-        assert lloyd_residual(cb.centroids, cb.boundaries) < 1e-12
-        assert max_residual(cb.sigma, cb.centroids, cb.boundaries) < 1e-12
+    for d in (2 ** k for k in range(1, 17)):
+        for b in range(1, 9):
+            cb = solve_codebook(d, b)
+            assert lloyd_residual(cb.centroids, cb.boundaries) < 1e-12
+            assert max_residual(cb.sigma, cb.centroids, cb.boundaries) < 1e-12
 
 
 def test_structure_and_symmetry():
@@ -126,8 +128,16 @@ def test_design_point_validation():
         solve_codebook(128, 0)
     with pytest.raises(InvalidDimensionError):
         solve_codebook(128, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         solve_lloyd_max(0.5, 3, tol=0.0)
+
+
+def test_ndtr_matches_scipy_oracle():
+    # Below about -37.5 scipy flushes the subnormal tail to zero, which the
+    # absolute term admits; everywhere else the bound is relative.
+    z = np.linspace(-38.0, 38.0, 200_001)
+    np.testing.assert_allclose(_ndtr(z), ndtr(z), rtol=1e-12,
+                               atol=np.finfo(np.float64).tiny)
 
 
 def test_unreachable_tolerance_raises_with_residual():

@@ -156,6 +156,8 @@ def test_jensen_probe_determinism_and_validation():
         jensen_bias_probe(scores, -0.1, trials=100)
     with pytest.raises(InvalidInputError):
         jensen_bias_probe(scores, 0.1, trials=0)
+    with pytest.raises(InvalidInputError):
+        jensen_bias_probe(np.empty(0), 0.1, trials=100)
 
 
 def test_sensitivity_sweep_matrix_and_spreads():

@@ -221,6 +221,9 @@ def test_sign_rom_rejects_corruption():
         pack_sign_rom([])
     with pytest.raises(InvalidDimensionError):
         pack_sign_rom([random_signs(64, 1), random_signs(128, 1)])
+    # The header holds the layer count as u16.
+    with pytest.raises(FormatError, match="65536 layers"):
+        pack_sign_rom([random_signs(2, 1)] * 65536)
 
 
 def test_deserialize_signs_length_check():
