@@ -311,6 +311,8 @@ def _cmd_eval(args) -> int:
     if len(layers) > 1:
         payload["norm_diagnostic"] = norm_ratio_diagnostic(layers).to_dict()
     if args.jensen_std is not None:
+        if args.jensen_scores < 1:
+            raise InvalidInputError(f"--jensen-scores must be >= 1, got {args.jensen_scores}")
         rng = np.random.default_rng(args.seed)
         true_scores = rng.normal(size=args.jensen_scores)
         payload["jensen"] = [

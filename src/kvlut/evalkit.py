@@ -217,8 +217,8 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
     weights.  At noise_std = 0 the ratio is exactly 1.  Also reports how far
     the trial-averaged softmax weights drift from the noiseless softmax.
     """
-    if noise_std < 0:
-        raise InvalidInputError(f"noise_std must be >= 0, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise InvalidInputError(f"noise_std must be finite and >= 0, got {noise_std}")
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     s = np.atleast_1d(np.asarray(true_scores, dtype=np.float64))

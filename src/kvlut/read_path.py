@@ -73,6 +73,23 @@ def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
     return PrecomputedTable(d=cb.d, b=cb.b, entries=entries)
 
 
+def _round_half(s: np.ndarray) -> None:
+    """Round float32 s in place to half precision, as a float16 cast would.
+
+    Precondition: every value is a multiple of 2^-24 (the half subnormal
+    step), +-inf, or the NaN 0xFFC00000.  Then a value below the half normal
+    range is already a half subnormal, and rounding to nearest even at
+    mantissa bit 13 of the float32 bits rounds every other value.  Scaling
+    by 2^112 overflows exactly the results of magnitude >= 2^16, which half
+    rounds to inf; scaling back by 2^-112 is exact for all the rest.
+    """
+    u = s.view(np.uint32)
+    u += 0xFFF + ((u >> 13) & 1)
+    u &= 0xFFFFE000
+    s *= np.float32(2.0 ** 112)
+    s *= np.float32(2.0 ** -112)
+
+
 def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
                 mode: str, counter: OpCounter | None) -> np.ndarray:
     """Score T stored keys, (T, d) indices and (T,) half norms, tile by tile.
@@ -86,7 +103,10 @@ def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
     copy of the half-rounded table: a float32 sum of two halves rounded to
     half is the correctly rounded half sum (24 >= 2*11 + 2 bits), and the
     only NaN the tree makes, inf + -inf, has one payload, so every level
-    matches half arithmetic bit for bit.
+    matches half arithmetic bit for bit.  Each level rounds its partial
+    sums with _round_half on their float32 bits, not through a float16
+    cast: every partial is a sum of two halves, so a multiple of 2^-24,
+    which is the precondition under which that rounding is exact.
     """
     if idx.size and idx.max() >= (1 << tbl.b):
         raise CorruptCacheError(f"cache index exceeds 2^{tbl.b} - 1")
@@ -104,7 +124,8 @@ def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
             for rows in _row_tiles(n, tbl.d):
                 acc = table.take(idx[rows] + base)
                 while acc.shape[1] > 1:
-                    acc = (acc[:, 0::2] + acc[:, 1::2]).astype(np.float16).astype(np.float32)
+                    acc = acc[:, 0::2] + acc[:, 1::2]
+                    _round_half(acc)
                 scores[rows] = acc[:, 0].astype(np.float16) * norms[rows]
     else:
         raise InvalidInputError(f"unknown scoring mode {mode!r}")

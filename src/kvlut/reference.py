@@ -31,13 +31,15 @@ def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],
     reconstruction rescales (norm category), and a d-multiply dot product
     (score category); the score-category multiplication total is exactly T*d.
     Each key's dot product is its own q @ row, as with one key at a time; a
-    matrix-vector product would sum in another order.
+    matrix-vector product would sum in another order.  The stacked (1, d) @
+    (d, 1) matmul below runs those same T vector dot products (numpy's dot
+    kernel, as 1-D q @ row does) in one call.
     """
     q = _finite_array(q, cb.d, (1,), "query")
     counter = OpCounter()
     idx, norms = _cache_rows(cache, cb.d)
     recon = _dequantize_rows(idx, norms, spec, cb, counter)
-    scores = np.array([q @ row for row in recon], dtype=np.float64)
+    scores = (recon[:, None, :] @ q[:, None])[:, 0, 0]
     t = idx.shape[0]
     counter.add("score", mults=t * cb.d, adds=t * (cb.d - 1))
     return scores, counter

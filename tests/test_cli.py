@@ -310,17 +310,25 @@ def _with_zero_layer_rom(ws, command):
     (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", "inf"), 8),
     # d past the sign ROM header's u16 field.
     (lambda ws: run(ws, "gen-signs", "--d", 65536, "--out", ws / "big.sgnrom"), 4),
-    # A negative key count, and an empty score vector for the Jensen probe.
+    # A negative key count; an empty or negative score count and a
+    # non-finite noise level for the Jensen probe.
     (lambda ws: run(ws, "bench-mults", "--d", 128, "--b", 3, "--T", -1), 8),
     (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
                     "--jensen-std", "0.1", "--jensen-scores", 0), 8),
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
+                    "--jensen-std", "0.1", "--jensen-scores", -1), 8),
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
+                    "--jensen-std", "nan"), 8),
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
+                    "--jensen-std", "inf"), 8),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "txt-empty", "zero-norm-layer",
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
-        "bench-mults-negative-T", "jensen-no-scores"])
+        "bench-mults-negative-T", "jensen-no-scores", "jensen-negative-scores",
+        "jensen-std-nan", "jensen-std-inf"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")

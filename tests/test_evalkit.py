@@ -152,8 +152,9 @@ def test_jensen_probe_determinism_and_validation():
     b = jensen_bias_probe(scores, 0.3, trials=5000, seed=9)
     assert a.aggregate_ratio == b.aggregate_ratio
     assert a.to_dict() == b.to_dict()
-    with pytest.raises(InvalidInputError):
-        jensen_bias_probe(scores, -0.1, trials=100)
+    for bad_std in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            jensen_bias_probe(scores, bad_std, trials=100)
     with pytest.raises(InvalidInputError):
         jensen_bias_probe(scores, 0.1, trials=0)
     with pytest.raises(InvalidInputError):

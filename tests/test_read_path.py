@@ -11,8 +11,9 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.opcount import OpCounter
-from kvlut.read_path import (Fp16Score, PrecomputedTable, precompute_table,
-                             score_key, score_key_fp16, score_sequence)
+from kvlut.read_path import (Fp16Score, PrecomputedTable, _round_half,
+                             precompute_table, score_key, score_key_fp16,
+                             score_sequence)
 from kvlut.reference import score_sequence_reference
 from kvlut.transform import RotationSpec, inverse_rotate, random_signs, rotate
 from kvlut.write_path import (_TILE_ELEMS, KVCache, QuantizedKey, _row_tiles,
@@ -264,6 +265,52 @@ def test_fp16_sequence_matches_per_key_adder_tree():
             else:
                 assert (sums[-4] == np.inf and sums[-3] == -np.inf
                         and np.isnan(want[-2]) and np.isnan(sums[-1])), where
+
+
+def _assert_rounds_as_cast(bits):
+    # _round_half on float32 bit patterns against numpy's f32 -> f16 -> f32.
+    x = np.asarray(bits, dtype=np.uint32).view(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = x.astype(np.float16).astype(np.float32)
+        got = x.copy()
+        _round_half(got)
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    return got
+
+
+def _multiples_of_2_to_minus_24(bits):
+    x = bits.view(np.float32).astype(np.float64) * 2.0**24
+    return bits[np.floor(x) == x]
+
+
+def test_round_half_ties_and_near_ties_in_every_binade():
+    # Binades 2^-24 .. 2^16, both signs, all 1,024 kept-mantissa patterns,
+    # and the 13 dropped bits just below, at and just above the halfway point.
+    exps = np.arange(127 - 24, 127 + 17, dtype=np.uint32)
+    upper = np.arange(1024, dtype=np.uint32)
+    low = np.array([0x0FFF, 0x1000, 0x1001], dtype=np.uint32)
+    bits = ((exps[:, None, None] << 23) | (upper[None, :, None] << 13)
+            | low[None, None, :]).ravel()
+    bits = _multiples_of_2_to_minus_24(np.concatenate([bits, bits | 0x80000000]))
+    # Near-ties are multiples of 2^-24 from binade 2^-1 up, ties from 2^-13.
+    assert bits.size == 2 * 1024 * (2 * 18 + 30)
+    _assert_rounds_as_cast(bits)
+
+
+def test_round_half_overflow_edge_and_specials():
+    # Every float32 in [2^15, 2^17), 2^21 at a time.
+    for lo in range(0x47000000, 0x48000000, 1 << 21):
+        _assert_rounds_as_cast(np.arange(lo, lo + (1 << 21), dtype=np.uint32))
+    edge = np.array([65504, 65520, 131008], dtype=np.float32)
+    np.testing.assert_array_equal(_assert_rounds_as_cast(edge.view(np.uint32)),
+                                  [65504, np.inf, np.inf])
+    # Every multiple of 2^-24 below 2^-14 (the half subnormals), both signs
+    # and so +-0, then +-inf and the two quiet NaNs, which pass unchanged.
+    sub = (np.arange(1024) * 2.0**-24).astype(np.float32).view(np.uint32)
+    _assert_rounds_as_cast(np.concatenate([sub, sub | 0x80000000]))
+    specials = np.array([0x7F800000, 0xFF800000, 0xFFC00000, 0x7FC00000], dtype=np.uint32)
+    got = _assert_rounds_as_cast(specials)
+    np.testing.assert_array_equal(got.view(np.uint32), specials)
 
 
 def test_double_sequence_matches_per_key_gather_sum():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kvlut.reference as reference
 import kvlut.write_path as write_path
 from kvlut.codebook import solve_codebook
 from kvlut.opcount import OpCounter
@@ -48,6 +49,26 @@ def test_oracle_matches_per_key_loop(T):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert got_ctr.to_dict() == want_ctr.to_dict()
     assert got_ctr.mults_in("score") == T * D
+
+
+@pytest.mark.parametrize("d", [2, 128, 1024])
+def test_oracle_dot_products_match_per_key_loop_at_extreme_magnitudes(d, monkeypatch):
+    # The oracle's one stacked matmul against one q @ row per key, on rows
+    # and queries from 1e-300 to 1e300, so products also over- and underflow.
+    rng = np.random.default_rng(d)
+    T = 64
+    recon = rng.normal(size=(T, d)) * 10.0 ** rng.integers(-300, 301, size=(T, 1))
+    monkeypatch.setattr(reference, "_dequantize_rows", lambda *args: recon)
+    cb = solve_codebook(d, 1)
+    spec = RotationSpec(d=d, sign=random_signs(d, 1))
+    cache = [QuantizedKey(indices=np.zeros(d, dtype=np.uint8), norm=np.float16(1))] * T
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+        # A strided query as well as a contiguous one.
+        for q in (rng.normal(size=d) * scale, (rng.normal(size=2 * d) * scale)[::2]):
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got, _ = score_sequence_reference(q, cache, spec, cb)
+                want = np.array([q @ row for row in recon])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_dequantize_key_is_a_row_of_the_block():
