@@ -10,6 +10,10 @@ d table lookups, an adder tree, and one norm multiply:
 Per query that is d*2^b multiplications once, then one per key, against T*d
 for dequantize-and-dot.  The conventional path lives in the reference module
 and is used only as a test oracle; nothing here touches inverse rotation.
+
+The op tallies charge the hardware model: d lookups, d-1 additions and one
+multiply per key.  How the host emulates them (gathering coordinates one at
+a time or in pairs, see _score_rows) changes no tally and no score bit.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError,
-                     _check_same_d, _finite_array, _read_only)
+                     _check_power_of_two, _check_same_d, _finite_array, _read_only)
 from .opcount import OpCounter
 from .transform import RotationSpec, rotate
-from .write_path import QuantizedKey, _cache_rows, _row_tiles
+from .write_path import _TILE_ELEMS, QuantizedKey, _cache_rows, _row_tiles
 
 __all__ = [
     "PrecomputedTable",
@@ -47,6 +51,7 @@ class PrecomputedTable:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_power_of_two(self.d, "table d")
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.shape != (self.d, 1 << self.b):
             raise InvalidDimensionError(
@@ -84,43 +89,108 @@ def _round_half(s: np.ndarray) -> None:
     rounds to inf; scaling back by 2^-112 is exact for all the rest.
     """
     u = s.view(np.uint32)
-    u += 0xFFF + ((u >> 13) & 1)
+    t = u >> 13
+    t &= 1
+    t += 0xFFF
+    u += t
     u &= 0xFFFFE000
     s *= np.float32(2.0 ** 112)
     s *= np.float32(2.0 ** -112)
+
+
+def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
+    """(G, L, K) of the (G, L, K, L) pair table for n keys of width d, or None.
+
+    L = 2^b, K = 256 >> b and G = ceil((d/2) / K).  None, for the single
+    gather, when the table would outgrow one tile's gather or n keys would
+    not repay its build.
+    """
+    rows = _TILE_ELEMS // d
+    if 4 ** b > rows or n < max(rows, 4 ** (b + 1)):
+        return None
+    levels, k = 1 << b, 256 >> b
+    return -(-d // (2 * k)), levels, k
+
+
+def _pair_table(cols: np.ndarray, layout: tuple[int, int, int], mode: str) -> np.ndarray:
+    """The pair table of a (d, L) column table, built straight into its layout.
+
+    Entry [g, c, k, a] belongs to pair i = g*K + k, coordinates (2i, 2i+1) at
+    cells (a, c).  "double" stores the 16-byte record (cols[2i, a],
+    cols[2i+1, c]) as one complex128; "fp16" stores their sum rounded to
+    half, the adder tree's first level.  Pairs past d/2 (K > d/2) stay zero.
+    """
+    g, levels, k = layout
+    h = cols.shape[0] // (2 * g)
+    even = cols[0::2].reshape(g, 1, h, levels)
+    odd = cols[1::2].reshape(g, h, levels).transpose(0, 2, 1)[..., None]
+    if mode == "double":
+        table = np.zeros((g, levels, k, levels), np.complex128)
+        table.real[:, :, :h] = even
+        table.imag[:, :, :h] = odd
+    else:
+        table = np.zeros((g, levels, k, levels), np.float32)
+        np.add(even, odd, out=table[:, :, :h])
+        _round_half(table)
+    return table
 
 
 def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
                 mode: str, counter: OpCounter | None) -> np.ndarray:
     """Score T stored keys, (T, d) indices and (T,) half norms, tile by tile.
 
-    Rows come from _cache_rows, which checks their width against the table.
-    Entry (i, idx) sits at flat offset idx + i*2^b of the table; each row
-    tile (write_path._row_tiles) gathers its entries with one take, sums
-    them and writes its scores into the preallocated (T,) output, so no
-    temporary outgrows a tile.  Every step is row by row, so the tiling
-    changes no bit.  "fp16" rounds as score_key_fp16 describes, on a float32
-    copy of the half-rounded table: a float32 sum of two halves rounded to
-    half is the correctly rounded half sum (24 >= 2*11 + 2 bits), and the
-    only NaN the tree makes, inf + -inf, has one payload, so every level
-    matches half arithmetic bit for bit.  Each level rounds its partial
-    sums with _round_half on their float32 bits, not through a float16
-    cast: every partial is a sum of two halves, so a multiple of 2^-24,
-    which is the precondition under which that rounding is exact.
+    Rows come from _cache_rows, which checks their width against the table;
+    they are C-contiguous (KVCache copies them, a list is stacked).  Each
+    row tile (write_path._row_tiles) gathers its table entries with one take
+    of flat offsets, sums them and writes its scores into the preallocated
+    (T,) output, so no temporary outgrows a tile.  Every step is row by
+    row, so the tiling changes no bit.
+
+    Single gather: entry (i, idx) sits at offset idx + i*2^b of the (d, 2^b)
+    table, d offsets per row.  Pair gather, when _pair_layout admits the
+    input: a row viewed as little-endian uint16 holds a | c << 8 for each
+    coordinate pair (a, c) = (idx[2i], idx[2i+1]), so with L = 2^b and K =
+    256 >> b, pair i's entry sits at offset (a | c << 8) + (i % K)*L +
+    (i // K)*(L << 8) of the interleaved table that _pair_table builds once
+    per query: d/2 offsets per row.  In "double" the gathered complex
+    records viewed as float64 are exactly the single gather's (rows, d)
+    block, so the sum runs in the same order on the same values.  In
+    "fp16" each pair entry is the tree's first level, computed as the tree
+    computes it, and the remaining levels run as before.  The gate (see
+    _pair_layout) keeps the table within one tile's gather.
+
+    "fp16" rounds as score_key_fp16 describes, on a float32 copy of the
+    half-rounded table: a float32 sum of two halves rounded to half is the
+    correctly rounded half sum (24 >= 2*11 + 2 bits), and the only NaN the
+    tree makes, inf + -inf, has one payload, so every level matches half
+    arithmetic bit for bit.  Each level rounds its partial sums with
+    _round_half on their float32 bits, not through a float16 cast: every
+    partial is a sum of two halves, so a multiple of 2^-24, which is the
+    precondition under which that rounding is exact.
     """
     if idx.size and idx.max() >= (1 << tbl.b):
         raise CorruptCacheError(f"cache index exceeds 2^{tbl.b} - 1")
-    base = np.arange(0, tbl.d << tbl.b, 1 << tbl.b, dtype=np.intp)
     n = idx.shape[0]
+    layout = _pair_layout(tbl.d, tbl.b, n)
+    if layout is None:
+        base = np.arange(0, tbl.d << tbl.b, 1 << tbl.b, dtype=np.intp)
+    else:
+        _, levels, k = layout
+        i = np.arange(tbl.d // 2)
+        base = i % k * levels + i // k * (levels << 8)
+        idx = idx.view("<u2")
     if mode == "double":
-        table = tbl.entries.ravel()
+        table = tbl.entries if layout is None else _pair_table(tbl.entries, layout, mode)
         scores = np.empty(n)
         for rows in _row_tiles(n, tbl.d):
-            scores[rows] = table.take(idx[rows] + base).sum(axis=1) * norms[rows].astype(np.float64)
+            acc = table.take(idx[rows] + base).view(np.float64)
+            scores[rows] = acc.sum(axis=1) * norms[rows].astype(np.float64)
     elif mode == "fp16":
         scores = np.empty(n, dtype=np.float16)
         with np.errstate(over="ignore", invalid="ignore"):
-            table = tbl.entries.astype(np.float16).astype(np.float32).ravel()
+            table = tbl.entries.astype(np.float16).astype(np.float32)
+            if layout is not None:
+                table = _pair_table(table, layout, mode)
             for rows in _row_tiles(n, tbl.d):
                 acc = table.take(idx[rows] + base)
                 while acc.shape[1] > 1:

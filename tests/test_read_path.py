@@ -11,9 +11,9 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.opcount import OpCounter
-from kvlut.read_path import (Fp16Score, PrecomputedTable, _round_half,
-                             precompute_table, score_key, score_key_fp16,
-                             score_sequence)
+from kvlut.read_path import (Fp16Score, PrecomputedTable, _pair_layout,
+                             _pair_table, _round_half, precompute_table,
+                             score_key, score_key_fp16, score_sequence)
 from kvlut.reference import score_sequence_reference
 from kvlut.transform import RotationSpec, inverse_rotate, random_signs, rotate
 from kvlut.write_path import (_TILE_ELEMS, KVCache, QuantizedKey, _row_tiles,
@@ -180,6 +180,9 @@ def test_corrupt_indices_raise():
 def test_table_validation():
     with pytest.raises(InvalidDimensionError):
         PrecomputedTable(d=4, b=1, entries=np.zeros((4, 3)))
+    for d in (1, 3):
+        with pytest.raises(InvalidDimensionError):
+            PrecomputedTable(d=d, b=1, entries=np.zeros((d, 2)))
     with pytest.raises(InvalidDimensionError):
         precompute_table(np.ones(64), SPEC, CB)
 
@@ -192,12 +195,14 @@ def test_zero_norm_key_scores_zero():
     assert float(score_key_fp16(tbl, qk).value) == 0.0
 
 
-def _tree_fp16(entries, qk):
+def _tree_fp16(entries, indices, norm):
     # Per-key half-precision datapath: round the reads, pairwise tree, norm.
-    acc = entries[np.arange(entries.shape[0]), qk.indices].astype(np.float16)
-    while acc.size > 1:
-        acc = acc[0::2] + acc[1::2]
-    return acc[0] * qk.norm
+    # Every step is elementwise, so (T, d) indices and (T,) norms score T
+    # keys exactly as T calls would.
+    acc = entries[np.arange(entries.shape[0]), indices].astype(np.float16)
+    while acc.shape[-1] > 1:
+        acc = acc[..., 0::2] + acc[..., 1::2]
+    return acc[..., 0] * norm
 
 
 # The per-key equivalence tests run on every pair of these.
@@ -242,9 +247,9 @@ def test_fp16_sequence_matches_per_key_adder_tree():
             mixed[:n], mixed[n:2 * n] = hi[:n], lo[n:2 * n]
             cache.append(QuantizedKey(indices=mixed, norm=np.float16(1.0)))
             with np.errstate(over="ignore", invalid="ignore"):
-                want = np.array([_tree_fp16(tbl.entries, qk) for qk in cache],
-                                dtype=np.float16)
-                sums = np.array([_tree_fp16(tbl.entries, QuantizedKey(qk.indices, 1.0))
+                want = np.array([_tree_fp16(tbl.entries, qk.indices, qk.norm)
+                                 for qk in cache], dtype=np.float16)
+                sums = np.array([_tree_fp16(tbl.entries, qk.indices, np.float16(1.0))
                                  for qk in cache], dtype=np.float16)
                 got, _ = score_sequence(q, cache, spec, cb, mode="fp16")
                 singles = np.array([score_key_fp16(tbl, qk).value for qk in cache])
@@ -381,7 +386,8 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
                              for qk in cache])
             singles = np.array([score_key(tbl, qk) for qk in cache])
             got16, ctr16 = score_sequence(q, cache, spec, cb, mode="fp16")
-            want16 = np.array([_tree_fp16(tbl.entries, qk) for qk in cache], dtype=np.float16)
+            want16 = np.array([_tree_fp16(tbl.entries, qk.indices, qk.norm) for qk in cache],
+                               dtype=np.float16)
             singles16 = np.array([score_key_fp16(tbl, qk).value for qk in cache])
             for t in (0, 1):
                 assert score_sequence(q, cache[:t], spec, cb)[1].to_dict() == \
@@ -398,6 +404,99 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
             assert np.all(got16[[i + 1 for i in firsts[:2]]] == -np.inf), where
         else:
             assert np.all(np.isnan(got[firsts])) and np.all(np.isnan(got16[firsts])), where
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 128, 1024])
+def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
+    # The pair gather runs from T = max(rows, 4^(b+1)) when the table fits a
+    # tile (4^b <= rows); T - 1 and a one-row-past-a-tile T run the single
+    # gather there.  d=1024 at b >= 3 never pairs, d=2 pads its table (K > d/2).
+    cb, spec = _design(d, b)
+    rows = _TILE_ELEMS // d
+    gate = max(rows, 4 ** (b + 1))
+    fits = 4 ** b <= rows
+    assert _pair_layout(d, b, gate - 1) is None
+    assert (_pair_layout(d, b, gate) is not None) == fits
+    if d == 2:
+        g, levels, k = _pair_layout(d, b, gate)
+        assert (g, levels) == (1, 2 ** b) and k > d // 2
+    rng = np.random.default_rng(7 * d + b)
+    top = cb.centroids[-1]
+    # A random query scaled so its trees overflow; "peak", whose table rows
+    # all peak at 0.75x the half maximum, so two peaks sum past it inside the
+    # pair table; "over", whose peaks and troughs are half +-inf, so a pair
+    # table entry is inf + -inf; and a zero query.
+    q = rng.normal(size=d)
+    q *= 1.5 * 65504 / precompute_table(q, spec, cb).entries.max(axis=1).sum()
+    queries = [("random", q),
+               ("peak", inverse_rotate(spec, np.full(d, 0.75 * 65504 / top))),
+               ("over", inverse_rotate(spec, np.full(d, 1.5 * 65504 / top))),
+               ("zero", np.zeros(d))]
+    n = max(1, d // 8)
+    for T in (gate - 1, gate, rows + 1):
+        layout = _pair_layout(d, b, T)
+        for kind, q in queries:
+            tbl = precompute_table(q, spec, cb)
+            hi, lo = (np.argmax(tbl.entries, axis=1).astype(np.uint8),
+                      np.argmin(tbl.entries, axis=1).astype(np.uint8))
+            alt, mixed = hi.copy(), hi.copy()
+            alt[1::2] = lo[1::2]
+            mixed[n:2 * n] = lo[n:2 * n]
+            idx = rng.integers(0, 2 ** b, size=(T + 2, d), dtype=np.uint8)
+            norms = rng.uniform(0.1, 2.0, size=T + 2).astype(np.float16)
+            # Rows 1-6 of the slice below: keys aligned with and against the
+            # query, pairs of one peak and one trough, a block of peaks
+            # beside a block of troughs, and norms +inf, 0 and 3e4.
+            special = [(hi, np.inf), (lo, 1.0), (alt, 1.0), (mixed, 1.0), (hi, 0.0), (lo, 3e4)]
+            for r, (cells, norm) in enumerate(special, start=2):
+                idx[r], norms[r] = cells, norm
+            cache = KVCache(idx, norms)[1:T + 1]
+            # A plain list of keys is stacked into fresh contiguous rows.
+            keys = list(cache) if T == gate else cache
+            where = f"d={d}, b={b}, T={T}, query={kind}"
+            if layout is not None and kind in ("peak", "over"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    half = tbl.entries.astype(np.float16).astype(np.float32)
+                    pairs = _pair_table(half, layout, "fp16")
+                assert np.isposinf(pairs).any(), where
+                assert np.isnan(pairs).any() == (kind == "over"), where
+            got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
+            listed16 = score_sequence(q, keys, spec, cb, mode="fp16")[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = score_sequence(q, cache, spec, cb)[0]
+                listed = score_sequence(q, keys, spec, cb)[0]
+                want = tbl.entries[np.arange(d), cache.indices].sum(axis=1) \
+                    * cache.norms.astype(np.float64)
+                want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
+                sample = [*range(8), *range(T - 2, T)]
+                singles = np.array([score_key(tbl, cache[i]) for i in sample])
+                singles16 = np.array([score_key_fp16(tbl, cache[i]).value for i in sample])
+            for other in (listed, want):
+                np.testing.assert_array_equal(got.view(np.uint64), other.view(np.uint64), where)
+            np.testing.assert_array_equal(got[sample].view(np.uint64),
+                                          singles.view(np.uint64), where)
+            for other in (listed16, want16):
+                np.testing.assert_array_equal(got16.view(np.uint16), other.view(np.uint16),
+                                              where)
+            np.testing.assert_array_equal(got16[sample].view(np.uint16),
+                                          singles16.view(np.uint16), where)
+            if kind == "over":
+                assert np.isnan(got16[3]) and np.isnan(got16[4]), where
+
+
+@pytest.mark.parametrize("d", [1 << k for k in range(1, 17)])
+def test_pair_table_fits_one_tile(d):
+    # Every admitted design point's table, padding included, holds at most
+    # _TILE_ELEMS pair entries and a slot for each of the d/2 pairs.
+    for b in range(1, 9):
+        layout = _pair_layout(d, b, 1 << 40)
+        assert (layout is not None) == (4 ** b <= _TILE_ELEMS // d), (d, b)
+        if layout is not None:
+            g, levels, k = layout
+            table = _pair_table(np.zeros((d, levels)), layout, "double")
+            assert table.shape == (g, levels, k, levels) and g * k >= d // 2, (d, b)
+            assert table.size <= _TILE_ELEMS, (d, b)
 
 
 @pytest.mark.parametrize("mode, dtype", [("double", np.float64), ("fp16", np.float16)])
