@@ -18,14 +18,15 @@ import numpy as np
 
 from . import codebook as cbmod
 from .errors import (ConfigConflictError, FormatError, InvalidInputError,
-                     IoError, KvlutError)
+                     IoError, KvlutError, _layer_items)
 from .evalkit import (LayerProfile, SyntheticSpec, generate_keys,
                       jensen_bias_probe, sensitivity_sweep)
 from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
-from .transform import RotationSpec, _open_sign_rom, random_signs, write_sign_rom
+from .transform import (RotationSpec, _open_sign_rom, _seed64, random_signs,
+                        write_sign_rom)
 from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
                          write_kvq)
 
@@ -259,8 +260,9 @@ def _cmd_bench_mults(args) -> int:
     if T < 0:
         raise InvalidInputError(f"--T must be >= 0, got {T}")
     cb = cbmod.solve_codebook(d, b)
-    spec = RotationSpec(d=d, sign=random_signs(d, args.seed + 1))
-    rng = np.random.default_rng(args.seed)
+    seed = _seed64(args.seed)
+    spec = RotationSpec(d=d, sign=random_signs(d, seed + 1))
+    rng = np.random.default_rng(seed)
     keys = rng.normal(size=(T, d))
     q = rng.normal(size=d)
     cache = KVCache(*quantize_batch(keys, spec, cb))
@@ -302,7 +304,7 @@ def _cmd_eval(args) -> int:
     bs = _int_list(args.b_list)
     payload: dict = {"seeds": seeds, "bs": bs, "layers": {}}
     csv_rows = ["layer,seed,b,mse"]
-    for layer_id, cs in layers.items():
+    for layer_id, cs in _layer_items(layers):
         sweep = sensitivity_sweep(cs, seeds, bs)
         payload["layers"][str(layer_id)] = sweep.to_dict()
         for i, sd in enumerate(seeds):
@@ -313,7 +315,7 @@ def _cmd_eval(args) -> int:
     if args.jensen_std is not None:
         if args.jensen_scores < 1:
             raise InvalidInputError(f"--jensen-scores must be >= 1, got {args.jensen_scores}")
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_seed64(args.seed))
         true_scores = rng.normal(size=args.jensen_scores)
         payload["jensen"] = [
             jensen_bias_probe(true_scores, s, args.jensen_trials,

@@ -26,7 +26,7 @@ from .errors import (InvalidInputError, _check_power_of_two, _check_same_d,
 from .signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
                       candidate_mse)
 from .read_path import score_sequence
-from .transform import RotationSpec, random_signs
+from .transform import RotationSpec, _seed64, random_signs
 from .write_path import KVCache, packed_size, quantize_batch
 
 __all__ = [
@@ -93,7 +93,7 @@ def generate_keys(spec: SyntheticSpec) -> dict[int, CalibrationSet]:
     """Draw each layer's N x d key matrix; deterministic in (seed, layer)."""
     out: dict[int, CalibrationSet] = {}
     for layer, prof in enumerate(spec.profiles):
-        rng = np.random.default_rng([spec.seed, layer])
+        rng = np.random.default_rng([_seed64(spec.seed), layer])
         rows = rng.normal(size=(spec.N, spec.d))
         if prof.gain is not None:
             rows = rows * prof.gain
@@ -224,7 +224,7 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
     s = np.atleast_1d(np.asarray(true_scores, dtype=np.float64))
     if not s.size:
         raise InvalidInputError("true_scores must hold at least one score")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed64(seed))
     base_weights = _softmax(s)
 
     exp_sum = np.zeros_like(s)
@@ -243,7 +243,7 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
     return JensenReport(
         noise_std=float(noise_std),
         trials=int(trials),
-        seed=int(seed),
+        seed=_seed64(seed),
         per_score_ratio=per_ratio,
         aggregate_ratio=float(per_ratio.mean()),
         oracle_ratio=math.exp(0.5 * noise_std**2),

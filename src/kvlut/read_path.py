@@ -30,7 +30,7 @@ from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError
                      _check_power_of_two, _check_same_d, _finite_array, _read_only)
 from .opcount import OpCounter
 from .transform import RotationSpec, rotate
-from .write_path import _TILE_ELEMS, QuantizedKey, _cache_rows, _row_tiles
+from .write_path import _TILE_ELEMS, KVCache, QuantizedKey, _cache_rows, _row_tiles
 
 __all__ = [
     "PrecomputedTable",
@@ -78,7 +78,7 @@ def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
     return PrecomputedTable(d=cb.d, b=cb.b, entries=entries)
 
 
-def _round_half(s: np.ndarray) -> None:
+def _round_half(s: np.ndarray, scale: bool = True) -> None:
     """Round float32 s in place to half precision, as a float16 cast would.
 
     Precondition: every value is a multiple of 2^-24 (the half subnormal
@@ -86,7 +86,9 @@ def _round_half(s: np.ndarray) -> None:
     range is already a half subnormal, and rounding to nearest even at
     mantissa bit 13 of the float32 bits rounds every other value.  Scaling
     by 2^112 overflows exactly the results of magnitude >= 2^16, which half
-    rounds to inf; scaling back by 2^-112 is exact for all the rest.
+    rounds to inf; scaling back by 2^-112 is exact for all the rest.  When
+    no value can round to 2^16 (_tree_needs_scale says when), the scale and
+    scale-back are the identity, and scale=False skips them.
     """
     u = s.view(np.uint32)
     t = u >> 13
@@ -94,8 +96,28 @@ def _round_half(s: np.ndarray) -> None:
     t += 0xFFF
     u += t
     u &= 0xFFFFE000
-    s *= np.float32(2.0 ** 112)
-    s *= np.float32(2.0 ** -112)
+    if scale:
+        s *= np.float32(2.0 ** 112)
+        s *= np.float32(2.0 ** -112)
+
+
+def _tree_needs_scale(half: np.ndarray) -> bool:
+    """False when no adder-tree partial over the (d, 2^b) half table can be inf.
+
+    Let S = sum_i max_j |half[i, j]| and u = 2^-11, the half unit roundoff.
+    A level-k partial is the rounded sum of two level-(k-1) partials, and
+    rounding to nearest grows a magnitude below 65520 by at most a factor
+    1+u, so by induction every level-k partial of any key is at most
+    S*(1+u)^k, and the exact sum it rounds is at most S*(1+u)^(k-1) (the
+    standard bound for recursive summation, Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 4).  Half rounds a sum to inf only
+    from 65520 up, so S*(1+u)^(log2(d)-1) < 65520 means no level of the
+    log2(d) overflows.  The test below uses exponent log2(d): the extra 1+u
+    covers the float64 rounding of S, which is at most d*2^-53 relative.
+    A table holding +-inf or NaN gives S = inf or NaN and keeps the scale.
+    """
+    s = np.abs(half).max(axis=1).sum(dtype=np.float64)
+    return not s * (1 + 2.0 ** -11) ** (half.shape[0].bit_length() - 1) < 65520
 
 
 def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
@@ -112,13 +134,15 @@ def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
     return -(-d // (2 * k)), levels, k
 
 
-def _pair_table(cols: np.ndarray, layout: tuple[int, int, int], mode: str) -> np.ndarray:
+def _pair_table(cols: np.ndarray, layout: tuple[int, int, int], mode: str,
+                scale: bool = True) -> np.ndarray:
     """The pair table of a (d, L) column table, built straight into its layout.
 
     Entry [g, c, k, a] belongs to pair i = g*K + k, coordinates (2i, 2i+1) at
     cells (a, c).  "double" stores the 16-byte record (cols[2i, a],
     cols[2i+1, c]) as one complex128; "fp16" stores their sum rounded to
-    half, the adder tree's first level.  Pairs past d/2 (K > d/2) stay zero.
+    half (_round_half with the given scale), the adder tree's first level.
+    Pairs past d/2 (K > d/2) stay zero.
     """
     g, levels, k = layout
     h = cols.shape[0] // (2 * g)
@@ -131,20 +155,48 @@ def _pair_table(cols: np.ndarray, layout: tuple[int, int, int], mode: str) -> np
     else:
         table = np.zeros((g, levels, k, levels), np.float32)
         np.add(even, odd, out=table[:, :, :h])
-        _round_half(table)
+        _round_half(table, scale)
     return table
 
 
-def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
-                mode: str, counter: OpCounter | None) -> np.ndarray:
-    """Score T stored keys, (T, d) indices and (T,) half norms, tile by tile.
+def _gather_offsets(cache: KVCache, b: int) -> tuple[tuple[int, int, int] | None, np.ndarray]:
+    """(layout, offsets) of the cache's gather into a b-bit table, built once per b.
 
-    Rows come from _cache_rows, which checks their width against the table;
-    they are C-contiguous (KVCache copies them, a list is stacked).  Each
-    row tile (write_path._row_tiles) gathers its table entries with one take
-    of flat offsets, sums them and writes its scores into the preallocated
-    (T,) output, so no temporary outgrows a tile.  Every step is row by
-    row, so the tiling changes no bit.
+    The first call at b checks every index against 2^b (a corrupt cache
+    raises on every query and stores nothing), picks the gather with
+    _pair_layout and builds the flat intp offsets of every row into that
+    gather's table.  The cache keeps both; later calls at b return them.
+    """
+    memo = cache._gathers.get(b)
+    if memo is None:
+        idx = cache.indices
+        if idx.size and idx.max() >= (1 << b):
+            raise CorruptCacheError(f"cache index exceeds 2^{b} - 1")
+        n, d = idx.shape
+        layout = _pair_layout(d, b, n)
+        if layout is None:
+            base = np.arange(0, d << b, 1 << b, dtype=np.intp)
+        else:
+            _, levels, k = layout
+            i = np.arange(d // 2, dtype=np.intp)
+            base = i % k * levels + i // k * (levels << 8)
+            idx = idx.view("<u2")
+        memo = cache._gathers[b] = (layout, idx + base)
+    return memo
+
+
+def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
+                counter: OpCounter | None) -> np.ndarray:
+    """Score the T keys of a cache, (T, d) indices and (T,) half norms, tile by tile.
+
+    The cache comes from _cache_rows, which checks its width against the
+    table; its rows are C-contiguous.  The gather offsets depend on the
+    cache and b only, so the cache owns them (_gather_offsets): the first
+    query at b lays them out, and every query then only builds its table.
+    Each row tile (write_path._row_tiles) gathers its table entries with
+    one take of its rows' offsets, sums them and writes its scores into the
+    preallocated (T,) output, so no temporary outgrows a tile.  Every step
+    is row by row, so the tiling changes no bit.
 
     Single gather: entry (i, idx) sits at offset idx + i*2^b of the (d, 2^b)
     table, d offsets per row.  Pair gather, when _pair_layout admits the
@@ -166,36 +218,30 @@ def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
     arithmetic bit for bit.  Each level rounds its partial sums with
     _round_half on their float32 bits, not through a float16 cast: every
     partial is a sum of two halves, so a multiple of 2^-24, which is the
-    precondition under which that rounding is exact.
+    precondition under which that rounding is exact.  The levels skip the
+    overflow scale when _tree_needs_scale proves no partial can reach inf
+    for this query's table.
     """
-    if idx.size and idx.max() >= (1 << tbl.b):
-        raise CorruptCacheError(f"cache index exceeds 2^{tbl.b} - 1")
-    n = idx.shape[0]
-    layout = _pair_layout(tbl.d, tbl.b, n)
-    if layout is None:
-        base = np.arange(0, tbl.d << tbl.b, 1 << tbl.b, dtype=np.intp)
-    else:
-        _, levels, k = layout
-        i = np.arange(tbl.d // 2)
-        base = i % k * levels + i // k * (levels << 8)
-        idx = idx.view("<u2")
+    layout, offsets = _gather_offsets(cache, tbl.b)
+    n, norms = len(cache), cache.norms
     if mode == "double":
         table = tbl.entries if layout is None else _pair_table(tbl.entries, layout, mode)
         scores = np.empty(n)
         for rows in _row_tiles(n, tbl.d):
-            acc = table.take(idx[rows] + base).view(np.float64)
+            acc = table.take(offsets[rows]).view(np.float64)
             scores[rows] = acc.sum(axis=1) * norms[rows].astype(np.float64)
     elif mode == "fp16":
         scores = np.empty(n, dtype=np.float16)
         with np.errstate(over="ignore", invalid="ignore"):
             table = tbl.entries.astype(np.float16).astype(np.float32)
+            scale = _tree_needs_scale(table)
             if layout is not None:
-                table = _pair_table(table, layout, mode)
+                table = _pair_table(table, layout, mode, scale)
             for rows in _row_tiles(n, tbl.d):
-                acc = table.take(idx[rows] + base)
+                acc = table.take(offsets[rows])
                 while acc.shape[1] > 1:
                     acc = acc[:, 0::2] + acc[:, 1::2]
-                    _round_half(acc)
+                    _round_half(acc, scale)
                 scores[rows] = acc[:, 0].astype(np.float16) * norms[rows]
     else:
         raise InvalidInputError(f"unknown scoring mode {mode!r}")
@@ -207,8 +253,7 @@ def _score_rows(tbl: PrecomputedTable, idx: np.ndarray, norms: np.ndarray,
 def score_key(tbl: PrecomputedTable, qk: QuantizedKey,
               counter: OpCounter | None = None) -> float:
     """Score one stored key: d lookups, d-1 additions, 1 norm multiply."""
-    idx, norms = _cache_rows([qk], tbl.d)
-    return float(_score_rows(tbl, idx, norms, "double", counter)[0])
+    return float(_score_rows(tbl, _cache_rows([qk], tbl.d), "double", counter)[0])
 
 
 def score_key_fp16(tbl: PrecomputedTable, qk: QuantizedKey,
@@ -220,8 +265,7 @@ def score_key_fp16(tbl: PrecomputedTable, qk: QuantizedKey,
     precision, round-to-nearest-even.  Overflow beyond half range propagates
     to a non-finite result, reported via the saturation flag.
     """
-    idx, norms = _cache_rows([qk], tbl.d)
-    value = _score_rows(tbl, idx, norms, "fp16", counter)[0]
+    value = _score_rows(tbl, _cache_rows([qk], tbl.d), "fp16", counter)[0]
     return Fp16Score(value=value, saturated=not math.isfinite(float(value)))
 
 
@@ -235,5 +279,4 @@ def score_sequence(q: np.ndarray, cache: Sequence[QuantizedKey], spec: RotationS
     """
     counter = OpCounter()
     tbl = precompute_table(q, spec, cb, counter)
-    idx, norms = _cache_rows(cache, tbl.d)
-    return _score_rows(tbl, idx, norms, mode, counter), counter
+    return _score_rows(tbl, _cache_rows(cache, tbl.d), mode, counter), counter

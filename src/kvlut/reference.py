@@ -37,9 +37,9 @@ def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],
     """
     q = _finite_array(q, cb.d, (1,), "query")
     counter = OpCounter()
-    idx, norms = _cache_rows(cache, cb.d)
-    recon = _dequantize_rows(idx, norms, spec, cb, counter)
+    cache = _cache_rows(cache, cb.d)
+    recon = _dequantize_rows(cache.indices, cache.norms, spec, cb, counter)
     scores = (recon[:, None, :] @ q[:, None])[:, 0, 0]
-    t = idx.shape[0]
+    t = len(cache)
     counter.add("score", mults=t * cb.d, adds=t * (cb.d - 1))
     return scores, counter

@@ -11,6 +11,7 @@ them from (d, seed).
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -151,9 +152,18 @@ def inverse_rotate(spec: RotationSpec, y: np.ndarray,
 
 # -- sign generation ------------------------------------------------------
 
+def _seed64(seed: int) -> int:
+    """The 64-bit seed an integer names: every kvlut seed is read modulo 2^64.
+
+    So -1 and 2^64 - 1 are one seed, for the sign stream and for numpy's
+    generators alike, and no seed is rejected.
+    """
+    return operator.index(seed) & _MASK64
+
+
 def splitmix64_stream(seed: int, n: int) -> list[int]:
     """First n outputs of the splitmix64 generator for a 64-bit seed."""
-    state = seed & _MASK64
+    state = _seed64(seed)
     out = []
     for _ in range(n):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64

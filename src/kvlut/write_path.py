@@ -58,9 +58,17 @@ class QuantizedKey:
 class KVCache(Sequence):
     """A stored cache in columns: indices (T, d) uint8 and half norms (T,).
 
-    Both arrays are read-only copies, checked once here; the read and write
-    paths take them as they are.  As a Sequence it behaves like a list of
-    QuantizedKey: cache[i] is one key, a slice is a KVCache.
+    Both arrays are read-only C-contiguous copies, checked once here; the
+    read and write paths take them as they are.  As a Sequence it behaves
+    like a list of QuantizedKey: cache[i] is one key, built without checking
+    its norm again, and a slice is a KVCache.
+
+    The cache also owns the query-independent half of scoring: the read
+    path keeps, per bit-width b, the flat gather offsets of its index rows
+    in a private dict (not a field, so equality, repr and the Sequence
+    behaviour ignore it).  The offsets are built by the first query at b,
+    after its range check passes, and every later query at b reuses them;
+    a slice is a new cache with its own dict.
     """
 
     indices: np.ndarray
@@ -78,6 +86,7 @@ class KVCache(Sequence):
             arr.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "_gathers", {})
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -86,7 +95,15 @@ class KVCache(Sequence):
         if isinstance(i, slice):
             return KVCache(self.indices[i], self.norms[i])
         i = operator.index(i)
-        return QuantizedKey(indices=self.indices[i], norm=self.norms[i])
+        return _checked(QuantizedKey, indices=self.indices[i], norm=self.norms[i])
+
+
+def _checked(cls, **fields):
+    """A frozen dataclass cls built from fields that already pass its checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # Elements per row tile of the batched kernels.  A 4,096 x 128 temporary
@@ -185,8 +202,8 @@ def dequantize_key(qk: QuantizedKey, spec: RotationSpec, cb: Codebook,
     oracle that table lookups are checked against.  The counter charges the
     inverse transform's additions and the d norm-scaling multiplies.
     """
-    idx, norms = _cache_rows([qk], cb.d)
-    return _dequantize_rows(idx, norms, spec, cb, counter)[0]
+    cache = _cache_rows([qk], cb.d)
+    return _dequantize_rows(cache.indices, cache.norms, spec, cb, counter)[0]
 
 
 def _dequantize_rows(idx: np.ndarray, norms: np.ndarray, spec: RotationSpec,
@@ -206,20 +223,25 @@ def packed_size(d: int, b: int) -> int:
     return (d * b + 7) // 8 + 2
 
 
-def _cache_rows(keys: Sequence[QuantizedKey], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A cache as (indices (T, d) uint8, norms (T,) float16), checked to width d.
+def _cache_rows(keys: Sequence[QuantizedKey], d: int) -> KVCache:
+    """A cache as a KVCache, checked to width d.
 
-    A KVCache gives its own arrays, uncopied; any other sequence of keys,
-    such as a list from a public caller, is stacked once.
+    A KVCache passes through, with the gather offsets it holds; any other
+    sequence of keys, such as a list from a public caller, is stacked once
+    into a new one.  Each QuantizedKey checked its own norm, so the stacked
+    norms are not checked again.
     """
     if isinstance(keys, KVCache):
         _check_shape(keys.indices, d, (2,), "cache indices")
-        return keys.indices, keys.norms
+        return keys
     bad = next((qk.indices.size for qk in keys if qk.indices.size != d), None)
     if bad is not None:
         raise InvalidDimensionError(f"key has {bad} indices, expected {d}")
     idx = np.array([qk.indices for qk in keys], dtype=np.uint8).reshape(len(keys), d)
-    return idx, np.array([qk.norm for qk in keys], dtype=np.float16)
+    norms = np.array([qk.norm for qk in keys], dtype=np.float16)
+    for arr in (idx, norms):
+        arr.setflags(write=False)
+    return _checked(KVCache, indices=idx, norms=norms, _gathers={})
 
 
 def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
@@ -277,9 +299,9 @@ _KVQ_HEADER = struct.Struct("<4sBBIII")
 def write_kvq(path, keys: Sequence[QuantizedKey], d: int, b: int,
               layer_id: int = 0) -> None:
     _validate_design_point(d, b)
-    idx, norms = _cache_rows(keys, d)
-    records = _pack_rows(idx, norms, b)
-    header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, idx.shape[0], layer_id)
+    cache = _cache_rows(keys, d)
+    records = _pack_rows(cache.indices, cache.norms, b)
+    header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, len(cache), layer_id)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(records.tobytes())

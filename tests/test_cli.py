@@ -263,9 +263,9 @@ def _quantize_with_sidecar(ws, sidecar_text):
                "--out", ws / "x.kvq")
 
 
-def _diagnose_synthetic(ws, spec_text):
+def _diagnose_synthetic(ws, spec_text, command="diagnose-norms"):
     (ws / "bad.json").write_text(spec_text)
-    return run(ws, "diagnose-norms", "--synthetic", ws / "bad.json")
+    return run(ws, command, "--synthetic", ws / "bad.json")
 
 
 def _diagnose_keys(ws, name, content):
@@ -321,6 +321,10 @@ def _with_zero_layer_rom(ws, command):
                     "--jensen-std", "nan"), 8),
     (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
                     "--jensen-std", "inf"), 8),
+    # A synthetic spec with no layers, for each command that reads one.
+    (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 4, "profiles": []})), 11),
+    (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 4, "profiles": []}),
+                                    "eval"), 11),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "txt-empty", "zero-norm-layer",
@@ -328,10 +332,35 @@ def _with_zero_layer_rom(ws, command):
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
         "bench-mults-negative-T", "jensen-no-scores", "jensen-negative-scores",
-        "jensen-std-nan", "jensen-std-inf"])
+        "jensen-std-nan", "jensen-std-inf", "diagnose-no-profiles", "eval-no-profiles"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+
+
+def _seeded(ws, where, seed):
+    # One command with its seed given as a flag or as the synthetic spec's field.
+    spec = ws / f"seed{seed}.json"
+    spec.write_text(json.dumps({"d": 16, "N": 8, "seed": seed if where == "spec" else 2}))
+    report = ws / f"{where}{seed}.json"
+    if where == "bench-mults":
+        argv = ["bench-mults", "--d", 128, "--b", 3, "--T", 4, "--seed", seed]
+    else:
+        argv = ["eval", "--synthetic", spec, "--seeds", 1]
+        if where == "eval":
+            argv += ["--seed", seed, "--jensen-std", 0.1, "--jensen-trials", 1000]
+    assert run(ws, *argv, "--report", report) == 0
+    return report.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["bench-mults", "eval", "spec"])
+def test_seeds_are_read_modulo_2_to_the_64(workspace, where):
+    # A negative seed names the 64-bit seed it is congruent to, as gen-signs
+    # has always read it, instead of ending in numpy's ValueError.  The
+    # bench-mults report holds only op counts, so only eval's can differ.
+    assert _seeded(workspace, where, -1) == _seeded(workspace, where, 2**64 - 1)
+    if where != "bench-mults":
+        assert _seeded(workspace, where, -2) != _seeded(workspace, where, -1)
 
 
 def test_sign_rom_layer_is_checked_after_dimensions(workspace, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kvlut import write_path
 from kvlut.cli import main
 from kvlut.codebook import deserialize_rom, solve_codebook
 from kvlut.errors import InvalidDimensionError, InvalidInputError
@@ -71,6 +72,34 @@ def test_construction_is_validated():
     with pytest.raises(InvalidDimensionError):
         KVCache(idx, np.ones(3))
     assert len(KVCache(np.zeros((0, 4), dtype=np.uint8), np.zeros(0))) == 0
+
+
+def test_keys_of_a_checked_cache_are_not_checked_again(monkeypatch):
+    idx, norms = _rows(10, seed=4)
+    cache = KVCache(idx, norms)
+    assert np.isinf(cache.norms).any() and (cache.norms == 0).any()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("norm checked again")
+
+    # Keys of the cache, and a list of them stacked back into one, reuse the
+    # checks the cache and each key already passed.
+    monkeypatch.setattr(write_path, "_check_norms", refuse)
+    keys = list(cache)
+    assert all(isinstance(k, QuantizedKey) and not k.indices.flags.writeable for k in keys)
+    assert [k.norm.view(np.uint16) for k in keys] == list(norms.view(np.uint16))
+    stacked = write_path._cache_rows(keys, D)
+    assert isinstance(stacked, KVCache) and not stacked.indices.flags.writeable
+    np.testing.assert_array_equal(stacked.indices, idx)
+    np.testing.assert_array_equal(stacked.norms.view(np.uint16), norms.view(np.uint16))
+    monkeypatch.undo()
+    # The public constructors keep every check.
+    for bad in (np.nan, -1.0):
+        with pytest.raises(InvalidInputError):
+            QuantizedKey(indices=idx[0], norm=bad)
+        with pytest.raises(InvalidInputError):
+            KVCache(idx[:1], [bad])
+    assert QuantizedKey(indices=idx[0], norm=np.inf).norm == np.inf
 
 
 def test_read_kvq_returns_a_kvcache(tmp_path):

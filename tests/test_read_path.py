@@ -7,17 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvlut import read_path
 from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.opcount import OpCounter
 from kvlut.read_path import (Fp16Score, PrecomputedTable, _pair_layout,
-                             _pair_table, _round_half, precompute_table,
-                             score_key, score_key_fp16, score_sequence)
+                             _pair_table, _round_half, _score_rows,
+                             precompute_table, score_key, score_key_fp16,
+                             score_sequence)
 from kvlut.reference import score_sequence_reference
 from kvlut.transform import RotationSpec, inverse_rotate, random_signs, rotate
-from kvlut.write_path import (_TILE_ELEMS, KVCache, QuantizedKey, _row_tiles,
-                              quantize_batch, quantize_key)
+from kvlut.write_path import (_TILE_ELEMS, KVCache, QuantizedKey, _cache_rows,
+                              _row_tiles, quantize_batch, quantize_key)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -511,3 +513,141 @@ def test_readme_quick_start_runs():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = text.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _assert_scores_per_key(tbl, cache):
+    # _score_rows on a cache, in both modes, against a fresh cache of the
+    # same arrays, the gather-sum and half-tree oracles, and score_key /
+    # score_key_fp16 on a few rows.  The fp16 kernel runs outside errstate.
+    fresh = KVCache(cache.indices, cache.norms)
+    got = {mode: _score_rows(tbl, cache, mode, None) for mode in ("double", "fp16")}
+    for mode, view in (("double", np.uint64), ("fp16", np.uint16)):
+        again = _score_rows(tbl, fresh, mode, None)
+        np.testing.assert_array_equal(got[mode].view(view), again.view(view), mode)
+    d, rows = tbl.d, list(range(min(6, len(cache))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = tbl.entries[np.arange(d), cache.indices].sum(axis=1) \
+            * cache.norms.astype(np.float64)
+        want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
+        singles = np.array([score_key(tbl, cache[r]) for r in rows])
+    singles16 = np.array([score_key_fp16(tbl, cache[r]).value for r in rows])
+    np.testing.assert_array_equal(got["double"].view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(got["double"][rows].view(np.uint64),
+                                  singles.view(np.uint64))
+    np.testing.assert_array_equal(got["fp16"].view(np.uint16), want16.view(np.uint16))
+    np.testing.assert_array_equal(got["fp16"][rows].view(np.uint16),
+                                  singles16.view(np.uint16))
+    return got
+
+
+@pytest.mark.parametrize("T", [255, 256, 1024])
+def test_cache_keeps_its_gather_offsets_per_bit_width(T):
+    # b=3 pairs from T=256 and b=4 from T=1024 (at d=128), so each T runs
+    # one b on each side of _pair_layout's gate or both on one side.
+    rng = np.random.default_rng(T)
+    idx = rng.integers(0, 8, size=(T, D), dtype=np.uint8)
+    norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
+    norms[:3] = np.inf, 0.0, 3e4
+    cache = KVCache(idx, norms)
+    assert cache._gathers == {} and repr(cache) == repr(KVCache(idx, norms))
+    tables = {b: [PrecomputedTable(d=D, b=b, entries=rng.normal(size=(D, 2 ** b)) * s)
+                  for s in (1.0, 300.0)] for b in (3, 4)}
+    for b in (3, 4):
+        for k, tbl in enumerate(tables[b]):
+            # The second query at b finds the offsets the first one built.
+            _assert_scores_per_key(tbl, cache)
+            layout, offsets = cache._gathers[b]
+            assert (layout is None) == (_pair_layout(D, b, T) is None)
+            assert offsets.dtype == np.intp and offsets.shape == (T, D if layout is None
+                                                                  else D // 2)
+            if k:
+                assert cache._gathers[b][1] is offsets
+    assert set(cache._gathers) == {3, 4}
+    # A slice is a new cache with its own offsets; a list is stacked into one.
+    part = cache[1:T - 1]
+    assert part._gathers == {}
+    whole = _score_rows(tables[3][1], cache, "fp16", None)
+    got = _assert_scores_per_key(tables[3][1], part)
+    np.testing.assert_array_equal(got["fp16"].view(np.uint16), whole[1:T - 1].view(np.uint16))
+    assert set(part._gathers) == {3}
+    keys = list(cache)
+    for mode, view in (("double", np.uint64), ("fp16", np.uint16)):
+        listed = _score_rows(tables[4][0], _cache_rows(keys, D), mode, None)
+        held = _score_rows(tables[4][0], cache, mode, None)
+        np.testing.assert_array_equal(listed.view(view), held.view(view))
+
+
+def test_corrupt_cache_raises_on_every_query_and_keeps_no_offsets():
+    idx = np.random.default_rng(8).integers(0, 8, size=(300, D), dtype=np.uint8)
+    idx[150, 7] = 8
+    cache = KVCache(idx, np.ones(300))
+    tbl = PrecomputedTable(d=D, b=3, entries=np.ones((D, 8)))
+    for mode in ("double", "fp16", "double"):
+        with pytest.raises(CorruptCacheError):
+            _score_rows(tbl, cache, mode, None)
+        assert cache._gathers == {}
+    # At b=4 the same rows are a valid cache.
+    _assert_scores_per_key(PrecomputedTable(d=D, b=4, entries=np.ones((D, 16))), cache)
+    assert set(cache._gathers) == {4}
+
+
+def _threshold_table(row_max, b=B, seed=0):
+    # A (len(row_max), 2^b) table of halves: row i holds +row_max[i] and
+    # -row_max[i] in cells 0 and 1 and smaller halves elsewhere, so
+    # sum_i max_j |h| is exactly sum(row_max).
+    row_max = np.asarray(row_max, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    entries = rng.uniform(-1, 1, size=(row_max.size, 2 ** b)) * row_max[:, None] * 0.99
+    entries[:, 0], entries[:, 1] = row_max, -row_max
+    with np.errstate(over="ignore"):
+        half = entries.astype(np.float16)
+    return PrecomputedTable(d=row_max.size, b=b, entries=half.astype(np.float64))
+
+
+def _recorded_scales(monkeypatch):
+    scales = []
+
+    def recording(s, scale=True):
+        scales.append(scale)
+        _round_half(s, scale)
+
+    monkeypatch.setattr(read_path, "_round_half", recording)
+    return scales
+
+
+@pytest.mark.parametrize("T", [255, 256])
+def test_fp16_tree_skips_the_overflow_scale_only_under_the_bound(monkeypatch, T):
+    # At d=128 the bound admits S < 65520 / (1 + 2^-11)^7 = 65296.3...: with
+    # 127 rows peaking at 510, a last row of 526 gives S = 65296 and 527
+    # gives 65297.  A tree reaching exactly 65504 and one whose last level
+    # sums 65520 (a tie that rounds to inf) have S past it; a row holding
+    # half +-inf gives S = inf.
+    assert 65296 < 65520 / (1 + 2.0 ** -11) ** 7 < 65297
+    cases = {
+        "just-below": ([510.0] * 127 + [526.0], False),
+        "just-above": ([510.0] * 127 + [527.0], True),
+        "reaches-65504": ([511.75] * 128, True),
+        "reaches-65520": ([511.75] * 64 + [512.0] * 64, True),
+        "half-inf": ([1.0] * 127 + [1e5], True),
+    }
+    rng = np.random.default_rng(T)
+    for kind, (row_max, scaled) in cases.items():
+        tbl = _threshold_table(row_max, seed=T)
+        with np.errstate(over="ignore"):
+            half = tbl.entries.astype(np.float16).astype(np.float32)
+        assert read_path._tree_needs_scale(half) == scaled, kind
+        # Keys aligned with every row's peak, against it, alternating, and
+        # random, with norms 1, 0.5 and +inf.
+        idx = rng.integers(0, 2 ** B, size=(T, D), dtype=np.uint8)
+        idx[0], idx[1], idx[2] = 0, 1, np.arange(D) % 2
+        norms = np.ones(T, dtype=np.float16)
+        norms[3], norms[4] = 0.5, np.inf
+        scales = _recorded_scales(monkeypatch)
+        got = _assert_scores_per_key(tbl, KVCache(idx, norms))["fp16"]
+        monkeypatch.undo()
+        assert set(scales) == {scaled}, kind
+        peak = {"reaches-65504": 65504.0, "reaches-65520": np.inf, "half-inf": np.inf}
+        if kind in peak:
+            assert got[0] == peak[kind] and got[1] == -peak[kind], kind
+        else:
+            assert np.isfinite(got[:2]).all() and got[0] > 65000, kind

@@ -73,9 +73,9 @@ def test_oracle_dot_products_match_per_key_loop_at_extreme_magnitudes(d, monkeyp
 
 def test_dequantize_key_is_a_row_of_the_block():
     cache = _cache(7, seed=3)
-    idx, norms = _cache_rows(cache, D)
+    rows = _cache_rows(cache, D)
     with np.errstate(invalid="ignore"):
-        block = _dequantize_rows(idx, norms, SPEC, CB, None)
+        block = _dequantize_rows(rows.indices, rows.norms, SPEC, CB, None)
         for t, qk in enumerate(cache):
             row = dequantize_key(qk, SPEC, CB)
             np.testing.assert_array_equal(row.view(np.uint64), block[t].view(np.uint64))
