@@ -29,8 +29,8 @@ from .codebook import Codebook
 from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError,
                      _check_power_of_two, _check_same_d, _finite_array, _read_only)
 from .opcount import OpCounter
-from .transform import RotationSpec, rotate
-from .write_path import _TILE_ELEMS, KVCache, QuantizedKey, _cache_rows, _row_tiles
+from .transform import _TILE_ELEMS, RotationSpec, _row_tiles, rotate
+from .write_path import KVCache, QuantizedKey, _cache_rows
 
 __all__ = [
     "PrecomputedTable",
@@ -193,7 +193,7 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     table; its rows are C-contiguous.  The gather offsets depend on the
     cache and b only, so the cache owns them (_gather_offsets): the first
     query at b lays them out, and every query then only builds its table.
-    Each row tile (write_path._row_tiles) gathers its table entries with
+    Each row tile (transform._row_tiles) gathers its table entries with
     one take of its rows' offsets, sums them and writes its scores into the
     preallocated (T,) output, so no temporary outgrows a tile.  Every step
     is row by row, so the tiling changes no bit.

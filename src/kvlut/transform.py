@@ -78,6 +78,27 @@ class RotationSpec:
         _check_same_d(("rotation", self.d), ("sign vector", self.sign.d))
 
 
+# Elements per row tile of the batched kernels.  A 4,096 x 128 temporary
+# (4 MiB) is handed back to the kernel when freed and page-faulted in again
+# on the next call; tiles of 2^15 elements (256 KiB as float64) are reused
+# from the heap instead.  At 2^16 a fresh process still faults on every
+# double query, as the heap trims at a lower mark there.  Every kernel step
+# is row-independent, so the tile size changes no bit.  This module owns
+# the tiling: the transform, the write and read paths, the record codec
+# and the oracle all run over _row_tiles.
+_TILE_ELEMS = 1 << 15
+
+
+def _row_tiles(n: int, d: int):
+    """Row slices covering range(n), each at most max(1, _TILE_ELEMS // d) rows.
+
+    n = 0 gives one empty slice, so a kernel still checks its mode on no rows.
+    """
+    step = max(1, _TILE_ELEMS // d)
+    for start in range(0, max(n, 1), step):
+        yield slice(start, min(start + step, n))
+
+
 def _butterflies(y: np.ndarray, diff: np.ndarray) -> None:
     """The unscaled butterfly network, in place on a C-ordered (d, N) block.
 
@@ -106,9 +127,12 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     fixed-function datapath, where it folds into the design-time quantizer
     boundaries.
 
-    The butterflies run in place on a transposed (d, N) copy, so every stage
-    adds and subtracts whole contiguous blocks of N values; each output keeps
-    the add order of the row-wise network and comes back C-contiguous.
+    The rows run one row tile (_row_tiles) at a time: each tile is copied
+    transposed into one (d, rows) buffer, so every stage adds and subtracts
+    whole contiguous blocks of a tile's values, and is written back into
+    the C-contiguous output.  The buffer and the butterflies' scratch are
+    reused for every tile.  Rows are independent and each keeps the add
+    order of the row-wise network, so the tiling changes no bit.
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_shape(arr, None, (1, 2))
@@ -120,9 +144,16 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     if n == 0:
         return arr.copy()
     stages = d.bit_length() - 1
-    y = np.array(rows.T, order="C")
-    _butterflies(y, np.empty((d // 2) * n))
-    out = np.ascontiguousarray(y.T)
+    tiles = list(_row_tiles(n, d))
+    widest = tiles[0].stop
+    buf, diff = np.empty(d * widest), np.empty((d // 2) * widest)
+    out = np.empty((n, d))
+    for tile in tiles:
+        m = tile.stop - tile.start
+        y = buf[:d * m].reshape(d, m)
+        np.copyto(y, rows[tile].T)
+        _butterflies(y, diff[:(d // 2) * m])
+        out[tile] = y.T
     out /= math.sqrt(d)
 
     if counter is not None:
@@ -147,7 +178,9 @@ def inverse_rotate(spec: RotationSpec, y: np.ndarray,
     """Undo rotate(): R^-1 = R^T = diag(s) H_d / sqrt(d)."""
     arr = np.asarray(y, dtype=np.float64)
     _check_shape(arr, spec.d, (1, 2))
-    return fwht(arr, counter) * spec.sign.signs
+    out = fwht(arr, counter)
+    out *= spec.sign.signs
+    return out
 
 
 # -- sign generation ------------------------------------------------------

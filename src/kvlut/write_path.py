@@ -10,6 +10,7 @@ extractor's multiplies live in their own counter category.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 import warnings
@@ -23,7 +24,7 @@ from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
                      InvalidInputError, _check_norms, _check_same_d,
                      _check_shape, _finite_array, _read_only)
 from .opcount import OpCounter
-from .transform import RotationSpec, inverse_rotate, rotate
+from .transform import RotationSpec, _row_tiles, inverse_rotate, rotate
 
 __all__ = [
     "QuantizedKey",
@@ -106,25 +107,6 @@ def _checked(cls, **fields):
     return obj
 
 
-# Elements per row tile of the batched kernels.  A 4,096 x 128 temporary
-# (4 MiB) is handed back to the kernel when freed and page-faulted in again
-# on the next call; tiles of 2^15 elements (256 KiB as float64) are reused
-# from the heap instead.  At 2^16 a fresh process still faults on every
-# double query, as the heap trims at a lower mark there.  Every kernel step
-# is row-independent, so the tile size changes no bit.
-_TILE_ELEMS = 1 << 15
-
-
-def _row_tiles(n: int, d: int):
-    """Row slices covering range(n), each at most max(1, _TILE_ELEMS // d) rows.
-
-    n = 0 gives one empty slice, so a kernel still checks its mode on no rows.
-    """
-    step = max(1, _TILE_ELEMS // d)
-    for start in range(0, max(n, 1), step):
-        yield slice(start, min(start + step, n))
-
-
 def _count_norm_ops(counter: OpCounter | None, d: int, n_keys: int = 1) -> None:
     # d squares + (d-1)-term sum for ||k||^2, then d multiplies by 1/n to
     # normalize; all charged to the norm extractor, never to the transform.
@@ -175,20 +157,26 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
     """Vectorized write path over N keys: (N, d) -> (indices (N, d), norms (N,)).
 
     Keys run through norm, normalize, rotate and comparator one row tile at
-    a time (_row_tiles), each tile writing into the preallocated outputs, so
-    no temporary outgrows a tile.  Counter deltas are N times those of one key.
+    a time (transform._row_tiles), each tile writing into the preallocated
+    outputs, so no temporary outgrows a tile.  A pre-pass checks every tile
+    for non-finite values before the counter is touched.  A zero-norm key
+    is divided by 1.0, so it stays as it is (-0.0 and subnormals included).
+    Counter deltas are N times those of one key.
     """
     _check_same_d(("codebook", cb.d), ("rotation", spec.d))
-    keys = _finite_array(keys, cb.d, what="key matrix")
-
+    keys = np.asarray(keys, dtype=np.float64)
+    _check_shape(keys, cb.d, (2,), "key matrix")
     n = keys.shape[0]
+    if not all(np.isfinite(keys[rows]).all() for rows in _row_tiles(n, cb.d)):
+        raise InvalidInputError("non-finite values in key matrix")
+
     idx = np.empty((n, cb.d), dtype=np.uint8)
     norms = np.empty(n)
     _count_norm_ops(counter, cb.d, n)
     for rows in _row_tiles(n, cb.d):
         tile = keys[rows]
         nrm = norms[rows] = np.linalg.norm(tile, axis=1)
-        unit = np.where(nrm[:, None] > 0.0, tile / np.where(nrm == 0.0, 1.0, nrm)[:, None], tile)
+        unit = tile / np.where(nrm == 0.0, 1.0, nrm)[:, None]
         y = rotate(spec, unit, counter)
         idx[rows] = _comparator_indices(y, cb, comparator, counter, y.shape[0])
     return idx, norms
@@ -212,8 +200,9 @@ def _dequantize_rows(idx: np.ndarray, norms: np.ndarray, spec: RotationSpec,
     _check_same_d(("codebook", cb.d), ("rotation", spec.d))
     if counter is not None:
         counter.add("norm", mults=idx.shape[0] * cb.d)
-    return (inverse_rotate(spec, cb.centroids[idx], counter)
-            * norms.astype(np.float64)[:, None])
+    recon = inverse_rotate(spec, cb.centroids[idx], counter)
+    recon *= norms.astype(np.float64)[:, None]
+    return recon
 
 
 # -- packed record --------------------------------------------------------
@@ -244,28 +233,80 @@ def _cache_rows(keys: Sequence[QuantizedKey], d: int) -> KVCache:
     return _checked(KVCache, indices=idx, norms=norms, _gathers={})
 
 
+def _record_groups(d: int, b: int) -> tuple[int, int, int, np.dtype]:
+    """(g, n, G, word) of the shift-or codec for d indices of b bits.
+
+    g = 8 / gcd(8, b) indices fill n = g*b/8 whole bytes, so the record is
+    G = ceil(d/g) groups, each the low n bytes of one little-endian word
+    holding index g*k + j at bits [b*j, b*j + b), cut to ceil(d*b/8) bytes.
+    The word is the narrowest unsigned integer of at least n bytes.
+    """
+    if not 1 <= b <= 8:
+        raise InvalidDimensionError(f"b must be in 1..8, got {b}")
+    g = 8 // math.gcd(8, b)
+    n = g * b // 8
+    return g, n, -(-d // g), np.dtype("<u%d" % (1 if n == 1 else 4 if n <= 4 else 8))
+
+
 def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
     """Pack (T, d) indices at b bits each, little-endian bit order, then half(norm).
 
     Index i of a row sits at bits [b*i, b*i + b) of its record; the rows
-    come back as a (T, packed_size(d, b)) byte matrix.
+    come back as a (T, packed_size(d, b)) byte matrix.  Each group of g
+    indices (_record_groups) is shifted and ORed into one word, whose low
+    bytes are the group's record bytes; a row short of a whole group is
+    padded with zero indices.  Rows run in tiles (transform._row_tiles) of
+    at most _TILE_ELEMS words.
     """
-    if np.any(idx >= (1 << b)):
+    if idx.size and idx.max() >= (1 << b):
         raise FormatError(f"index out of range for b={b}")
     t, d = idx.shape
-    bits = np.unpackbits(idx[:, :, None], axis=2, count=b, bitorder="little")
-    payload = np.packbits(bits.reshape(t, d * b), axis=1, bitorder="little")
-    return np.hstack([payload, norms.astype("<f2").view(np.uint8).reshape(t, 2)])
+    g, n, groups, word = _record_groups(d, b)
+    size = (d * b + 7) // 8
+    out = np.empty((t, size + 2), dtype=np.uint8)
+    for rows in _row_tiles(t, groups):
+        m = rows.stop - rows.start
+        if groups * g == d:
+            cols = idx[rows].reshape(m, groups, g)
+        else:
+            cols = np.zeros((m, groups, g), dtype=np.uint8)
+            cols.reshape(m, groups * g)[:, :d] = idx[rows]
+        words = cols[:, :, 0].astype(word)
+        for j in range(1, g):
+            words |= cols[:, :, j].astype(word) << word.type(b * j)
+        payload = words.view(np.uint8).reshape(m, groups, word.itemsize)[:, :, :n]
+        out[rows, :size] = payload.reshape(m, groups * n)[:, :size]
+    out[:, size:] = norms.astype("<f2").view(np.uint8).reshape(t, 2)
+    return out
 
 
 def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), norms (T,))."""
+    """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), norms (T,)).
+
+    Each group's record bytes are widened into one word, from which its g
+    indices come back by shift and mask, tile by tile as _pack_rows packs;
+    a row short of a whole group is unpacked padded and then cut to d.
+    """
     t = rows.shape[0]
-    bits = np.unpackbits(rows[:, :-2], axis=1, count=d * b,
-                         bitorder="little").reshape(t, d, b)
-    idx = np.zeros((t, d), dtype=np.uint8)
-    for j in range(b):
-        idx |= bits[:, :, j] << j
+    g, n, groups, word = _record_groups(d, b)
+    size = (d * b + 7) // 8
+    mask = word.type((1 << b) - 1)
+    idx = np.empty((t, d), dtype=np.uint8)
+    for tile in _row_tiles(t, groups):
+        m = tile.stop - tile.start
+        if groups * g == d:
+            payload, cols = rows[tile, :size], idx[tile].reshape(m, groups, g)
+        else:
+            payload = np.zeros((m, groups * n), dtype=np.uint8)
+            payload[:, :size] = rows[tile, :size]
+            cols = np.empty((m, groups, g), dtype=np.uint8)
+        raw = np.zeros((m, groups, word.itemsize), dtype=np.uint8)
+        raw[:, :, :n] = payload.reshape(m, groups, n)
+        words = raw.view(word)[:, :, 0]
+        for j in range(g):
+            np.bitwise_and(words >> word.type(b * j), mask, out=cols[:, :, j], casting="unsafe")
+        if groups * g != d:
+            idx[tile] = cols.reshape(m, groups * g)[:, :d]
     norms = np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0].astype(np.float16)
     return idx, norms
 

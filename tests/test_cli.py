@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kvlut.cli import _build_parser, main
-from kvlut.errors import ConfigConflictError
+from kvlut.errors import ConfigConflictError, InvalidDimensionError
 from kvlut.read_path import score_sequence
 from kvlut.transform import RotationSpec, read_sign_rom
 from kvlut.write_path import read_kvq
@@ -63,6 +63,17 @@ def test_gen_signs_explicit_seeds(workspace):
     from kvlut.transform import random_signs
     np.testing.assert_array_equal(signs[0].signs, random_signs(128, 5).signs)
     np.testing.assert_array_equal(signs[1].signs, random_signs(128, 9).signs)
+
+
+@pytest.mark.parametrize("d", [-4, 0, 1, 3, 96])
+def test_gen_signs_rejects_a_dimension_no_rotation_accepts(workspace, capsys, d):
+    # A .sgnrom is only usable by a RotationSpec, which needs a power of two
+    # >= 2; gen-signs used to write one for d=1, 3 or 96 and exit 0.
+    rom = workspace / "bad.sgnrom"
+    assert run(workspace, "gen-signs", "--d", d, "--out", rom) == \
+        InvalidDimensionError.exit_code
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+    assert not rom.exists()
 
 
 def _build_pipeline(ws):

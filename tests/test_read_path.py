@@ -17,9 +17,10 @@ from kvlut.read_path import (Fp16Score, PrecomputedTable, _pair_layout,
                              precompute_table, score_key, score_key_fp16,
                              score_sequence)
 from kvlut.reference import score_sequence_reference
-from kvlut.transform import RotationSpec, inverse_rotate, random_signs, rotate
-from kvlut.write_path import (_TILE_ELEMS, KVCache, QuantizedKey, _cache_rows,
-                              _row_tiles, quantize_batch, quantize_key)
+from kvlut.transform import (_TILE_ELEMS, RotationSpec, _row_tiles, inverse_rotate,
+                             random_signs, rotate)
+from kvlut.write_path import (KVCache, QuantizedKey, _cache_rows, quantize_batch,
+                              quantize_key)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)

@@ -8,7 +8,8 @@ import kvlut.write_path as write_path
 from kvlut.codebook import solve_codebook
 from kvlut.opcount import OpCounter
 from kvlut.reference import score_sequence_reference
-from kvlut.transform import RotationSpec, inverse_rotate, random_signs
+from kvlut.transform import (_TILE_ELEMS, RotationSpec, _row_tiles, inverse_rotate,
+                             random_signs)
 from kvlut.write_path import (QuantizedKey, _cache_rows, _dequantize_rows,
                               dequantize_key, quantize_batch)
 
@@ -55,13 +56,17 @@ def test_oracle_matches_per_key_loop(T):
 def test_oracle_dot_products_match_per_key_loop_at_extreme_magnitudes(d, monkeypatch):
     # The oracle's one stacked matmul against one q @ row per key, on rows
     # and queries from 1e-300 to 1e300, so products also over- and underflow.
+    # The mock returns the rows of the tile it is given: key t is stored
+    # with norm t, which names its row.  At d=1024 the 64 keys span 2 tiles.
     rng = np.random.default_rng(d)
     T = 64
     recon = rng.normal(size=(T, d)) * 10.0 ** rng.integers(-300, 301, size=(T, 1))
-    monkeypatch.setattr(reference, "_dequantize_rows", lambda *args: recon)
+    monkeypatch.setattr(reference, "_dequantize_rows",
+                        lambda idx, norms, *args: recon[norms.astype(int)])
     cb = solve_codebook(d, 1)
     spec = RotationSpec(d=d, sign=random_signs(d, 1))
-    cache = [QuantizedKey(indices=np.zeros(d, dtype=np.uint8), norm=np.float16(1))] * T
+    cache = [QuantizedKey(indices=np.zeros(d, dtype=np.uint8), norm=np.float16(t))
+             for t in range(T)]
     for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
         # A strided query as well as a contiguous one.
         for q in (rng.normal(size=d) * scale, (rng.normal(size=2 * d) * scale)[::2]):
@@ -81,7 +86,9 @@ def test_dequantize_key_is_a_row_of_the_block():
             np.testing.assert_array_equal(row.view(np.uint64), block[t].view(np.uint64))
 
 
-def test_oracle_inverse_rotates_the_block_once(monkeypatch):
+def test_oracle_inverse_rotates_each_row_tile_once(monkeypatch):
+    # A cache of 2 whole tiles and one more key: one inverse rotation per
+    # row tile, whose row counts sum to T, and no per-key dequantize.
     shapes = []
 
     def counting(spec, y, counter=None):
@@ -90,6 +97,8 @@ def test_oracle_inverse_rotates_the_block_once(monkeypatch):
 
     monkeypatch.setattr(write_path, "inverse_rotate", counting)
     monkeypatch.setattr(write_path, "dequantize_key", None)
+    T = 2 * (_TILE_ELEMS // D) + 1
     with np.errstate(invalid="ignore"):
-        score_sequence_reference(np.ones(D), _cache(9, seed=1)[1:], SPEC, CB)
-    assert shapes == [(8, D)]
+        score_sequence_reference(np.ones(D), _cache(T + 1, seed=1)[1:], SPEC, CB)
+    assert shapes == [(tile.stop - tile.start, D) for tile in _row_tiles(T, D)]
+    assert len(shapes) == 3 and sum(rows for rows, _ in shapes) == T

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError)
 from kvlut.opcount import OpCounter
-from kvlut.transform import (RotationSpec, SignVector, deserialize_signs,
-                             fwht, inverse_rotate, pack_sign_rom,
-                             random_signs, rotate, serialize_signs,
-                             splitmix64_stream, unpack_sign_rom)
+from kvlut.transform import (_TILE_ELEMS, RotationSpec, SignVector, _row_tiles,
+                             deserialize_signs, fwht, inverse_rotate,
+                             pack_sign_rom, random_signs, rotate,
+                             serialize_signs, splitmix64_stream,
+                             unpack_sign_rom)
 
 # Frozen reference outputs for seed 1234567; any compliant generator must
 # reproduce these exactly.
@@ -104,6 +105,33 @@ def test_fwht_bit_identical_to_row_butterfly(d):
     before = x.copy()
     fwht(x)
     np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("d", [2, 128, 1024, 2 ** 16])
+def test_fwht_and_rotations_across_row_tiles_match_the_whole_block(d):
+    # fwht runs tile by tile (_row_tiles); two whole tiles and one more row
+    # must give the whole-block network's bits, with the tiles' counts summed.
+    # At d = 2^16 a tile is one row.
+    T = 2 * max(1, _TILE_ELEMS // d) + 1
+    tiles = list(_row_tiles(T, d))
+    assert len(tiles) == 3 and tiles[-1].stop - tiles[-1].start == 1
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(T, d)) * 10.0 ** rng.integers(-200, 201, size=(T, 1))
+    x[tiles[1].start] = -0.0
+    signs = random_signs(d, 11)
+    spec = RotationSpec(d=d, sign=signs)
+    ctr = OpCounter()
+    got = fwht(x, ctr)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.uint64), concat_butterfly(x).view(np.uint64))
+    assert ctr.additions["transform"] == T * d * (d.bit_length() - 1)
+    np.testing.assert_array_equal(rotate(spec, x).view(np.uint64),
+                                  concat_butterfly(x * signs.signs).view(np.uint64))
+    np.testing.assert_array_equal(inverse_rotate(spec, x).view(np.uint64),
+                                  (concat_butterfly(x) * signs.signs).view(np.uint64))
+    # A row's bits do not depend on the rows tiled beside it.
+    for row in (0, tiles[1].start, T - 1):
+        np.testing.assert_array_equal(fwht(x[row]).view(np.uint64), got[row].view(np.uint64))
 
 
 def test_fwht_rejects_bad_shapes():

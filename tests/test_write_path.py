@@ -1,5 +1,6 @@
 """Write datapath: comparator quantization, op accounting, record packing."""
 
+import math
 import struct
 
 import numpy as np
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvlut.write_path as write_path
 from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, FormatError,
                           InvalidDimensionError, InvalidInputError)
 from kvlut.opcount import OpCounter
-from kvlut.transform import RotationSpec, random_signs, rotate
-from kvlut.write_path import (_TILE_ELEMS, QuantizedKey, _row_tiles,
-                              dequantize_key, load_key_matrix,
-                              pack, packed_size, quantize_batch, quantize_key,
+from kvlut.transform import _TILE_ELEMS, RotationSpec, _row_tiles, random_signs, rotate
+from kvlut.write_path import (QuantizedKey, _pack_rows, _unpack_rows,
+                              dequantize_key, load_key_matrix, pack,
+                              packed_size, quantize_batch, quantize_key,
                               read_kvq, unpack, write_kvq)
 
 D, B = 128, 3
@@ -355,3 +357,104 @@ def test_quantized_key_validation():
                      norm=np.float16(-1.0))
     with pytest.raises(InvalidInputError):
         QuantizedKey(indices=np.zeros(4, dtype=np.uint8), norm=np.nan)
+
+
+def _bit_tensor_pack(idx, norms, b):
+    # The record codec as it was before the group shift-or: a (T, d, b) bit
+    # tensor from np.unpackbits, packed back with np.packbits.
+    t, d = idx.shape
+    bits = np.unpackbits(idx[:, :, None], axis=2, count=b, bitorder="little")
+    payload = np.packbits(bits.reshape(t, d * b), axis=1, bitorder="little")
+    return np.hstack([payload, norms.astype("<f2").view(np.uint8).reshape(t, 2)])
+
+
+def _bit_tensor_unpack(rows, d, b):
+    t = rows.shape[0]
+    bits = np.unpackbits(rows[:, :-2], axis=1, count=d * b,
+                         bitorder="little").reshape(t, d, b)
+    idx = np.zeros((t, d), dtype=np.uint8)
+    for j in range(b):
+        idx |= bits[:, :, j] << j
+    norms = np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0].astype(np.float16)
+    return idx, norms
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 128, 256])
+@pytest.mark.parametrize("b", range(1, 9))
+def test_shift_or_codec_matches_the_bit_tensor_codec(d, b):
+    # Groups of g = 8 / gcd(8, b) indices outgrow d = 2 and 4 for odd b (and
+    # d = 2 for b = 2, 6), so those rows are padded with zero indices.  The
+    # codec runs over row tiles of at most _TILE_ELEMS words, one word per
+    # group; the last T spans two whole tiles and one more row.
+    rng = np.random.default_rng(100 * d + b)
+    groups = -(-d // (8 // math.gcd(8, b)))
+    for t in (0, 1, 37, 257, 2 * (_TILE_ELEMS // groups) + 1):
+        idx = rng.integers(0, 1 << b, size=(t, d), dtype=np.uint8)
+        norms = rng.integers(0, 1 << 16, size=t, dtype=np.uint16).view(np.float16)
+        rows = _pack_rows(idx, norms, b)
+        want = _bit_tensor_pack(idx, norms, b)
+        assert rows.shape == want.shape == (t, packed_size(d, b))
+        np.testing.assert_array_equal(rows, want)
+        # Any record bytes, padding bits included, unpack as before.
+        for data in (rows, rng.integers(0, 256, size=rows.shape, dtype=np.uint8)):
+            got_idx, got_norms = _unpack_rows(data, d, b)
+            want_idx, want_norms = _bit_tensor_unpack(data, d, b)
+            assert got_idx.dtype == np.uint8 and got_idx.shape == (t, d)
+            np.testing.assert_array_equal(got_idx, want_idx)
+            np.testing.assert_array_equal(got_norms.view(np.uint16),
+                                          want_norms.view(np.uint16))
+
+
+def test_codec_rejects_a_width_no_uint8_index_fills():
+    qk = QuantizedKey(indices=np.zeros(D, dtype=np.uint8), norm=np.float16(1.0))
+    for b in (0, 9):
+        with pytest.raises(InvalidDimensionError):
+            pack(qk, b)
+        with pytest.raises(InvalidDimensionError):
+            unpack(bytes(packed_size(D, b)), D, b)
+
+
+def _old_unit_rows(keys):
+    # quantize_batch's normalization before its outer np.where was dropped.
+    nrm = np.linalg.norm(keys, axis=1)
+    return np.where(nrm[:, None] > 0.0,
+                    keys / np.where(nrm == 0.0, 1.0, nrm)[:, None], keys)
+
+
+def test_quantize_batch_normalizes_zero_and_underflowing_rows_as_before(monkeypatch):
+    # A zero row, a -0.0 row and a row whose norm underflows to 0 are rotated
+    # as they are, bit for bit as the old two-np.where normalization did.
+    T = 2 * (_TILE_ELEMS // D) + 1
+    keys = random_keys(T, seed=8)
+    keys[3] = 0.0
+    keys[_TILE_ELEMS // D] = -0.0
+    keys[T - 1] = 1e-170
+    keys[T - 1, ::3] = -1e-170
+    rotated = []
+
+    def spy(spec, x, counter=None):
+        rotated.append(np.array(x))
+        return rotate(spec, x, counter)
+
+    monkeypatch.setattr(write_path, "rotate", spy)
+    idx, norms = quantize_batch(keys, SPEC, CB)
+    assert not norms[[3, _TILE_ELEMS // D, T - 1]].any()
+    unit = np.concatenate(rotated)
+    np.testing.assert_array_equal(unit.view(np.uint64), _old_unit_rows(keys).view(np.uint64))
+    assert np.signbit(unit[_TILE_ELEMS // D]).all()
+    np.testing.assert_array_equal(
+        idx, np.searchsorted(CB.boundaries, rotate(SPEC, _old_unit_rows(keys)), side="right"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_key_in_the_last_tile_leaves_the_counter_alone(bad, monkeypatch):
+    T = 2 * (_TILE_ELEMS // D) + 1
+    keys = random_keys(T, seed=9)
+    keys[T - 1, D - 1] = bad
+    monkeypatch.setattr(write_path, "rotate", None)  # no tile reaches the kernel
+    ctr = OpCounter()
+    ctr.add("score", mults=5)
+    before = ctr.to_dict()
+    with pytest.raises(InvalidInputError):
+        quantize_batch(keys, SPEC, CB, ctr)
+    assert ctr.to_dict() == before
