@@ -212,11 +212,11 @@ def _cmd_quantize(args) -> int:
     d = cb.d
     spec = RotationSpec(d=d, sign=rom.layer(args.layer))
     counter = OpCounter()
-    cache = KVCache(*quantize_batch(keys, spec, cb, counter, comparator=args.comparator))
+    cache = KVCache(*quantize_batch(keys, spec, cb, counter))
     write_kvq(args.out, cache, d, cb.b, layer_id=args.layer)
     _write_json(args.report, {
         "d": d, "b": cb.b, "T": len(cache), "layer": args.layer,
-        "comparator": args.comparator,
+        "comparator": "flat",
         "ops": counter.to_dict(),
     })
     print(f"quantized {len(cache)} keys (d={d}, b={cb.b}) to {args.out}")
@@ -387,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--layer", type=int, default=0)
-    p.add_argument("--comparator", choices=("flat", "binary"), default="flat")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_quantize)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Codebook, solve_codebook
-from .errors import (InvalidInputError, _check_power_of_two, _check_same_d,
+from .errors import (InvalidInputError, _check_power_of_two,
                      _check_shape, _read_only)
 from .signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
                       candidate_mse)
@@ -271,8 +271,7 @@ class SweepResult:
         }
 
 
-def sensitivity_sweep(keys: CalibrationSet, seeds, bs,
-                      solver=solve_codebook) -> SweepResult:
+def sensitivity_sweep(keys: CalibrationSet, seeds, bs) -> SweepResult:
     """Rotated-domain QDQ MSE for every (sign seed, bit-width) pair.
 
     The per-bit-width max/min spread is the desk-scale sensitivity measure:
@@ -286,9 +285,7 @@ def sensitivity_sweep(keys: CalibrationSet, seeds, bs,
     signs = [random_signs(keys.d, sd) for sd in seeds]
     mses = np.empty((len(seeds), len(bs)))
     for j, b in enumerate(bs):
-        cb = solver(keys.d, b)
-        _check_same_d(("keys", keys.d), ("codebook", cb.d))
-        mses[:, j] = _candidate_mses(unit, signs, cb)
+        mses[:, j] = _candidate_mses(unit, signs, solve_codebook(keys.d, b))
     maxmin = {b: float(mses[:, j].max() / mses[:, j].min()) for j, b in enumerate(bs)}
     stdmean = {b: float(mses[:, j].std() / mses[:, j].mean()) for j, b in enumerate(bs)}
     return SweepResult(seeds=seeds, bs=bs, mses=mses,

@@ -1,8 +1,7 @@
 """Exact operation tallies for verifying the macro's arithmetic-cost identities.
 
 Counters are plain caller-owned accumulators: operations that accept a counter
-add to it and never touch shared state, so per-thread counters can be summed
-afterwards (merging is associative).
+add to it and never touch shared state.
 """
 
 from __future__ import annotations
@@ -44,13 +43,6 @@ class OpCounter:
         self.additions[category] += adds
         self.comparisons[category] += comps
         self.lookups[category] += lookups
-
-    def merge(self, other: "OpCounter") -> None:
-        """Fold another counter's tallies into this one."""
-        for kind in _KINDS:
-            mine, theirs = getattr(self, kind), getattr(other, kind)
-            for cat in CATEGORIES:
-                mine[cat] += theirs[cat]
 
     # -- derived totals ----------------------------------------------------
 

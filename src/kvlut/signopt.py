@@ -21,7 +21,7 @@ from .errors import (EmptyCalibrationError, InvalidDimensionError, InvalidInputE
                      _check_same_d, _finite_array, _layer_items, _read_only)
 from .transform import (SignVector, _butterflies, pack_sign_rom, random_signs,
                         serialize_signs)
-from .write_path import _comparator_indices
+from .write_path import _cell_indices
 
 __all__ = [
     "CalibrationSet",
@@ -138,7 +138,7 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cb: Codebook) -> np.ndarray:
         np.multiply(unit_t, s.signs[:, None], out=yt)
         _butterflies(yt, diff)
         np.divide(yt.T, math.sqrt(d), out=y)
-        idx = _comparator_indices(y, cb, "flat", None, n)
+        idx = _cell_indices(y, cb)
         # Cell indices are below 2^b by construction; "clip" lets take()
         # write straight into err, where "raise" buffers a full copy.
         np.take(cb.centroids, idx, out=err, mode="clip")

@@ -92,7 +92,7 @@ _TILE_ELEMS = 1 << 15
 def _row_tiles(n: int, d: int):
     """Row slices covering range(n), each at most max(1, _TILE_ELEMS // d) rows.
 
-    n = 0 gives one empty slice, so a kernel still checks its mode on no rows.
+    n = 0 gives one empty slice, so a loop over the tiles runs once on no rows.
     """
     step = max(1, _TILE_ELEMS // d)
     for start in range(0, max(n, 1), step):

@@ -1,11 +1,12 @@
 """Write datapath: norm extraction, rotation, comparator quantization, packing.
 
 A key k is stored as (indices, half(norm)): the unit-normalized key is
-rotated, each rotated coordinate is mapped to its quantizer cell by a
-comparator bank against the fixed boundaries, and the Euclidean norm is kept
-as a 2-byte half float.  At d=128, b=3 a key packs to 48 + 2 = 50 bytes.  The
-transform and comparator stages record zero multiplications; the norm
-extractor's multiplies live in their own counter category.
+rotated, each rotated coordinate is mapped to its quantizer cell by one
+comparator bank against the 2^b - 1 fixed boundaries (2^b - 1 comparisons
+per coordinate), and the Euclidean norm is kept as a 2-byte half float.  At
+d=128, b=3 a key packs to 48 + 2 = 50 bytes.  The transform and comparator
+stages record zero multiplications; the norm extractor's multiplies live in
+their own counter category.
 """
 
 from __future__ import annotations
@@ -107,78 +108,67 @@ def _checked(cls, **fields):
     return obj
 
 
-def _count_norm_ops(counter: OpCounter | None, d: int, n_keys: int = 1) -> None:
-    # d squares + (d-1)-term sum for ||k||^2, then d multiplies by 1/n to
-    # normalize; all charged to the norm extractor, never to the transform.
-    if counter is not None:
-        counter.add("norm", mults=n_keys * 2 * d, adds=n_keys * (d - 1))
+def _cell_indices(y: np.ndarray, cb: Codebook) -> np.ndarray:
+    """The comparator bank: each coordinate's uint8 cell index.
 
-
-def _comparator_indices(y: np.ndarray, cb: Codebook, mode: str,
-                        counter: OpCounter | None, n_keys: int) -> np.ndarray:
-    """Map rotated coordinates to cells; ties go to the upper cell.
-
-    "flat" compares every coordinate against all 2^b - 1 boundaries, the
-    hardware-faithful bank, as one boundary count per coordinate; "binary"
-    uses a b-step bisection.  The two are independent routes that must agree.
+    A coordinate is compared against all 2^b - 1 boundaries and its cell is
+    the number of boundaries it reaches, so a tie goes to the upper cell.
     """
-    d = cb.d
-    if mode == "flat":
-        idx = np.zeros(np.shape(y), dtype=np.uint8)
-        for t in cb.boundaries:
-            idx += y >= t
-        if counter is not None:
-            counter.add("quantize", comps=n_keys * d * (cb.levels - 1))
-    elif mode == "binary":
-        idx = np.searchsorted(cb.boundaries, y, side="right").astype(np.uint8)
-        if counter is not None:
-            counter.add("quantize", comps=n_keys * d * cb.b)
-    else:
-        raise InvalidInputError(f"unknown comparator mode {mode!r}")
+    idx = np.zeros(np.shape(y), dtype=np.uint8)
+    for t in cb.boundaries:
+        idx += y >= t
     return idx
 
 
 def quantize_key(k: np.ndarray, spec: RotationSpec, cb: Codebook,
-                 counter: OpCounter | None = None, *,
-                 comparator: str = "flat") -> QuantizedKey:
+                 counter: OpCounter | None = None) -> QuantizedKey:
     """Quantize one key through the write datapath: a one-row quantize_batch.
 
     Zero-norm keys store norm 0 with the center-cell indices; the read path
     then scores them as exactly 0.
     """
-    idx, norms = quantize_batch(np.asarray(k, dtype=np.float64)[None], spec, cb,
-                                counter, comparator=comparator)
+    idx, norms = quantize_batch(np.asarray(k, dtype=np.float64)[None], spec, cb, counter)
     return QuantizedKey(indices=idx[0], norm=np.float16(norms[0]))
 
 
 def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
                    counter: OpCounter | None = None, *,
-                   comparator: str = "binary") -> tuple[np.ndarray, np.ndarray]:
+                   comparator: str = "flat") -> tuple[np.ndarray, np.ndarray]:
     """Vectorized write path over N keys: (N, d) -> (indices (N, d), norms (N,)).
 
-    Keys run through norm, normalize, rotate and comparator one row tile at
-    a time (transform._row_tiles), each tile writing into the preallocated
-    outputs, so no temporary outgrows a tile.  A pre-pass checks every tile
-    for non-finite values before the counter is touched.  A zero-norm key
-    is divided by 1.0, so it stays as it is (-0.0 and subnormals included).
-    Counter deltas are N times those of one key.
+    Keys run through norm, normalize, rotate and the comparator bank one row
+    tile at a time (transform._row_tiles), each tile writing into the
+    preallocated outputs, so no temporary outgrows a tile.  A pre-pass checks
+    every tile for non-finite values before the counter is touched.  A
+    zero-norm key is divided by 1.0, so it stays as it is (-0.0 and
+    subnormals included).  Counter deltas are N times those of one key.
+
+    comparator accepts only "flat", the one bank; any other value raises
+    InvalidInputError.  The keyword is kept only because the benchmark's
+    adapter passes it, and it goes in the next change to the benchmark.
     """
     _check_same_d(("codebook", cb.d), ("rotation", spec.d))
     keys = np.asarray(keys, dtype=np.float64)
     _check_shape(keys, cb.d, (2,), "key matrix")
-    n = keys.shape[0]
-    if not all(np.isfinite(keys[rows]).all() for rows in _row_tiles(n, cb.d)):
+    n, d = keys.shape
+    if not all(np.isfinite(keys[rows]).all() for rows in _row_tiles(n, d)):
         raise InvalidInputError("non-finite values in key matrix")
+    if comparator != "flat":
+        raise InvalidInputError(f"unknown comparator mode {comparator!r}")
 
-    idx = np.empty((n, cb.d), dtype=np.uint8)
+    if counter is not None:
+        # d squares + (d-1)-term sum for ||k||^2, then d multiplies by 1/n to
+        # normalize, all charged to the norm extractor; rotate() charges the
+        # transform.
+        counter.add("norm", mults=n * 2 * d, adds=n * (d - 1))
+        counter.add("quantize", comps=n * d * (cb.levels - 1))
+    idx = np.empty((n, d), dtype=np.uint8)
     norms = np.empty(n)
-    _count_norm_ops(counter, cb.d, n)
-    for rows in _row_tiles(n, cb.d):
+    for rows in _row_tiles(n, d):
         tile = keys[rows]
         nrm = norms[rows] = np.linalg.norm(tile, axis=1)
         unit = tile / np.where(nrm == 0.0, 1.0, nrm)[:, None]
-        y = rotate(spec, unit, counter)
-        idx[rows] = _comparator_indices(y, cb, comparator, counter, y.shape[0])
+        idx[rows] = _cell_indices(rotate(spec, unit, counter), cb)
     return idx, norms
 
 

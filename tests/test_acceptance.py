@@ -177,8 +177,8 @@ def test_criterion_6_sensitivity_mechanism():
         keysets = generate_keys(SyntheticSpec(
             d=d, N=N, profiles=(hom_profile, het_profile), seed=90_000 + rep))
         seeds = tuple(1000 * rep + c for c in range(1, 11))
-        hom = sensitivity_sweep(keysets[0], seeds, bs, solver=cached_codebook)
-        het = sensitivity_sweep(keysets[1], seeds, bs, solver=cached_codebook)
+        hom = sensitivity_sweep(keysets[0], seeds, bs)
+        het = sensitivity_sweep(keysets[1], seeds, bs)
         wins = [het.spread_maxmin[b] > hom.spread_maxmin[b] for b in bs]
         margins.append(min(het.spread_maxmin[b] / hom.spread_maxmin[b]
                            for b in bs))

@@ -114,6 +114,24 @@ def test_quantize_and_simulate_round_trip(workspace):
     assert total["table"] + total["score"] == 128 * 8 + 30
 
 
+def test_quantize_has_no_comparator_flag(workspace, capsys):
+    # The comparator bank is the only quantizer: --comparator is an unknown
+    # argument (argparse's exit 2 and usage line), no file is written, and
+    # the report still names the bank.
+    _build_pipeline(workspace)
+    out = workspace / "x.kvq"
+    with pytest.raises(SystemExit) as exc:
+        run(workspace, "quantize", "--keys", workspace / "keys.npy",
+            "--signs", workspace / "s.sgnrom", "--codebook", workspace / "cb.cbrom",
+            "--comparator", "flat", "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --comparator flat" in capsys.readouterr().err
+    assert not out.exists()
+    quantize = _build_parser()._subparsers._group_actions[0].choices["quantize"]
+    assert "--comparator" not in quantize.format_help()
+    assert json.loads((workspace / "q.json").read_text())["comparator"] == "flat"
+
+
 def test_simulate_fp16_mode(workspace):
     _build_pipeline(workspace)
     sim = workspace / "sim16.json"

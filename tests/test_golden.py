@@ -6,10 +6,13 @@ benchmark's digests.  The layer runs at d=128, b=3 over T=300 keys, which
 spans two row tiles (transform._row_tiles), with a zero key and keys of
 norms from about 1e-2 to 1e4.  The digests were recorded from the tree
 before the pipeline's kernels were tiled and the record codec became a
-group shift-or.
+group shift-or.  The bench-mults and eval --synthetic reports, whose
+quantizer calls once had a binary-search route beside the comparator bank,
+were recorded from the tree that still held both routes.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -50,3 +53,30 @@ def test_pipeline_layer_artifacts_match_golden_digests(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN
+
+
+REPORTS = {
+    "bench.json":
+        "64c52c65abe03041a99917bb0939180fb5bd0e9be841afa086a6a3c7a7ff3f4b",
+    "eval.json":
+        "e21a07ff2c0d0cffceeb1f45179930af371cf942ec299d20885278f95b15531a",
+}
+
+
+def test_bench_mults_and_eval_reports_match_golden_digests(tmp_path):
+    (tmp_path / "synth.json").write_text(json.dumps(
+        {"d": 128, "N": 300, "seed": 11,
+         "profiles": [{"scale": 1.0}, {"scale": 40.0, "direction_gain": 6.0}]}))
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    run("bench-mults", "--d", 128, "--b", 3, "--T", 300, "--seed", 5,
+        "--report", tmp_path / "bench.json")
+    run("eval", "--synthetic", tmp_path / "synth.json", "--b-list", "1,3,4",
+        "--seeds", "1,2,3", "--jensen-std", "0,0.5", "--jensen-trials", 1000,
+        "--report", tmp_path / "eval.json")
+
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in REPORTS}
+    assert got == REPORTS

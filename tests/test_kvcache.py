@@ -153,7 +153,7 @@ def test_cli_quantize_matches_per_key_route(tmp_path):
 
     cb = deserialize_rom((tmp_path / "cb.cbrom").read_bytes(), D, B)
     spec = RotationSpec(d=D, sign=read_sign_rom(tmp_path / "s.sgnrom")[1])
-    idx, norms = quantize_batch(keys, spec, cb, comparator="flat")
+    idx, norms = quantize_batch(keys, spec, cb)
     assert set(norms[:len(mids)]) == set(mids)
     per_key = [QuantizedKey(idx[i], np.float16(norms[i])) for i in range(len(keys))]
     write_kvq(tmp_path / "ref.kvq", per_key, D, B, layer_id=1)

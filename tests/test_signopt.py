@@ -15,7 +15,7 @@ from kvlut.signopt import (RECOMMEND_INDETERMINATE, RECOMMEND_OPTIMIZE,
 from kvlut.transform import (RotationSpec, inverse_rotate, pack_sign_rom,
                              random_signs, rotate, serialize_signs,
                              unpack_sign_rom)
-from kvlut.write_path import _comparator_indices
+from kvlut.write_path import _cell_indices
 
 D = 128
 
@@ -104,7 +104,7 @@ def rotate_qdq_mse(unit_rows, sign, cb):
     comparator, a centroid gather, then the squared error summed over the
     row-major (N, d) array."""
     y = rotate(RotationSpec(d=cb.d, sign=sign), unit_rows)
-    err = y - cb.centroids[_comparator_indices(y, cb, "flat", None, y.shape[0])]
+    err = y - cb.centroids[_cell_indices(y, cb)]
     return np.sum(err * err) / err.size
 
 

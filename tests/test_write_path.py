@@ -1,5 +1,6 @@
 """Write datapath: comparator quantization, op accounting, record packing."""
 
+import itertools
 import math
 import struct
 
@@ -14,7 +15,7 @@ from kvlut.errors import (CorruptCacheError, FormatError,
                           InvalidDimensionError, InvalidInputError)
 from kvlut.opcount import OpCounter
 from kvlut.transform import _TILE_ELEMS, RotationSpec, _row_tiles, random_signs, rotate
-from kvlut.write_path import (QuantizedKey, _pack_rows, _unpack_rows,
+from kvlut.write_path import (QuantizedKey, _cell_indices, _pack_rows, _unpack_rows,
                               dequantize_key, load_key_matrix, pack,
                               packed_size, quantize_batch, quantize_key,
                               read_kvq, unpack, write_kvq)
@@ -37,29 +38,41 @@ def test_indices_match_direct_cell_assignment():
     assert float(qk.norm) == np.float16(np.linalg.norm(k))
 
 
-def test_comparator_modes_agree():
+def test_flat_bank_is_the_only_comparator():
+    # "flat" names the one bank and gives the default's indices, norms and
+    # ledger; the binary-search route is gone, and any other name is
+    # rejected before the counter is touched, on no keys as on some.
     keys = random_keys(50, seed=3)
-    flat_idx, _ = quantize_batch(keys, SPEC, CB, comparator="flat")
-    bin_idx, _ = quantize_batch(keys, SPEC, CB, comparator="binary")
-    np.testing.assert_array_equal(flat_idx, bin_idx)
+    ctr, flat_ctr = OpCounter(), OpCounter()
+    idx, norms = quantize_batch(keys, SPEC, CB, ctr)
+    flat_idx, flat_norms = quantize_batch(keys, SPEC, CB, flat_ctr, comparator="flat")
+    np.testing.assert_array_equal(flat_idx, idx)
+    np.testing.assert_array_equal(flat_norms.view(np.uint64), norms.view(np.uint64))
+    assert flat_ctr.to_dict() == ctr.to_dict()
+    for bad, n in itertools.product(("binary", "bogus"), (2, 0)):
+        ctr = OpCounter()
+        with pytest.raises(InvalidInputError):
+            quantize_batch(np.ones((n, D)), SPEC, CB, ctr, comparator=bad)
+        assert ctr.to_dict() == OpCounter().to_dict()
+    with pytest.raises(TypeError):
+        quantize_key(keys[0], SPEC, CB, comparator="flat")
 
 
 def test_boundary_tie_goes_to_upper_cell():
-    # Feed rotated-domain values sitting exactly on boundaries through the
-    # comparator by crafting a codebook whose boundary is hit exactly.
-    from kvlut.write_path import _comparator_indices
+    # Rotated-domain values sitting exactly on the boundaries, then values
+    # below, on and above the middle boundary (0.0 by symmetry).
     y = np.concatenate([CB.boundaries, [-1.0, 0.0, 1.0]])[None, :]
-    idx_flat = _comparator_indices(y, CB, "flat", None, 1)
-    idx_bin = _comparator_indices(y, CB, "binary", None, 1)
-    np.testing.assert_array_equal(idx_flat, idx_bin)
+    idx = _cell_indices(y, CB)
+    assert idx.dtype == np.uint8 and idx.shape == y.shape
     # A value equal to boundary t_i belongs to cell i+1.
-    np.testing.assert_array_equal(idx_flat[0, :CB.boundaries.size],
+    np.testing.assert_array_equal(idx[0, :CB.boundaries.size],
                                   np.arange(1, CB.levels))
+    np.testing.assert_array_equal(idx[0, CB.boundaries.size:],
+                                  [0, CB.levels // 2, CB.levels - 1])
 
 
 @pytest.mark.parametrize("b", range(1, 9))
 def test_flat_comparator_counts_boundaries_like_searchsorted(b):
-    from kvlut.write_path import _comparator_indices
     cb = solve_codebook(64, b)
     t = cb.boundaries
     rng = np.random.default_rng(b)
@@ -68,43 +81,53 @@ def test_flat_comparator_counts_boundaries_like_searchsorted(b):
     y = np.concatenate([edge, rng.normal(scale=2 * cb.sigma, size=256)])
     # Whole rows of d=64 coordinates, the tail filled by repeating the start.
     y = np.resize(y, (y.size // 64 + 1, 64))
-    ctr = OpCounter()
-    got = _comparator_indices(y, cb, "flat", ctr, y.shape[0])
+    got = _cell_indices(y, cb)
     assert got.dtype == np.uint8 and got.shape == y.shape
     np.testing.assert_array_equal(got, np.searchsorted(t, y, side="right"))
-    assert ctr.comparisons["quantize"] == y.size * (2**b - 1)
 
 
 def test_counter_charges():
     ctr = OpCounter()
-    quantize_key(random_keys(1)[0], SPEC, CB, ctr, comparator="flat")
+    quantize_key(random_keys(1)[0], SPEC, CB, ctr)
     assert ctr.multiplications["norm"] == 2 * D
     assert ctr.additions["norm"] == D - 1
     assert ctr.additions["transform"] == D * 7
     assert ctr.comparisons["quantize"] == D * (2**B - 1)
     assert ctr.total_multiplications == 2 * D
-    ctr = OpCounter()
-    quantize_key(random_keys(1)[0], SPEC, CB, ctr, comparator="binary")
-    assert ctr.comparisons["quantize"] == D * B
+    assert ctr.total_comparisons == D * (2**B - 1)
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_key_and_one_row_batch_charge_equal_ledgers(b):
+    # Both entry points run the one bank with their default arguments, so
+    # one key costs D * (2^b - 1) comparisons whichever way it is written.
+    cb = solve_codebook(D, b)
+    k = random_keys(1, seed=b)[0]
+    key_ctr, batch_ctr = OpCounter(), OpCounter()
+    qk = quantize_key(k, SPEC, cb, key_ctr)
+    idx, _ = quantize_batch(k[None], SPEC, cb, batch_ctr)
+    np.testing.assert_array_equal(idx[0], qk.indices)
+    assert key_ctr.to_dict() == batch_ctr.to_dict()
+    assert batch_ctr.comparisons["quantize"] == D * (2**b - 1)
 
 
 def test_batch_matches_per_key_results_and_counts():
     keys = random_keys(7, seed=5)
     batch_ctr = OpCounter()
-    idx, norms = quantize_batch(keys, SPEC, CB, batch_ctr, comparator="flat")
+    idx, norms = quantize_batch(keys, SPEC, CB, batch_ctr)
     single_ctr = OpCounter()
     for i, k in enumerate(keys):
-        qk = quantize_key(k, SPEC, CB, single_ctr, comparator="flat")
+        qk = quantize_key(k, SPEC, CB, single_ctr)
         np.testing.assert_array_equal(idx[i], qk.indices)
         assert np.float16(norms[i]) == qk.norm
     assert batch_ctr.to_dict() == single_ctr.to_dict()
 
 
-def _quantize_closed_form(d, b, T, comparator):
+def _quantize_closed_form(d, b, T):
     ctr = OpCounter()
     ctr.add("norm", mults=2 * d * T, adds=(d - 1) * T)
     ctr.add("transform", adds=T * d * (d.bit_length() - 1))
-    ctr.add("quantize", comps=T * d * (2**b - 1 if comparator == "flat" else b))
+    ctr.add("quantize", comps=T * d * (2**b - 1))
     return ctr.to_dict()
 
 
@@ -119,18 +142,17 @@ def test_batch_matches_per_key_route_across_row_tiles(d, b):
     keys = random_keys(T, d, seed=d + b) * np.random.default_rng(b).uniform(1e-3, 1e3, (T, 1))
     # Zero keys open and close every tile.
     keys[[t.start for t in tiles] + [t.stop - 1 for t in tiles]] = 0.0
-    for comparator in ("flat", "binary"):
+    ctr = OpCounter()
+    idx, norms = quantize_batch(keys, spec, cb, ctr)
+    assert ctr.to_dict() == _quantize_closed_form(d, b, T)
+    for t in (0, 1):
         ctr = OpCounter()
-        idx, norms = quantize_batch(keys, spec, cb, ctr, comparator=comparator)
-        assert ctr.to_dict() == _quantize_closed_form(d, b, T, comparator)
-        for t in (0, 1):
-            ctr = OpCounter()
-            quantize_batch(keys[:t], spec, cb, ctr, comparator=comparator)
-            assert ctr.to_dict() == _quantize_closed_form(d, b, t, comparator)
-        singles = [quantize_key(k, spec, cb, comparator=comparator) for k in keys]
-        np.testing.assert_array_equal(idx, np.array([qk.indices for qk in singles]))
-        np.testing.assert_array_equal(norms.astype(np.float16).view(np.uint16),
-                                      np.array([qk.norm for qk in singles]).view(np.uint16))
+        quantize_batch(keys[:t], spec, cb, ctr)
+        assert ctr.to_dict() == _quantize_closed_form(d, b, t)
+    singles = [quantize_key(k, spec, cb) for k in keys]
+    np.testing.assert_array_equal(idx, np.array([qk.indices for qk in singles]))
+    np.testing.assert_array_equal(norms.astype(np.float16).view(np.uint16),
+                                  np.array([qk.norm for qk in singles]).view(np.uint16))
     # The float64 norms too, against one-row batches.
     row_norms = np.concatenate([quantize_batch(k[None], spec, cb)[1] for k in keys])
     np.testing.assert_array_equal(norms.view(np.uint64), row_norms.view(np.uint64))
@@ -151,9 +173,6 @@ def test_input_validation():
         quantize_key(np.full(D, np.nan), SPEC, CB)
     with pytest.raises(InvalidDimensionError):
         quantize_batch(np.ones((2, 64)), SPEC, CB)
-    for n in (2, 0):
-        with pytest.raises(InvalidInputError):
-            quantize_batch(np.ones((n, D)), SPEC, CB, comparator="bogus")
     other = RotationSpec(d=64, sign=random_signs(64, 1))
     with pytest.raises(InvalidDimensionError):
         quantize_key(np.ones(64), other, CB)
