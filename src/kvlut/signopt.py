@@ -11,7 +11,10 @@ alike, while a dominant coordinate direction separates them.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,33 +121,90 @@ def _normalized_rows(keys: CalibrationSet) -> tuple[np.ndarray, int]:
     return keys.keys[kept] / norms[kept, None], int(np.count_nonzero(~kept))
 
 
+# Threads pay off only when each ufunc call of a candidate is long enough to
+# hide the interpreter-lock handoffs around it: on a 2-CPU VM two threads
+# took 1.05-1.9x the serial time at N x d <= 2^14 values per candidate, about
+# 1x at 2^15 and 0.6-0.8x from 1.5 x 2^15 up.
+_THREAD_MIN_ELEMS = 1 << 15
+
+
+def _workers(C: int, elems: int) -> int:
+    """Threads for C candidates of `elems` values each: one per CPU this
+    process may use, at most C, and one at or below _THREAD_MIN_ELEMS."""
+    if elems <= _THREAD_MIN_ELEMS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, C))
+
+
 def _candidate_mses(unit_rows: np.ndarray, signs, cb: Codebook) -> np.ndarray:
     """Rotated-domain quantize-dequantize MSE of each sign candidate.
 
     The selection metric measures codebook fit, so there is no inverse
-    rotation and no norm rescale.  One set of (N, d)-sized buffers serves
-    every candidate: blocks of that size sit above the allocator's mmap and
-    trim marks, and a fresh set per candidate is mapped, page-faulted in and
-    handed back each time.  Every step does rotate()'s arithmetic in its
-    order, and the sum runs over a C-ordered (N, d) error array, so each MSE
-    equals rotate(), quantize, subtract, square and sum bit for bit.
+    rotation and no norm rescale.  The C candidates run on W threads:
+    W = min(CPUs this process may use, C), or 1 when an (N, d) block holds
+    at most _THREAD_MIN_ELEMS values (_workers).  The calling thread takes
+    candidates 0, W, 2W, ... and worker w takes w, w + W, ...; numpy
+    releases the interpreter lock inside each ufunc, so the threads overlap.
+
+    Each thread allocates one set of (N, d)-sized buffers and reuses it for
+    all of its candidates: blocks of that size sit above the allocator's
+    mmap and trim marks, and a fresh set per candidate is mapped,
+    page-faulted in and handed back each time.  Memory therefore grows by
+    one buffer set, 3.5 N d doubles (about 2 MiB at 512 x 128), per extra
+    thread.  Every step does rotate()'s arithmetic in its order, and the
+    sum runs over a C-ordered (N, d) error array, so each MSE equals
+    rotate(), quantize, subtract, square and sum bit for bit, and the MSEs,
+    picks and sign ROMs are identical for every W.
+
+    Workers run in a copy of the caller's context, so its np.errstate holds
+    on them.  Every worker is joined before the call returns or raises; the
+    first exception raised on any thread stops the others at their next
+    candidate and is re-raised here.
     """
     n, d = unit_rows.shape
     unit_t = np.array(unit_rows.T, order="C")
-    yt, diff = np.empty((d, n)), np.empty((d // 2) * n)
-    y, err = np.empty((n, d)), np.empty((n, d))
     mses = np.empty(len(signs))
-    for c, s in enumerate(signs):
-        np.multiply(unit_t, s.signs[:, None], out=yt)
-        _butterflies(yt, diff)
-        np.divide(yt.T, math.sqrt(d), out=y)
-        idx = _cell_indices(y, cb)
-        # Cell indices are below 2^b by construction; "clip" lets take()
-        # write straight into err, where "raise" buffers a full copy.
-        np.take(cb.centroids, idx, out=err, mode="clip")
-        np.subtract(y, err, out=err)
-        np.multiply(err, err, out=err)
-        mses[c] = np.sum(err) / err.size
+    workers = _workers(len(signs), unit_rows.size)
+    errors: list[BaseException] = []
+
+    def score(first: int) -> None:
+        try:
+            yt, diff = np.empty((d, n)), np.empty((d // 2) * n)
+            y, err = np.empty((n, d)), np.empty((n, d))
+            for c in range(first, len(signs), workers):
+                if errors:
+                    return
+                np.multiply(unit_t, signs[c].signs[:, None], out=yt)
+                _butterflies(yt, diff)
+                np.divide(yt.T, math.sqrt(d), out=y)
+                idx = _cell_indices(y, cb)
+                # Cell indices are below 2^b by construction; "clip" lets
+                # take() write straight into err, where "raise" buffers a
+                # full copy.
+                np.take(cb.centroids, idx, out=err, mode="clip")
+                np.subtract(y, err, out=err)
+                np.multiply(err, err, out=err)
+                mses[c] = np.sum(err) / err.size
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(score, w))
+            thread.start()
+            threads.append(thread)
+        score(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return mses
 
 

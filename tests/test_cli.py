@@ -459,6 +459,18 @@ def test_runtime_imports_no_scipy(workspace):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_import_pulls_in_no_executor_or_logging():
+    # concurrent.futures imports logging, about 10 ms on every CLI start;
+    # sign selection runs its threads on plain threading instead.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, kvlut, kvlut.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('concurrent', 'logging')))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_report_json_is_stable(workspace):
     a, b = workspace / "a.json", workspace / "b.json"
     run(workspace, "solve-codebook", "--d", 64, "--b", 2, "--report", a)

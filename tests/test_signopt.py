@@ -1,12 +1,17 @@
 """Calibration-based sign selection and the norm heterogeneity diagnostic."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+import kvlut.signopt as signopt
 from kvlut.codebook import solve_codebook
 from kvlut.errors import (EmptyCalibrationError, InvalidDimensionError,
                           InvalidInputError)
-from kvlut.evalkit import LayerProfile, SyntheticSpec, generate_keys
+from kvlut.evalkit import (LayerProfile, SyntheticSpec, generate_keys,
+                           sensitivity_sweep)
 from kvlut.signopt import (RECOMMEND_INDETERMINATE, RECOMMEND_OPTIMIZE,
                            RECOMMEND_SAFE, CalibrationSet, _candidate_mses,
                            _normalized_rows, candidate_mse,
@@ -255,7 +260,6 @@ def test_select_all_layers_packs_rom_in_order():
 
 
 def test_all_layers_solves_the_codebook_once(monkeypatch):
-    import kvlut.signopt as signopt
     layers = {i: cal_set(seed=40 + i, scale=1.0 + i) for i in range(3)}
     solo = [select_signs(CalibrationSet(keys=cs.keys, layer_id=i), C=5, b=3,
                          base_seed=2) for i, cs in layers.items()]
@@ -338,3 +342,111 @@ def test_calibration_set_validation():
     cs = CalibrationSet(keys=np.ones(8))
     assert cs.keys.shape == (1, 8)
     assert cs.d == 8
+
+
+# -- candidates on threads ---------------------------------------------------
+
+WORKER_COUNTS = {"1": lambda C, elems: 1, "2": lambda C, elems: 2,
+                 "3": lambda C, elems: 3, "C+2": lambda C, elems: C + 2}
+
+
+@pytest.mark.parametrize("n, C", [(64, 1), (1, 7), (512, 9)],
+                         ids=["one-candidate", "one-row", "512-rows"])
+@pytest.mark.parametrize("count", list(WORKER_COUNTS))
+def test_results_are_bit_identical_for_every_worker_count(monkeypatch, n, C, count):
+    keys = cal_set(n=n, seed=n + C, scale=2.0)
+    layers = {0: keys, 1: cal_set(n=n, seed=n + C + 1, scale=9.0)}
+    unit, _ = _normalized_rows(keys)
+    signs = [random_signs(D, 60 + c) for c in range(C)]
+    cb = solve_codebook(D, 3)
+
+    def everything():
+        reports, rom = select_signs_all_layers(layers, C=C, b=3, base_seed=60)
+        sweep = sensitivity_sweep(keys, seeds=range(60, 60 + C), bs=(1, 3))
+        return _candidate_mses(unit, signs, cb), reports, rom, sweep.mses
+
+    monkeypatch.setattr(signopt, "_workers", lambda C, elems: 1)
+    serial = everything()
+    monkeypatch.setattr(signopt, "_workers", WORKER_COUNTS[count])
+    mses, reports, rom, sweep = everything()
+    np.testing.assert_array_equal(mses.view(np.uint64), serial[0].view(np.uint64))
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in serial[1]]
+    assert rom == serial[2]
+    np.testing.assert_array_equal(sweep.view(np.uint64), serial[3].view(np.uint64))
+
+
+def test_worker_count_is_bounded_by_cpus_candidates_and_block_size():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    big = signopt._THREAD_MIN_ELEMS + 1
+    for C in (1, 2, 3, 200):
+        assert signopt._workers(C, big) == min(cpus, C)
+        assert signopt._workers(C, signopt._THREAD_MIN_ELEMS) == 1
+
+
+def recording_cell_indices(calls, fail_at=None, error=None):
+    """_cell_indices that records (thread, np.geterr()) for every call and
+    raises `error` on the fail_at-th call made off the calling thread."""
+    caller = threading.get_ident()
+
+    def cell_indices(y, cb):
+        calls.append((threading.get_ident(), np.geterr()))
+        off_caller = [ident for ident, _ in calls if ident != caller]
+        if calls[-1][0] != caller and len(off_caller) == fail_at:
+            raise error
+        return _cell_indices(y, cb)
+    return cell_indices
+
+
+@pytest.mark.parametrize("n", [8, 512])
+def test_a_search_runs_on_at_most_one_thread_per_cpu(monkeypatch, n):
+    baseline = threading.active_count()
+    calls = []
+    monkeypatch.setattr(signopt, "_cell_indices", recording_cell_indices(calls))
+    select_signs(cal_set(n=n), C=5, b=3)
+    threads = {ident for ident, _ in calls}
+    assert len(calls) == 5
+    assert len(threads) == signopt._workers(5, n * D) <= 5
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_worker_error_is_raised_and_every_thread_joined(monkeypatch, k):
+    baseline = threading.active_count()
+    boom = InvalidInputError("comparator fault")
+    calls = []
+    monkeypatch.setattr(signopt, "_workers", lambda C, elems: min(3, C))
+    monkeypatch.setattr(signopt, "_cell_indices", recording_cell_indices(calls, k, boom))
+    with pytest.raises(InvalidInputError) as raised:
+        select_signs(cal_set(n=32), C=8, b=3)
+    assert raised.value is boom
+    assert threading.active_count() == baseline
+
+
+def test_caller_error_joins_the_workers(monkeypatch):
+    baseline = threading.active_count()
+    caller = threading.get_ident()
+
+    def cell_indices(y, cb):
+        if threading.get_ident() == caller:
+            raise InvalidInputError("caller fault")
+        return _cell_indices(y, cb)
+
+    monkeypatch.setattr(signopt, "_workers", lambda C, elems: 2)
+    monkeypatch.setattr(signopt, "_cell_indices", cell_indices)
+    with pytest.raises(InvalidInputError, match="caller fault"):
+        select_signs(cal_set(n=32), C=6, b=3)
+    assert threading.active_count() == baseline
+
+
+def test_callers_errstate_holds_on_the_workers(monkeypatch):
+    calls = []
+    monkeypatch.setattr(signopt, "_workers", lambda C, elems: 2)
+    monkeypatch.setattr(signopt, "_cell_indices", recording_cell_indices(calls))
+    with np.errstate(all="raise"):
+        select_signs(cal_set(n=32), C=4, b=3)
+    caller = threading.get_ident()
+    on_workers = [err for ident, err in calls if ident != caller]
+    assert on_workers and len(calls) == 4
+    raising = dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+    assert all(err == raising for _, err in calls)
