@@ -283,9 +283,7 @@ def sensitivity_sweep(keys: CalibrationSet, seeds, bs) -> SweepResult:
         raise InvalidInputError("need at least one seed and one bit-width")
     unit, _ = _normalized_rows(keys)
     signs = [random_signs(keys.d, sd) for sd in seeds]
-    mses = np.empty((len(seeds), len(bs)))
-    for j, b in enumerate(bs):
-        mses[:, j] = _candidate_mses(unit, signs, solve_codebook(keys.d, b))
+    mses = _candidate_mses(unit, signs, [solve_codebook(keys.d, b) for b in bs])
     maxmin = {b: float(mses[:, j].max() / mses[:, j].min()) for j, b in enumerate(bs)}
     stdmean = {b: float(mses[:, j].std() / mses[:, j].mean()) for j, b in enumerate(bs)}
     return SweepResult(seeds=seeds, bs=bs, mses=mses,

@@ -22,8 +22,8 @@ import numpy as np
 from .codebook import Codebook, solve_codebook
 from .errors import (EmptyCalibrationError, InvalidDimensionError, InvalidInputError,
                      _check_same_d, _finite_array, _layer_items, _read_only)
-from .transform import (SignVector, _butterflies, pack_sign_rom, random_signs,
-                        serialize_signs)
+from .transform import (SignVector, _butterflies, _row_buffer, pack_sign_rom,
+                        random_signs, serialize_signs)
 from .write_path import _cell_indices
 
 __all__ = [
@@ -140,11 +140,14 @@ def _workers(C: int, elems: int) -> int:
     return max(1, min(cpus, C))
 
 
-def _candidate_mses(unit_rows: np.ndarray, signs, cb: Codebook) -> np.ndarray:
-    """Rotated-domain quantize-dequantize MSE of each sign candidate.
+def _candidate_mses(unit_rows: np.ndarray, signs, cbs) -> np.ndarray:
+    """Rotated-domain quantize-dequantize MSE of each sign candidate under
+    each codebook: a (C, len(cbs)) array.
 
     The selection metric measures codebook fit, so there is no inverse
-    rotation and no norm rescale.  The C candidates run on W threads:
+    rotation and no norm rescale.  Each candidate is rotated once and then
+    quantized under every codebook in turn, so a sweep over bit-widths
+    repeats no rotation.  The C candidates run on W threads:
     W = min(CPUs this process may use, C), or 1 when an (N, d) block holds
     at most _THREAD_MIN_ELEMS values (_workers).  The calling thread takes
     candidates 0, W, 2W, ... and worker w takes w, w + W, ...; numpy
@@ -153,12 +156,19 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cb: Codebook) -> np.ndarray:
     Each thread allocates one set of (N, d)-sized buffers and reuses it for
     all of its candidates: blocks of that size sit above the allocator's
     mmap and trim marks, and a fresh set per candidate is mapped,
-    page-faulted in and handed back each time.  Memory therefore grows by
-    one buffer set, 3.5 N d doubles (about 2 MiB at 512 x 128), per extra
-    thread.  Every step does rotate()'s arithmetic in its order, and the
-    sum runs over a C-ordered (N, d) error array, so each MSE equals
-    rotate(), quantize, subtract, square and sum bit for bit, and the MSEs,
-    picks and sign ROMs are identical for every W.
+    page-faulted in and handed back each time.  The set is the transposed
+    block, which the error reuses once the scaled copy is taken, the
+    butterflies' scratch, the scaled copy, and the comparator bank's uint8
+    cells and bool mask: 2.5 N d doubles plus 2 N d bytes (about 1.4 MiB
+    at 512 x 128) per extra thread.
+
+    Each candidate's sign flip and butterflies run under
+    transform._row_buffer(N), so numpy's ufunc loop copies none of their
+    N-long runs through its buffer.  That scope holds no reduction: the
+    sum runs outside it, at numpy's default buffer, over a C-ordered (N, d)
+    error array.  Every step does rotate()'s arithmetic in its order, so
+    each MSE equals rotate(), quantize, subtract, square and sum bit for
+    bit, and the MSEs, picks and sign ROMs are identical for every W.
 
     Workers run in a copy of the caller's context, so its np.errstate holds
     on them.  Every worker is joined before the call returns or raises; the
@@ -167,28 +177,32 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cb: Codebook) -> np.ndarray:
     """
     n, d = unit_rows.shape
     unit_t = np.array(unit_rows.T, order="C")
-    mses = np.empty(len(signs))
+    mses = np.empty((len(signs), len(cbs)))
     workers = _workers(len(signs), unit_rows.size)
     errors: list[BaseException] = []
 
     def score(first: int) -> None:
         try:
-            yt, diff = np.empty((d, n)), np.empty((d // 2) * n)
-            y, err = np.empty((n, d)), np.empty((n, d))
+            yt, diff, y = np.empty((d, n)), np.empty((d // 2) * n), np.empty((n, d))
+            err = yt.reshape(n, d)
+            cells = np.empty((n, d), dtype=np.uint8)
+            mask = np.empty((n, d), dtype=np.bool_)
             for c in range(first, len(signs), workers):
                 if errors:
                     return
-                np.multiply(unit_t, signs[c].signs[:, None], out=yt)
-                _butterflies(yt, diff)
+                with _row_buffer(n):
+                    np.multiply(unit_t, signs[c].signs[:, None], out=yt)
+                    _butterflies(yt, diff)
                 np.divide(yt.T, math.sqrt(d), out=y)
-                idx = _cell_indices(y, cb)
-                # Cell indices are below 2^b by construction; "clip" lets
-                # take() write straight into err, where "raise" buffers a
-                # full copy.
-                np.take(cb.centroids, idx, out=err, mode="clip")
-                np.subtract(y, err, out=err)
-                np.multiply(err, err, out=err)
-                mses[c] = np.sum(err) / err.size
+                for j, cb in enumerate(cbs):
+                    idx = _cell_indices(y, cb, cells, mask)
+                    # Cell indices are below 2^b by construction; "clip"
+                    # lets take() write straight into err, where "raise"
+                    # buffers a full copy.
+                    np.take(cb.centroids, idx, out=err, mode="clip")
+                    np.subtract(y, err, out=err)
+                    np.multiply(err, err, out=err)
+                    mses[c, j] = np.sum(err) / err.size
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -212,7 +226,7 @@ def candidate_mse(keys: CalibrationSet, s: SignVector, cb: Codebook) -> float:
     """Rotated-domain quantization MSE of one sign candidate on one layer."""
     _check_same_d(("keys", keys.d), ("signs", s.d), ("codebook", cb.d))
     unit, _ = _normalized_rows(keys)
-    return float(_candidate_mses(unit, [s], cb)[0])
+    return float(_candidate_mses(unit, [s], [cb])[0, 0])
 
 
 def _check_candidate_count(C: int) -> None:
@@ -226,7 +240,7 @@ def _search_layer(keys: CalibrationSet, C: int, cb: Codebook,
     d = keys.d
     unit, dropped = _normalized_rows(keys)
     mses = _candidate_mses(
-        unit, [random_signs(d, base_seed + c) for c in range(1, C + 1)], cb)
+        unit, [random_signs(d, base_seed + c) for c in range(1, C + 1)], [cb])[:, 0]
     pick = int(np.argmin(mses))
     seed = base_seed + pick + 1
     return SignSearchReport(

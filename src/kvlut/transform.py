@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,12 +100,44 @@ def _row_tiles(n: int, d: int):
         yield slice(start, min(start + step, n))
 
 
+@contextmanager
+def _row_buffer(n: int):
+    """Run the enclosed ufuncs under a buffer of 16 * (n // 16) elements.
+
+    numpy's buffered ufunc loop copies an operand through its buffer
+    (np.getbufsize(), 8,192 elements by default) when the operand's
+    contiguous run is shorter than half the buffer.  A sign flip of a
+    (d, n) block runs in runs of n values and butterfly stage h in runs of
+    h * n, so at n = 512 the default copies the flip and stages 1, 2 and 4;
+    under this scope no run of n or more values is copied.  numpy 1.x takes only
+    multiples of 16.  The size is left alone when that is below 16 or not
+    below the current size, and restored in a finally (numpy 1.x's
+    np.errstate does not restore it).
+
+    Elementwise ufuncs give the same bits at any buffer size, but a casting
+    reduction does not (a float32 -> float64 sum differs between 512 and
+    8,192), so no reduction may run inside this scope.
+    """
+    size = 16 * (n // 16)
+    old = np.getbufsize()
+    if not 16 <= size < old:
+        yield
+        return
+    np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _butterflies(y: np.ndarray, diff: np.ndarray) -> None:
     """The unscaled butterfly network, in place on a C-ordered (d, N) block.
 
     Column j of y is one vector.  Each of the log2(d) stages adds and
     subtracts whole contiguous blocks of N values; diff is scratch space of
     (d/2) * N elements, so a caller looping over many blocks allocates none.
+    Stage h runs h * N values per block, so callers run it under
+    _row_buffer(N): then no stage goes through numpy's buffer copy.
     """
     d, n = y.shape
     h = 1
@@ -132,7 +165,10 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     whole contiguous blocks of a tile's values, and is written back into
     the C-contiguous output.  The buffer and the butterflies' scratch are
     reused for every tile.  Rows are independent and each keeps the add
-    order of the row-wise network, so the tiling changes no bit.
+    order of the row-wise network, so the tiling changes no bit.  The
+    copy-in and the butterflies run under _row_buffer(rows): at 256-row
+    tiles numpy would otherwise copy stages 1 to 8 through its 8,192-element
+    buffer.  That scope holds no reduction, and no other step runs in it.
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_shape(arr, None, (1, 2))
@@ -151,8 +187,9 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     for tile in tiles:
         m = tile.stop - tile.start
         y = buf[:d * m].reshape(d, m)
-        np.copyto(y, rows[tile].T)
-        _butterflies(y, diff[:(d // 2) * m])
+        with _row_buffer(m):
+            np.copyto(y, rows[tile].T)
+            _butterflies(y, diff[:(d // 2) * m])
         out[tile] = y.T
     out /= math.sqrt(d)
 

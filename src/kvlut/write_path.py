@@ -108,16 +108,27 @@ def _checked(cls, **fields):
     return obj
 
 
-def _cell_indices(y: np.ndarray, cb: Codebook) -> np.ndarray:
-    """The comparator bank: each coordinate's uint8 cell index.
+def _cell_indices(y: np.ndarray, cb: Codebook, out: np.ndarray | None = None,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """The comparator bank: each coordinate's uint8 cell index, written to out.
 
     A coordinate is compared against all 2^b - 1 boundaries and its cell is
     the number of boundaries it reaches, so a tie goes to the upper cell.
+    Each comparison writes into one bool mask of y's shape and its uint8
+    view is added in place, so no boundary allocates a temporary or casts
+    one.  out (uint8) and mask (bool) are scratch a caller looping over
+    same-shaped blocks may pass; what they hold on entry does not matter.
     """
-    idx = np.zeros(np.shape(y), dtype=np.uint8)
+    if out is None:
+        out = np.empty(np.shape(y), dtype=np.uint8)
+    if mask is None:
+        mask = np.empty(np.shape(y), dtype=np.bool_)
+    out.fill(0)
+    reached = mask.view(np.uint8)
     for t in cb.boundaries:
-        idx += y >= t
-    return idx
+        np.greater_equal(y, t, out=mask)
+        out += reached
+    return out
 
 
 def quantize_key(k: np.ndarray, spec: RotationSpec, cb: Codebook,
@@ -168,7 +179,7 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
         tile = keys[rows]
         nrm = norms[rows] = np.linalg.norm(tile, axis=1)
         unit = tile / np.where(nrm == 0.0, 1.0, nrm)[:, None]
-        idx[rows] = _cell_indices(rotate(spec, unit, counter), cb)
+        _cell_indices(rotate(spec, unit, counter), cb, out=idx[rows])
     return idx, norms
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kvlut.signopt as signopt
+import kvlut.transform as transform
 from kvlut.codebook import solve_codebook
 from kvlut.errors import (EmptyCalibrationError, InvalidDimensionError,
                           InvalidInputError)
@@ -20,7 +21,7 @@ from kvlut.signopt import (RECOMMEND_INDETERMINATE, RECOMMEND_OPTIMIZE,
 from kvlut.transform import (RotationSpec, inverse_rotate, pack_sign_rom,
                              random_signs, rotate, serialize_signs,
                              unpack_sign_rom)
-from kvlut.write_path import _cell_indices
+from kvlut.write_path import _cell_indices, quantize_batch
 
 D = 128
 
@@ -128,7 +129,7 @@ def test_candidate_loop_is_bit_identical_to_rotate_oracle(d, n, b):
     want = np.array([rotate_qdq_mse(unit, s, cb) for s in signs])
     np.testing.assert_array_equal(report.mses.view(np.uint64), want.view(np.uint64))
     # The buffers reused across candidates carry nothing from one to the next.
-    backwards = _candidate_mses(unit, signs[::-1], cb)
+    backwards = _candidate_mses(unit, signs[::-1], [cb])[:, 0]
     np.testing.assert_array_equal(backwards.view(np.uint64),
                                   report.mses[::-1].view(np.uint64))
     for i, s in enumerate(signs):
@@ -363,7 +364,7 @@ def test_results_are_bit_identical_for_every_worker_count(monkeypatch, n, C, cou
     def everything():
         reports, rom = select_signs_all_layers(layers, C=C, b=3, base_seed=60)
         sweep = sensitivity_sweep(keys, seeds=range(60, 60 + C), bs=(1, 3))
-        return _candidate_mses(unit, signs, cb), reports, rom, sweep.mses
+        return _candidate_mses(unit, signs, [cb]), reports, rom, sweep.mses
 
     monkeypatch.setattr(signopt, "_workers", lambda C, elems: 1)
     serial = everything()
@@ -389,12 +390,12 @@ def recording_cell_indices(calls, fail_at=None, error=None):
     raises `error` on the fail_at-th call made off the calling thread."""
     caller = threading.get_ident()
 
-    def cell_indices(y, cb):
+    def cell_indices(y, cb, *scratch):
         calls.append((threading.get_ident(), np.geterr()))
         off_caller = [ident for ident, _ in calls if ident != caller]
         if calls[-1][0] != caller and len(off_caller) == fail_at:
             raise error
-        return _cell_indices(y, cb)
+        return _cell_indices(y, cb, *scratch)
     return cell_indices
 
 
@@ -421,22 +422,24 @@ def test_worker_error_is_raised_and_every_thread_joined(monkeypatch, k):
         select_signs(cal_set(n=32), C=8, b=3)
     assert raised.value is boom
     assert threading.active_count() == baseline
+    assert np.getbufsize() == 8192
 
 
 def test_caller_error_joins_the_workers(monkeypatch):
     baseline = threading.active_count()
     caller = threading.get_ident()
 
-    def cell_indices(y, cb):
+    def cell_indices(y, cb, *scratch):
         if threading.get_ident() == caller:
             raise InvalidInputError("caller fault")
-        return _cell_indices(y, cb)
+        return _cell_indices(y, cb, *scratch)
 
     monkeypatch.setattr(signopt, "_workers", lambda C, elems: 2)
     monkeypatch.setattr(signopt, "_cell_indices", cell_indices)
     with pytest.raises(InvalidInputError, match="caller fault"):
         select_signs(cal_set(n=32), C=6, b=3)
     assert threading.active_count() == baseline
+    assert np.getbufsize() == 8192
 
 
 def test_callers_errstate_holds_on_the_workers(monkeypatch):
@@ -450,3 +453,66 @@ def test_callers_errstate_holds_on_the_workers(monkeypatch):
     assert on_workers and len(calls) == 4
     raising = dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
     assert all(err == raising for _, err in calls)
+
+
+# -- the sign flip and butterflies under a row-length ufunc buffer -----------
+
+def around_butterflies(hook):
+    """transform._butterflies that first calls hook(y) on its (d, N) block."""
+    butterflies = transform._butterflies
+
+    def wrapped(y, diff):
+        hook(y)
+        butterflies(y, diff)
+    return wrapped
+
+
+def test_candidates_rotate_under_a_row_length_buffer_and_restore_it(monkeypatch):
+    seen = []
+    recording = around_butterflies(lambda y: seen.append((y.shape[1], np.getbufsize())))
+    monkeypatch.setattr(signopt, "_butterflies", recording)
+    monkeypatch.setattr(transform, "_butterflies", recording)
+    select_signs(cal_set(n=512), C=4, b=3)
+    assert seen == [(512, 512)] * 4 and np.getbufsize() == 8192
+    seen.clear()
+    sensitivity_sweep(cal_set(n=40), seeds=range(3), bs=(1, 3))
+    assert seen == [(40, 32)] * 3 and np.getbufsize() == 8192
+    seen.clear()
+    quantize_batch(cal_set(n=300).keys, RotationSpec(d=D, sign=random_signs(D, 1)),
+                   solve_codebook(D, 3))
+    assert seen == [(256, 256), (44, 32)] and np.getbufsize() == 8192
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_error_inside_the_scope_restores_the_buffer(monkeypatch, workers):
+    caller = threading.get_ident()
+
+    def fail_on_caller(y):
+        if threading.get_ident() == caller:
+            raise InvalidInputError("butterfly fault")
+
+    monkeypatch.setattr(signopt, "_workers", lambda C, elems: workers)
+    monkeypatch.setattr(signopt, "_butterflies", around_butterflies(fail_on_caller))
+    with pytest.raises(InvalidInputError, match="butterfly fault"):
+        select_signs(cal_set(n=512), C=4, b=3)
+    assert np.getbufsize() == 8192
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rotates_each_seed_once_and_matches_per_bit_width_calls(
+        monkeypatch, workers):
+    rotations = []
+    monkeypatch.setattr(signopt, "_workers", lambda C, elems: workers)
+    monkeypatch.setattr(signopt, "_butterflies", around_butterflies(rotations.append))
+    keys = cal_set(n=512, seed=5, scale=3.0)
+    seeds, bs = range(70, 75), (1, 3, 8)
+    sweep = sensitivity_sweep(keys, seeds, bs)
+    assert len(rotations) == len(seeds)
+    unit, _ = _normalized_rows(keys)
+    signs = [random_signs(D, sd) for sd in seeds]
+    for j, b in enumerate(bs):
+        per_b = _candidate_mses(unit, signs, [solve_codebook(D, b)])[:, 0]
+        np.testing.assert_array_equal(sweep.mses[:, j].view(np.uint64),
+                                      per_b.view(np.uint64))
+        want = np.array([rotate_qdq_mse(unit, s, solve_codebook(D, b)) for s in signs])
+        np.testing.assert_array_equal(per_b.view(np.uint64), want.view(np.uint64))

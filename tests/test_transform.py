@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvlut.transform as transform
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError)
 from kvlut.opcount import OpCounter
 from kvlut.transform import (_TILE_ELEMS, RotationSpec, SignVector, _row_tiles,
@@ -132,6 +133,43 @@ def test_fwht_and_rotations_across_row_tiles_match_the_whole_block(d):
     # A row's bits do not depend on the rows tiled beside it.
     for row in (0, tiles[1].start, T - 1):
         np.testing.assert_array_equal(fwht(x[row]).view(np.uint64), got[row].view(np.uint64))
+
+
+# The ufunc buffer each tile's butterflies must see, by tile rows: 16 * (rows
+# // 16), or numpy's default when that is below 16 or not below the default.
+ROW_BUFFER = {15: 8192, 16: 16, 17: 16, 255: 240, 256: 256, 4095: 4080,
+              4096: 4096, 2 ** 14: 8192}
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (8, 128)
+                                  for n in (15, 16, 17, 255, 256, 4095, 4096)]
+                         + [(2, 2 ** 14)])
+def test_fwht_runs_each_tile_under_a_row_length_buffer(monkeypatch, d, n):
+    assert np.getbufsize() == 8192
+    seen = []
+    butterflies = transform._butterflies
+
+    def recording(y, diff):
+        seen.append((y.shape[1], np.getbufsize()))
+        butterflies(y, diff)
+
+    monkeypatch.setattr(transform, "_butterflies", recording)
+    rng = np.random.default_rng([d, n])
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-100, 101, size=(n, 1))
+    got = fwht(x)
+    np.testing.assert_array_equal(got.view(np.uint64), concat_butterfly(x).view(np.uint64))
+    assert [rows for rows, _ in seen] == [t.stop - t.start for t in _row_tiles(n, d)]
+    assert all(size == ROW_BUFFER[rows] for rows, size in seen)
+    assert np.getbufsize() == 8192
+
+
+def test_overflow_in_the_scoped_butterflies_still_raises():
+    x = np.full((512, 8), 1e308)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            fwht(x)
+        assert np.getbufsize() == 8192
+    assert np.getbufsize() == 8192
 
 
 def test_fwht_rejects_bad_shapes():

@@ -82,8 +82,17 @@ def test_flat_comparator_counts_boundaries_like_searchsorted(b):
     # Whole rows of d=64 coordinates, the tail filled by repeating the start.
     y = np.resize(y, (y.size // 64 + 1, 64))
     got = _cell_indices(y, cb)
+    want = np.searchsorted(t, y, side="right")
     assert got.dtype == np.uint8 and got.shape == y.shape
-    np.testing.assert_array_equal(got, np.searchsorted(t, y, side="right"))
+    np.testing.assert_array_equal(got, want)
+    # Scratch reused from an earlier call: whatever out and the mask hold
+    # on entry, the second call writes the same cells into out.
+    out = np.full(y.shape, 255, dtype=np.uint8)
+    mask = rng.integers(0, 2, size=y.shape).astype(np.bool_)
+    for _ in range(2):
+        assert _cell_indices(y, cb, out, mask) is out
+        np.testing.assert_array_equal(out, want)
+        mask[...] = ~mask
 
 
 def test_counter_charges():
