@@ -25,8 +25,8 @@ from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
-from .transform import (RotationSpec, _open_sign_rom, _seed64, random_signs,
-                        write_sign_rom)
+from .transform import (RotationSpec, _check_rom_header, _open_sign_rom, _seed64,
+                        random_signs, write_sign_rom)
 from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
                          write_kvq)
 
@@ -177,10 +177,12 @@ def _cmd_gen_signs(args) -> int:
     if args.seeds is not None:
         seeds = _int_list(args.seeds)
     else:
-        seeds = [args.base_seed + 1 + i for i in range(args.layers)]
+        seeds = range(args.base_seed + 1, args.base_seed + 1 + args.layers)
+    # Before any sign is built: --d 2147483648 would otherwise exhaust memory.
+    _check_rom_header(d, len(seeds))
     signs = [random_signs(d, sd, layer_id=i) for i, sd in enumerate(seeds)]
     write_sign_rom(args.out, signs)
-    _write_json(args.report, {"d": d, "layers": len(signs), "seeds": seeds})
+    _write_json(args.report, {"d": d, "layers": len(signs), "seeds": list(seeds)})
     print(f"wrote {len(signs)} sign vectors (d={d}) to {args.out}")
     return 0
 

@@ -12,7 +12,6 @@ alike, while a dominant coordinate direction separates them.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ import numpy as np
 from .codebook import Codebook, solve_codebook
 from .errors import (EmptyCalibrationError, InvalidDimensionError, InvalidInputError,
                      _check_same_d, _finite_array, _layer_items, _read_only)
-from .transform import (SignVector, _butterflies, _row_buffer, pack_sign_rom,
-                        random_signs, serialize_signs)
+from .transform import (SignVector, _rotate_block, pack_sign_rom, random_signs,
+                        serialize_signs)
 from .write_path import _cell_indices
 
 __all__ = [
@@ -162,13 +161,10 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cbs) -> np.ndarray:
     cells and bool mask: 2.5 N d doubles plus 2 N d bytes (about 1.4 MiB
     at 512 x 128) per extra thread.
 
-    Each candidate's sign flip and butterflies run under
-    transform._row_buffer(N), so numpy's ufunc loop copies none of their
-    N-long runs through its buffer.  That scope holds no reduction: the
-    sum runs outside it, at numpy's default buffer, over a C-ordered (N, d)
-    error array.  Every step does rotate()'s arithmetic in its order, so
-    each MSE equals rotate(), quantize, subtract, square and sum bit for
-    bit, and the MSEs, picks and sign ROMs are identical for every W.
+    Each candidate is rotated by rotate()'s own kernel
+    (transform._rotate_block) on the whole block, so each MSE equals
+    rotate(), quantize, subtract, square and sum bit for bit, and the MSEs,
+    picks and sign ROMs are identical for every W.
 
     Workers run in a copy of the caller's context, so its np.errstate holds
     on them.  Every worker is joined before the call returns or raises; the
@@ -190,10 +186,7 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cbs) -> np.ndarray:
             for c in range(first, len(signs), workers):
                 if errors:
                     return
-                with _row_buffer(n):
-                    np.multiply(unit_t, signs[c].signs[:, None], out=yt)
-                    _butterflies(yt, diff)
-                np.divide(yt.T, math.sqrt(d), out=y)
+                _rotate_block(unit_t, signs[c].signs, y, yt, diff)
                 for j, cb in enumerate(cbs):
                     idx = _cell_indices(y, cb, cells, mask)
                     # Cell indices are below 2^b by construction; "clip"

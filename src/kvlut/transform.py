@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,14 +56,15 @@ class SignVector:
     layer_id: int = 0
 
     def __post_init__(self) -> None:
-        signs = np.asarray(self.signs, dtype=np.int8)
+        raw = np.asarray(self.signs)
         _check_positive_d(self.d)
-        _check_shape(signs, self.d, (1,), "sign vector")
-        if not np.all(np.abs(signs) == 1):
+        _check_shape(raw, self.d, (1,), "sign vector")
+        # Checked before the int8 cast, which would truncate 1.5 and wrap 257.
+        if not np.all((raw == 1) | (raw == -1)):
             raise FormatError("sign entries must be exactly -1 or +1")
         if self.layer_id < 0:
             raise FormatError(f"layer_id must be non-negative, got {self.layer_id}")
-        object.__setattr__(self, "signs", _read_only(signs))
+        object.__setattr__(self, "signs", _read_only(np.asarray(raw, dtype=np.int8)))
 
 
 @dataclass(frozen=True)
@@ -100,44 +100,12 @@ def _row_tiles(n: int, d: int):
         yield slice(start, min(start + step, n))
 
 
-@contextmanager
-def _row_buffer(n: int):
-    """Run the enclosed ufuncs under a buffer of 16 * (n // 16) elements.
-
-    numpy's buffered ufunc loop copies an operand through its buffer
-    (np.getbufsize(), 8,192 elements by default) when the operand's
-    contiguous run is shorter than half the buffer.  A sign flip of a
-    (d, n) block runs in runs of n values and butterfly stage h in runs of
-    h * n, so at n = 512 the default copies the flip and stages 1, 2 and 4;
-    under this scope no run of n or more values is copied.  numpy 1.x takes only
-    multiples of 16.  The size is left alone when that is below 16 or not
-    below the current size, and restored in a finally (numpy 1.x's
-    np.errstate does not restore it).
-
-    Elementwise ufuncs give the same bits at any buffer size, but a casting
-    reduction does not (a float32 -> float64 sum differs between 512 and
-    8,192), so no reduction may run inside this scope.
-    """
-    size = 16 * (n // 16)
-    old = np.getbufsize()
-    if not 16 <= size < old:
-        yield
-        return
-    np.setbufsize(size)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 def _butterflies(y: np.ndarray, diff: np.ndarray) -> None:
     """The unscaled butterfly network, in place on a C-ordered (d, N) block.
 
     Column j of y is one vector.  Each of the log2(d) stages adds and
     subtracts whole contiguous blocks of N values; diff is scratch space of
     (d/2) * N elements, so a caller looping over many blocks allocates none.
-    Stage h runs h * N values per block, so callers run it under
-    _row_buffer(N): then no stage goes through numpy's buffer copy.
     """
     d, n = y.shape
     h = 1
@@ -150,6 +118,67 @@ def _butterflies(y: np.ndarray, diff: np.ndarray) -> None:
         h *= 2
 
 
+def _rotate_block(src_t: np.ndarray, signs: np.ndarray | None, out: np.ndarray,
+                  y: np.ndarray, diff: np.ndarray) -> None:
+    """Write H_d diag(signs) v / sqrt(d) into out for each column v of src_t.
+
+    The rotation's only kernel: fwht and rotate run it on each row tile
+    (_rotate_rows), the sign search on each candidate.  src_t is a (d, m)
+    view and out the (m, d) result; signs None is the plain transform.  The
+    flipped copy and the butterflies run in the (d, m) buffer y, with diff as
+    the butterflies' scratch.
+
+    numpy's buffered ufunc loop copies an operand through its buffer (8,192
+    elements by default) when its contiguous run is shorter than half the
+    buffer; the flip runs in runs of m values and butterfly stage h in runs
+    of h * m.  So both run under a buffer of 16 * (m // 16) (numpy 1.x takes
+    only multiples of 16), left alone below 16 or at or above the current
+    size, and restored in a finally (numpy 1.x's np.errstate would not).
+    Elementwise ufuncs give the same bits at any buffer size, but a casting
+    reduction does not, so no reduction may run in that scope.
+    """
+    d, m = y.shape
+    size, old = 16 * (m // 16), np.getbufsize()
+    scoped = 16 <= size < old
+    if scoped:
+        np.setbufsize(size)
+    try:
+        if signs is None:
+            np.copyto(y, src_t)
+        else:
+            np.multiply(src_t, signs[:, None], out=y)
+        _butterflies(y, diff)
+    finally:
+        if scoped:
+            np.setbufsize(old)
+    np.divide(y.T, math.sqrt(d), out=out)
+
+
+def _rotate_rows(arr: np.ndarray, signs: np.ndarray | None,
+                 counter: OpCounter | None) -> np.ndarray:
+    """arr's rows through _rotate_block, one row tile (_row_tiles) at a time.
+
+    The tile buffer and the butterflies' scratch are allocated once and
+    reused.  Rows are independent and keep the row-wise network's add order,
+    so the tiling changes no bit.
+    """
+    d = arr.shape[-1]
+    rows = arr.reshape(-1, d)
+    n = rows.shape[0]
+    if n == 0:
+        return arr.copy()
+    widest = next(_row_tiles(n, d)).stop
+    buf, diff = np.empty(d * widest), np.empty((d // 2) * widest)
+    out = np.empty((n, d))
+    for tile in _row_tiles(n, d):
+        m = tile.stop - tile.start
+        _rotate_block(rows[tile].T, signs, out[tile], buf[:d * m].reshape(d, m),
+                      diff[:(d // 2) * m])
+    if counter is not None:
+        counter.add("transform", adds=n * d * (d.bit_length() - 1))
+    return out.reshape(arr.shape)
+
+
 def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Orthonormal fast Walsh-Hadamard transform, H_d x / sqrt(d).
 
@@ -159,43 +188,11 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     the 1/sqrt(d) scaling is applied numerically here but costs nothing in the
     fixed-function datapath, where it folds into the design-time quantizer
     boundaries.
-
-    The rows run one row tile (_row_tiles) at a time: each tile is copied
-    transposed into one (d, rows) buffer, so every stage adds and subtracts
-    whole contiguous blocks of a tile's values, and is written back into
-    the C-contiguous output.  The buffer and the butterflies' scratch are
-    reused for every tile.  Rows are independent and each keeps the add
-    order of the row-wise network, so the tiling changes no bit.  The
-    copy-in and the butterflies run under _row_buffer(rows): at 256-row
-    tiles numpy would otherwise copy stages 1 to 8 through its 8,192-element
-    buffer.  That scope holds no reduction, and no other step runs in it.
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_shape(arr, None, (1, 2))
-    d = arr.shape[-1]
-    _check_power_of_two(d, "transform length")
-
-    rows = arr.reshape(-1, d)
-    n = rows.shape[0]
-    if n == 0:
-        return arr.copy()
-    stages = d.bit_length() - 1
-    tiles = list(_row_tiles(n, d))
-    widest = tiles[0].stop
-    buf, diff = np.empty(d * widest), np.empty((d // 2) * widest)
-    out = np.empty((n, d))
-    for tile in tiles:
-        m = tile.stop - tile.start
-        y = buf[:d * m].reshape(d, m)
-        with _row_buffer(m):
-            np.copyto(y, rows[tile].T)
-            _butterflies(y, diff[:(d // 2) * m])
-        out[tile] = y.T
-    out /= math.sqrt(d)
-
-    if counter is not None:
-        counter.add("transform", adds=n * d * stages)
-    return out.reshape(arr.shape)
+    _check_power_of_two(arr.shape[-1], "transform length")
+    return _rotate_rows(arr, None, counter)
 
 
 def rotate(spec: RotationSpec, x: np.ndarray,
@@ -203,11 +200,13 @@ def rotate(spec: RotationSpec, x: np.ndarray,
     """Apply R = H_d diag(s) / sqrt(d) to a vector or to rows of a matrix.
 
     The sign flip is free in the counter model (a wiring choice on the adder
-    network inputs), so the recorded cost is the butterfly's alone.
+    network inputs), so the recorded cost is the butterfly's alone.  Each
+    row tile is flipped as it is copied into the butterflies' buffer, so no
+    flipped copy of the whole block is made.
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_shape(arr, spec.d, (1, 2))
-    return fwht(arr * spec.sign.signs, counter)
+    return _rotate_rows(arr, spec.sign.signs, counter)
 
 
 def inverse_rotate(spec: RotationSpec, y: np.ndarray,
@@ -288,14 +287,20 @@ _ROM_VERSION = 1
 _ROM_HEADER = struct.Struct("<2sBBHH")
 
 
+def _check_rom_header(d: int, count: int) -> None:
+    """A .sgnrom header for d x count layers: at least one layer, both u16."""
+    if count < 1:
+        raise FormatError("sign ROM needs at least one layer")
+    if max(d, count) > 0xFFFF:
+        raise FormatError(f"sign ROM header holds d and the layer count as u16, "
+                          f"got d={d} and {count} layers")
+
+
 def pack_sign_rom(signs: list[SignVector]) -> bytes:
     """Concatenate per-layer sign records under the .sgnrom header."""
-    if not signs:
-        raise FormatError("sign ROM needs at least one layer")
-    d = _check_same_d(*((f"layer {i}", s.d) for i, s in enumerate(signs)))
-    if max(d, len(signs)) > 0xFFFF:
-        raise FormatError(f"sign ROM header holds d and the layer count as u16, "
-                          f"got d={d} and {len(signs)} layers")
+    named = [(f"layer {i}", s.d) for i, s in enumerate(signs)]
+    d = _check_same_d(*named) if named else 0
+    _check_rom_header(d, len(signs))
     header = _ROM_HEADER.pack(_ROM_MAGIC, _ROM_VERSION, 0, d, len(signs))
     return header + b"".join(serialize_signs(s) for s in signs)
 
@@ -331,8 +336,7 @@ def _parse_sign_rom(data: bytes) -> _SignRom:
         raise FormatError(
             f"sign ROM for d={d} x {count} layers must be {expected} bytes, "
             f"got {len(data)}")
-    if not count:
-        raise FormatError("sign ROM needs at least one layer")
+    _check_rom_header(d, count)
     _check_positive_d(d)
     return _SignRom(data, d, count)
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kvlut.cli as cli
 from kvlut.cli import _build_parser, main
-from kvlut.errors import ConfigConflictError, InvalidDimensionError
+from kvlut.errors import ConfigConflictError, FormatError, InvalidDimensionError
 from kvlut.read_path import score_sequence
 from kvlut.transform import RotationSpec, read_sign_rom
 from kvlut.write_path import read_kvq
@@ -72,6 +73,24 @@ def test_gen_signs_rejects_a_dimension_no_rotation_accepts(workspace, capsys, d)
     rom = workspace / "bad.sgnrom"
     assert run(workspace, "gen-signs", "--d", d, "--out", rom) == \
         InvalidDimensionError.exit_code
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+    assert not rom.exists()
+
+
+@pytest.mark.parametrize("flags", [("--d", 65536), ("--d", 2 ** 31), ("--layers", 65536),
+                                   ("--layers", 0), ("--seeds", "")],
+                         ids=["d-65536", "d-2^31", "layers-65536", "layers-0", "no-seeds"])
+def test_gen_signs_checks_the_rom_header_before_building_a_sign(
+        workspace, capsys, monkeypatch, flags):
+    # The sign ROM header holds d and the layer count as u16 and needs a
+    # layer; a --d past it used to build every vector first (2^31 signs).
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sign vector was built")
+
+    monkeypatch.setattr(cli, "random_signs", refuse)
+    rom = workspace / "bad.sgnrom"
+    assert run(workspace, "gen-signs", "--d", 128, *flags, "--out", rom) == \
+        FormatError.exit_code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
     assert not rom.exists()
 

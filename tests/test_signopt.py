@@ -470,7 +470,6 @@ def around_butterflies(hook):
 def test_candidates_rotate_under_a_row_length_buffer_and_restore_it(monkeypatch):
     seen = []
     recording = around_butterflies(lambda y: seen.append((y.shape[1], np.getbufsize())))
-    monkeypatch.setattr(signopt, "_butterflies", recording)
     monkeypatch.setattr(transform, "_butterflies", recording)
     select_signs(cal_set(n=512), C=4, b=3)
     assert seen == [(512, 512)] * 4 and np.getbufsize() == 8192
@@ -492,7 +491,7 @@ def test_error_inside_the_scope_restores_the_buffer(monkeypatch, workers):
             raise InvalidInputError("butterfly fault")
 
     monkeypatch.setattr(signopt, "_workers", lambda C, elems: workers)
-    monkeypatch.setattr(signopt, "_butterflies", around_butterflies(fail_on_caller))
+    monkeypatch.setattr(transform, "_butterflies", around_butterflies(fail_on_caller))
     with pytest.raises(InvalidInputError, match="butterfly fault"):
         select_signs(cal_set(n=512), C=4, b=3)
     assert np.getbufsize() == 8192
@@ -503,7 +502,7 @@ def test_sweep_rotates_each_seed_once_and_matches_per_bit_width_calls(
         monkeypatch, workers):
     rotations = []
     monkeypatch.setattr(signopt, "_workers", lambda C, elems: workers)
-    monkeypatch.setattr(signopt, "_butterflies", around_butterflies(rotations.append))
+    monkeypatch.setattr(transform, "_butterflies", around_butterflies(rotations.append))
     keys = cal_set(n=512, seed=5, scale=3.0)
     seeds, bs = range(70, 75), (1, 3, 8)
     sweep = sensitivity_sweep(keys, seeds, bs)

@@ -1,6 +1,9 @@
 """Signed Hadamard rotation, sign generation, and the sign ROM format."""
 
+import ast
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +173,48 @@ def test_overflow_in_the_scoped_butterflies_still_raises():
             fwht(x)
         assert np.getbufsize() == 8192
     assert np.getbufsize() == 8192
+
+
+def test_rotate_makes_no_whole_block_copy():
+    # Each tile is flipped as it is copied into the butterflies' buffer, so
+    # a rotation holds its output and one tile's buffers, not a flipped copy
+    # of the whole block.
+    x = np.random.default_rng(0).normal(size=(4096, 128))
+    spec = RotationSpec(d=128, sign=random_signs(128, 1))
+    tracemalloc.start()
+    try:
+        rotate(spec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
+
+
+def _uses(tree, names):
+    """(enclosing top-level function or None, name) for each reference to names."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            ident = (node.id if isinstance(node, ast.Name) else
+                     node.attr if isinstance(node, ast.Attribute) else
+                     node.name if isinstance(node, ast.alias) else None)
+            if ident in names:
+                found.append((owner, ident))
+    return found
+
+
+def test_only_the_rotation_kernel_runs_the_butterflies_or_sizes_numpys_buffer():
+    # fwht, rotate and the sign search share transform._rotate_block; a
+    # module that calls the butterflies or sets numpy's ufunc buffer itself
+    # is a second copy of the rotation.
+    names = {"_butterflies", "setbufsize", "getbufsize"}
+    for path in sorted(Path(transform.__file__).parent.glob("*.py")):
+        uses = _uses(ast.parse(path.read_text()), names)
+        if path.name == "transform.py":
+            assert uses and {owner for owner, _ in uses} == {"_rotate_block"}
+        else:
+            assert not uses, f"{path.name} references {uses}"
 
 
 def test_fwht_rejects_bad_shapes():

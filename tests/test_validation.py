@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kvlut.codebook import solve_codebook
-from kvlut.errors import (EmptyCalibrationError, InvalidDimensionError,
+from kvlut.errors import (EmptyCalibrationError, FormatError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.evalkit import LayerProfile, SyntheticSpec
 from kvlut.read_path import PrecomputedTable, precompute_table, score_sequence
@@ -129,6 +129,11 @@ CASES = {
         lambda _: SyntheticSpec(d=D, N=4, profiles=(LayerProfile(gain=np.ones(8)),)),
         DIM),
     "SignVector-length": (lambda _: SignVector(d=D, signs=np.ones(8)), DIM),
+    # Values are checked before the int8 cast, which truncates, wraps or overflows them.
+    "SignVector-fractional": (lambda _: SignVector(d=2, signs=[1.5, -1.7]), FormatError),
+    "SignVector-wraps-int8": (
+        lambda _: SignVector(d=2, signs=np.array([257, -1])), FormatError),
+    "SignVector-past-int8": (lambda _: SignVector(d=2, signs=[257, -1]), FormatError),
 }
 
 
