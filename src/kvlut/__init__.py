@@ -23,6 +23,7 @@ from .evalkit import (ErrorReport, JensenReport, LayerProfile, SweepResult,
 from .opcount import OpCounter
 from .read_path import (Fp16Score, PrecomputedTable, precompute_table,
                         score_key, score_key_fp16, score_sequence)
+from .reference import dequantize_key
 from .signopt import (CalibrationSet, NormDiagnostic, SignSearchReport,
                       candidate_mse, norm_ratio_diagnostic, select_signs,
                       select_signs_all_layers)
@@ -30,9 +31,9 @@ from .transform import (RotationSpec, SignVector, deserialize_signs, fwht,
                         inverse_rotate, pack_sign_rom, random_signs,
                         read_sign_rom, rotate, serialize_signs,
                         splitmix64_stream, unpack_sign_rom, write_sign_rom)
-from .write_path import (KVCache, QuantizedKey, dequantize_key, load_key_matrix,
-                         pack, packed_size, quantize_batch, quantize_key,
-                         read_kvq, unpack, write_kvq)
+from .write_path import (KVCache, QuantizedKey, load_key_matrix, pack,
+                         packed_size, quantize_batch, quantize_key, read_kvq,
+                         unpack, write_kvq)
 
 __version__ = "0.1.0"
 

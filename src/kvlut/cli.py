@@ -103,8 +103,7 @@ def _load_keys_cli(path: str, d_flag: int | None) -> np.ndarray:
 def _load_layer_sets(paths: list[str], d: int | None) -> dict[int, CalibrationSet]:
     mats = [(p, _load_keys_cli(p, d)) for p in paths]
     _check_consistent("d", ("--d", d), *[(p, m.shape[1]) for p, m in mats])
-    return {i: CalibrationSet(keys=m, layer_id=i, source=p)
-            for i, (p, m) in enumerate(mats)}
+    return {i: CalibrationSet(keys=m, layer_id=i) for i, (_, m) in enumerate(mats)}
 
 
 def _synthetic_from_json(path: str) -> SyntheticSpec:
@@ -129,18 +128,13 @@ def _synthetic_from_json(path: str) -> SyntheticSpec:
         raise InvalidInputError(f"synthetic spec {path} has an invalid field: {exc}") from exc
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind=int) -> list:
+    """A comma-separated list of kind (int or float); empty items are skipped."""
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [kind(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
-        raise InvalidInputError(f"expected a comma-separated integer list: {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"expected a comma-separated number list: {text!r}") from exc
+        raise InvalidInputError(
+            f"expected a comma-separated list of {kind.__name__} values: {text!r}") from exc
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -175,7 +169,7 @@ def _cmd_gen_signs(args) -> int:
     d = args.d
     _check_power_of_two(d, "--d")
     if args.seeds is not None:
-        seeds = _int_list(args.seeds)
+        seeds = _number_list(args.seeds)
     else:
         seeds = range(args.base_seed + 1, args.base_seed + 1 + args.layers)
     # Before any sign is built: --d 2147483648 would otherwise exhaust memory.
@@ -303,8 +297,8 @@ def _gather_layers(args) -> dict[int, CalibrationSet]:
 
 def _cmd_eval(args) -> int:
     layers = _gather_layers(args)
-    seeds = _int_list(args.seeds)
-    bs = _int_list(args.b_list)
+    seeds = _number_list(args.seeds)
+    bs = _number_list(args.b_list)
     payload: dict = {"seeds": seeds, "bs": bs, "layers": {}}
     csv_rows = ["layer,seed,b,mse"]
     for layer_id, cs in _layer_items(layers):
@@ -323,7 +317,7 @@ def _cmd_eval(args) -> int:
         payload["jensen"] = [
             jensen_bias_probe(true_scores, s, args.jensen_trials,
                               seed=args.seed).to_dict()
-            for s in _float_list(args.jensen_std)
+            for s in _number_list(args.jensen_std, float)
         ]
     _write_json(args.report, payload)
     if args.csv:

@@ -105,8 +105,7 @@ def generate_keys(spec: SyntheticSpec) -> dict[int, CalibrationSet]:
             alpha = math.sqrt((prof.direction_gain**2 - 1.0) * spec.d)
             rows = rows + rng.normal(0.0, alpha, size=spec.N)[:, None] * v[None, :]
         rows *= prof.scale / math.sqrt(spec.d)
-        out[layer] = CalibrationSet(keys=rows, layer_id=layer,
-                                    source=f"synthetic seed={spec.seed}")
+        out[layer] = CalibrationSet(keys=rows, layer_id=layer)
     return out
 
 

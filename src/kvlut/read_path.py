@@ -221,18 +221,21 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     precondition under which that rounding is exact.  The levels skip the
     overflow scale when _tree_needs_scale proves no partial can reach inf
     for this query's table.
+
+    Both modes run under one np.errstate: a +inf norm marks an overflowed
+    key, which scores inf (NaN when its gathered sum is 0) without a warning.
     """
     layout, offsets = _gather_offsets(cache, tbl.b)
     n, norms = len(cache), cache.norms
-    if mode == "double":
-        table = tbl.entries if layout is None else _pair_table(tbl.entries, layout, mode)
-        scores = np.empty(n)
-        for rows in _row_tiles(n, tbl.d):
-            acc = table.take(offsets[rows]).view(np.float64)
-            scores[rows] = acc.sum(axis=1) * norms[rows].astype(np.float64)
-    elif mode == "fp16":
-        scores = np.empty(n, dtype=np.float16)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "double":
+            table = tbl.entries if layout is None else _pair_table(tbl.entries, layout, mode)
+            scores = np.empty(n)
+            for rows in _row_tiles(n, tbl.d):
+                acc = table.take(offsets[rows]).view(np.float64)
+                scores[rows] = acc.sum(axis=1) * norms[rows].astype(np.float64)
+        elif mode == "fp16":
+            scores = np.empty(n, dtype=np.float16)
             table = tbl.entries.astype(np.float16).astype(np.float32)
             scale = _tree_needs_scale(table)
             if layout is not None:
@@ -243,8 +246,8 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
                     acc = acc[:, 0::2] + acc[:, 1::2]
                     _round_half(acc, scale)
                 scores[rows] = acc[:, 0].astype(np.float16) * norms[rows]
-    else:
-        raise InvalidInputError(f"unknown scoring mode {mode!r}")
+        else:
+            raise InvalidInputError(f"unknown scoring mode {mode!r}")
     if counter is not None:
         counter.add("score", mults=n, adds=n * (tbl.d - 1), lookups=n * tbl.d)
     return scores

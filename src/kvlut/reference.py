@@ -2,9 +2,10 @@
 
 This is the path the lookup read path replaces: reconstruct each stored key
 (inverse rotation, norm rescale) and take a dense dot product with the raw
-query.  Production scoring must never import from here; the module exists so
-equivalence and operation-count comparisons run against an independently
-structured route.
+query.  The conventional decoder, dequantize_key, lives here and nowhere
+else.  Production code must never import from here (only the CLI's
+--reference and the package root do); the module exists so equivalence and
+operation-count comparisons run against an independently structured route.
 """
 
 from __future__ import annotations
@@ -14,12 +15,35 @@ from collections.abc import Sequence
 import numpy as np
 
 from .codebook import Codebook
-from .errors import _finite_array
+from .errors import _check_same_d, _finite_array
 from .opcount import OpCounter
-from .transform import RotationSpec, _row_tiles
-from .write_path import QuantizedKey, _cache_rows, _dequantize_rows
+from .transform import RotationSpec, _row_tiles, inverse_rotate
+from .write_path import QuantizedKey, _cache_rows
 
-__all__ = ["score_sequence_reference"]
+__all__ = ["dequantize_key", "score_sequence_reference"]
+
+
+def dequantize_key(qk: QuantizedKey, spec: RotationSpec, cb: Codebook,
+                   counter: OpCounter | None = None) -> np.ndarray:
+    """Reference reconstruction: inverse-rotate the centroids, rescale by norm.
+
+    The read path never runs this; it exists as the conventional-decoder
+    oracle that table lookups are checked against.  The counter charges the
+    inverse transform's additions and the d norm-scaling multiplies.
+    """
+    cache = _cache_rows([qk], cb.d)
+    return _dequantize_rows(cache.indices, cache.norms, spec, cb, counter)[0]
+
+
+def _dequantize_rows(idx: np.ndarray, norms: np.ndarray, spec: RotationSpec,
+                     cb: Codebook, counter: OpCounter | None) -> np.ndarray:
+    """dequantize_key, bit for bit, over (T, d) rows with one inverse rotation."""
+    _check_same_d(("codebook", cb.d), ("rotation", spec.d))
+    if counter is not None:
+        counter.add("norm", mults=idx.shape[0] * cb.d)
+    recon = inverse_rotate(spec, cb.centroids[idx], counter)
+    recon *= norms.astype(np.float64)[:, None]
+    return recon
 
 
 def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],

@@ -49,7 +49,6 @@ class CalibrationSet:
 
     keys: np.ndarray
     layer_id: int = 0
-    source: str = ""
 
     def __post_init__(self) -> None:
         keys = _finite_array(np.atleast_2d(self.keys), None, what="calibration keys")
@@ -227,21 +226,20 @@ def _check_candidate_count(C: int) -> None:
         raise InvalidInputError(f"candidate count must be >= 1, got {C}")
 
 
-def _search_layer(keys: CalibrationSet, C: int, cb: Codebook,
-                  base_seed: int) -> SignSearchReport:
-    """One layer's candidate search under an already solved codebook."""
-    d = keys.d
+def _search_layer(keys: CalibrationSet, C: int, cb: Codebook, base_seed: int,
+                  layer_id: int) -> SignSearchReport:
+    """One layer's candidate search under an already solved codebook; each
+    candidate is drawn once, tagged with layer_id, and the winner kept as drawn."""
     unit, dropped = _normalized_rows(keys)
-    mses = _candidate_mses(
-        unit, [random_signs(d, base_seed + c) for c in range(1, C + 1)], [cb])[:, 0]
+    signs = [random_signs(keys.d, base_seed + c, layer_id) for c in range(1, C + 1)]
+    mses = _candidate_mses(unit, signs, [cb])[:, 0]
     pick = int(np.argmin(mses))
-    seed = base_seed + pick + 1
     return SignSearchReport(
         candidate_count=C,
         base_seed=base_seed,
         mses=mses,
-        selected_seed=seed,
-        selected=random_signs(d, seed, layer_id=keys.layer_id),
+        selected_seed=base_seed + pick + 1,
+        selected=signs[pick],
         dropped_rows=dropped,
     )
 
@@ -253,7 +251,7 @@ def select_signs(keys: CalibrationSet, C: int, b: int,
     Ties break toward the lowest seed so the result is deterministic.
     """
     _check_candidate_count(C)
-    return _search_layer(keys, C, solve_codebook(keys.d, b), base_seed)
+    return _search_layer(keys, C, solve_codebook(keys.d, b), base_seed, keys.layer_id)
 
 
 def select_signs_all_layers(layers, C: int, b: int, base_seed: int = 0
@@ -269,10 +267,7 @@ def select_signs_all_layers(layers, C: int, b: int, base_seed: int = 0
     d = _check_same_d(*((f"layer {layer_id}", cs.d) for layer_id, cs in items))
     _check_candidate_count(C)
     cb = solve_codebook(d, b)
-    reports = []
-    for layer_id, cs in items:
-        tagged = CalibrationSet(keys=cs.keys, layer_id=layer_id, source=cs.source)
-        reports.append(_search_layer(tagged, C, cb, base_seed))
+    reports = [_search_layer(cs, C, cb, base_seed, layer_id) for layer_id, cs in items]
     rom = pack_sign_rom([r.selected for r in reports])
     return reports, rom
 

@@ -7,6 +7,10 @@ per coordinate), and the Euclidean norm is kept as a 2-byte half float.  At
 d=128, b=3 a key packs to 48 + 2 = 50 bytes.  The transform and comparator
 stages record zero multiplications; the norm extractor's multiplies live in
 their own counter category.
+
+It holds the write datapath, the cache types and the record format, and
+reconstructs no key: the conventional decoder lives only in the oracle
+module, reference.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
                      InvalidInputError, _check_norms, _check_same_d,
                      _check_shape, _finite_array, _read_only)
 from .opcount import OpCounter
-from .transform import RotationSpec, _row_tiles, inverse_rotate, rotate
+from .transform import RotationSpec, _row_tiles, rotate
 
 __all__ = [
     "QuantizedKey",
@@ -35,7 +39,6 @@ __all__ = [
     "pack",
     "unpack",
     "packed_size",
-    "dequantize_key",
     "write_kvq",
     "read_kvq",
     "load_key_matrix",
@@ -181,29 +184,6 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
         unit = tile / np.where(nrm == 0.0, 1.0, nrm)[:, None]
         _cell_indices(rotate(spec, unit, counter), cb, out=idx[rows])
     return idx, norms
-
-
-def dequantize_key(qk: QuantizedKey, spec: RotationSpec, cb: Codebook,
-                   counter: OpCounter | None = None) -> np.ndarray:
-    """Reference reconstruction: inverse-rotate the centroids, rescale by norm.
-
-    The read path never runs this; it exists as the conventional-decoder
-    oracle that table lookups are checked against.  The counter charges the
-    inverse transform's additions and the d norm-scaling multiplies.
-    """
-    cache = _cache_rows([qk], cb.d)
-    return _dequantize_rows(cache.indices, cache.norms, spec, cb, counter)[0]
-
-
-def _dequantize_rows(idx: np.ndarray, norms: np.ndarray, spec: RotationSpec,
-                     cb: Codebook, counter: OpCounter | None) -> np.ndarray:
-    """dequantize_key, bit for bit, over (T, d) rows with one inverse rotation."""
-    _check_same_d(("codebook", cb.d), ("rotation", spec.d))
-    if counter is not None:
-        counter.add("norm", mults=idx.shape[0] * cb.d)
-    recon = inverse_rotate(spec, cb.centroids[idx], counter)
-    recon *= norms.astype(np.float64)[:, None]
-    return recon
 
 
 # -- packed record --------------------------------------------------------

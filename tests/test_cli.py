@@ -369,6 +369,12 @@ def _with_zero_layer_rom(ws, command):
                     "--jensen-std", "nan"), 8),
     (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
                     "--jensen-std", "inf"), 8),
+    # A list flag with an item that is not a number of its kind.
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1,x"), 8),
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
+                    "--b-list", "3,x"), 8),
+    (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
+                    "--jensen-std", "0.1,x"), 8),
     # A synthetic spec with no layers, for each command that reads one.
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 4, "profiles": []})), 11),
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 4, "profiles": []}),
@@ -380,7 +386,8 @@ def _with_zero_layer_rom(ws, command):
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
         "bench-mults-negative-T", "jensen-no-scores", "jensen-negative-scores",
-        "jensen-std-nan", "jensen-std-inf", "diagnose-no-profiles", "eval-no-profiles"])
+        "jensen-std-nan", "jensen-std-inf", "seeds-not-int", "b-list-not-int",
+        "jensen-std-not-float", "diagnose-no-profiles", "eval-no-profiles"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")

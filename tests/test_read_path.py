@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,25 @@ def test_score_key_equals_manual_gather_sum():
     rows = np.arange(D)
     want = float(tbl.entries[rows, qk.indices].sum() * float(qk.norm))
     assert got == want
+
+
+@pytest.mark.parametrize("T", [8, 300])
+@pytest.mark.parametrize("mode", ["double", "fp16"])
+def test_an_overflowed_norm_scores_non_finite_without_a_warning(mode, T):
+    # +inf is the cache's marker for a norm past half range.  Under a zero
+    # query its key scores 0 * inf = NaN, under a nonzero one inf or NaN;
+    # every other key stays finite, on the single gather (T=8) and the pair
+    # gather (T=300), and no warning escapes either mode.
+    idx, norms = quantize_batch(np.random.default_rng(T).normal(size=(T, D)), SPEC, CB)
+    norms = norms.astype(np.float16)
+    norms[3] = np.inf
+    cache = KVCache(idx, norms)
+    for q in (np.zeros(D), np.random.default_rng(7).normal(size=D)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, _ = score_sequence(q, cache, SPEC, CB, mode)
+        finite = np.isfinite(scores)
+        assert not finite[3] and finite.sum() == T - 1
 
 
 def test_score_counter_per_key():

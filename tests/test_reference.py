@@ -1,4 +1,8 @@
-"""The row-batched dequantize-and-dot oracle against its per-key original."""
+"""The row-batched dequantize-and-dot oracle against its per-key original,
+and the package layout that keeps the oracle out of the datapath."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,10 @@ import kvlut.reference as reference
 import kvlut.write_path as write_path
 from kvlut.codebook import solve_codebook
 from kvlut.opcount import OpCounter
-from kvlut.reference import score_sequence_reference
+from kvlut.reference import _dequantize_rows, dequantize_key, score_sequence_reference
 from kvlut.transform import (_TILE_ELEMS, RotationSpec, _row_tiles, inverse_rotate,
                              random_signs)
-from kvlut.write_path import (QuantizedKey, _cache_rows, _dequantize_rows,
-                              dequantize_key, quantize_batch)
+from kvlut.write_path import QuantizedKey, _cache_rows, quantize_batch
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -95,10 +98,64 @@ def test_oracle_inverse_rotates_each_row_tile_once(monkeypatch):
         shapes.append(np.shape(y))
         return inverse_rotate(spec, y, counter)
 
-    monkeypatch.setattr(write_path, "inverse_rotate", counting)
-    monkeypatch.setattr(write_path, "dequantize_key", None)
+    monkeypatch.setattr(reference, "inverse_rotate", counting)
+    monkeypatch.setattr(reference, "dequantize_key", None)
     T = 2 * (_TILE_ELEMS // D) + 1
     with np.errstate(invalid="ignore"):
         score_sequence_reference(np.ones(D), _cache(T + 1, seed=1)[1:], SPEC, CB)
     assert shapes == [(tile.stop - tile.start, D) for tile in _row_tiles(T, D)]
     assert len(shapes) == 3 and sum(rows for rows, _ in shapes) == T
+
+
+# The conventional decoder: inverse_rotate is defined in transform and only
+# the oracle calls it; dequantize_key is defined in the oracle.
+DECODER_NAMES = {"inverse_rotate", "dequantize_key"}
+
+
+def _layout_faults(module, source):
+    """How a src/kvlut module reaches the oracle where the layout forbids it.
+
+    Only cli (for --reference) and the package root may import reference;
+    only transform, reference and the package root may name the decoder,
+    whether as a name, an attribute, an imported alias or an __all__ entry.
+    """
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            targets = [base] + [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        else:
+            targets = []
+        if (module not in ("cli", "__init__")
+                and any("reference" in t.split(".") for t in targets)):
+            faults.append(f"imports reference (line {node.lineno})")
+        ident = (node.id if isinstance(node, ast.Name) else
+                 node.attr if isinstance(node, ast.Attribute) else
+                 node.name if isinstance(node, ast.alias) else
+                 node.value if isinstance(node, ast.Constant) else None)
+        if (module not in ("transform", "reference", "__init__")
+                and isinstance(ident, str) and ident in DECODER_NAMES):
+            faults.append(f"names {ident}")
+    return faults
+
+
+def test_only_the_oracle_dequantizes():
+    paths = sorted(Path(reference.__file__).parent.glob("*.py"))
+    assert {"write_path.py", "read_path.py", "reference.py"} <= {p.name for p in paths}
+    for path in paths:
+        assert _layout_faults(path.stem, path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize("line", [
+    "from .transform import RotationSpec, inverse_rotate",
+    "from .reference import dequantize_key",
+    "from . import reference",
+    "import kvlut.reference as oracle",
+    "__all__ = ['dequantize_key']",
+    "y = transform.inverse_rotate(spec, x)",
+])
+def test_layout_check_catches_the_decoder_back_in_the_write_path(line):
+    path = Path(write_path.__file__)
+    assert _layout_faults("write_path", path.read_text() + "\n" + line + "\n")

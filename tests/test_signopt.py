@@ -1,5 +1,6 @@
 """Calibration-based sign selection and the norm heterogeneity diagnostic."""
 
+import math
 import os
 import threading
 
@@ -14,8 +15,8 @@ from kvlut.errors import (EmptyCalibrationError, InvalidDimensionError,
 from kvlut.evalkit import (LayerProfile, SyntheticSpec, generate_keys,
                            sensitivity_sweep)
 from kvlut.signopt import (RECOMMEND_INDETERMINATE, RECOMMEND_OPTIMIZE,
-                           RECOMMEND_SAFE, CalibrationSet, _candidate_mses,
-                           _normalized_rows, candidate_mse,
+                           RECOMMEND_SAFE, CalibrationSet, SignSearchReport,
+                           _candidate_mses, _normalized_rows, candidate_mse,
                            norm_ratio_diagnostic, select_signs,
                            select_signs_all_layers)
 from kvlut.transform import (RotationSpec, inverse_rotate, pack_sign_rom,
@@ -165,6 +166,37 @@ def test_select_signs_single_candidate():
     assert report.selected_seed == 6
     assert report.spread == 1.0
     assert report.mses.shape == (1,)
+
+
+def test_spread_when_the_best_mse_is_zero():
+    # Candidates that all fit exactly are inert (spread 1); an exact fit
+    # beside an inexact one is an unbounded spread.
+    def report(mses):
+        return SignSearchReport(candidate_count=len(mses), base_seed=0,
+                                mses=np.array(mses), selected_seed=1,
+                                selected=random_signs(D, 1), dropped_rows=0)
+    assert report([0.0, 0.0]).spread == 1.0
+    assert report([0.0, 0.5]).spread == math.inf
+    assert report([0.0, 0.5]).to_dict()["spread"] == math.inf
+
+
+def test_search_draws_each_candidate_once_tagged_with_the_mapping_layer_id(monkeypatch):
+    # C draws per layer, no second draw for the winner, and the winner
+    # carries the id the layer has in the mapping, not the set's own.
+    draws = []
+
+    def counting(d, seed, layer_id=0):
+        draws.append((seed, layer_id))
+        return random_signs(d, seed, layer_id)
+
+    monkeypatch.setattr(signopt, "random_signs", counting)
+    layers = {7: cal_set(seed=1), 9: cal_set(seed=2, scale=4.0)}
+    reports, _ = select_signs_all_layers(layers, C=5, b=3, base_seed=20)
+    assert draws == [(20 + c, lid) for lid in (7, 9) for c in range(1, 6)]
+    for lid, rep in zip((7, 9), reports):
+        want = random_signs(D, rep.selected_seed, layer_id=lid)
+        assert rep.selected.layer_id == lid
+        np.testing.assert_array_equal(rep.selected.signs, want.signs)
 
 
 def test_shared_direction_outlier_widens_candidate_spread():

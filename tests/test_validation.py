@@ -10,14 +10,14 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (EmptyCalibrationError, FormatError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.evalkit import LayerProfile, SyntheticSpec
+from kvlut.opcount import OpCounter
 from kvlut.read_path import PrecomputedTable, precompute_table, score_sequence
-from kvlut.reference import score_sequence_reference
+from kvlut.reference import dequantize_key, score_sequence_reference
 from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
 from kvlut.transform import (RotationSpec, SignVector, fwht, inverse_rotate,
                              random_signs, rotate)
-from kvlut.write_path import (QuantizedKey, dequantize_key, load_key_matrix,
-                              quantize_batch, quantize_key)
+from kvlut.write_path import QuantizedKey, load_key_matrix, quantize_batch, quantize_key
 
 D, B = 16, 2
 CB = solve_codebook(D, B)
@@ -134,6 +134,9 @@ CASES = {
     "SignVector-wraps-int8": (
         lambda _: SignVector(d=2, signs=np.array([257, -1])), FormatError),
     "SignVector-past-int8": (lambda _: SignVector(d=2, signs=[257, -1]), FormatError),
+    # A tally goes to one of the five datapath categories and only grows.
+    "OpCounter-unknown-category": (lambda _: OpCounter().add("dot", mults=1), ValueError),
+    "OpCounter-negative-tally": (lambda _: OpCounter().add("score", adds=-1), ValueError),
 }
 
 

@@ -14,11 +14,11 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, FormatError,
                           InvalidDimensionError, InvalidInputError)
 from kvlut.opcount import OpCounter
+from kvlut.reference import dequantize_key
 from kvlut.transform import _TILE_ELEMS, RotationSpec, _row_tiles, random_signs, rotate
 from kvlut.write_path import (QuantizedKey, _cell_indices, _pack_rows, _unpack_rows,
-                              dequantize_key, load_key_matrix, pack,
-                              packed_size, quantize_batch, quantize_key,
-                              read_kvq, unpack, write_kvq)
+                              load_key_matrix, pack, packed_size, quantize_batch,
+                              quantize_key, read_kvq, unpack, write_kvq)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
