@@ -51,16 +51,8 @@ class OpCounter:
         return sum(self.multiplications.values())
 
     @property
-    def total_additions(self) -> int:
-        return sum(self.additions.values())
-
-    @property
     def total_comparisons(self) -> int:
         return sum(self.comparisons.values())
-
-    @property
-    def total_lookups(self) -> int:
-        return sum(self.lookups.values())
 
     def mults_in(self, *categories: str) -> int:
         """Multiplication total restricted to the given categories."""

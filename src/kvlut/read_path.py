@@ -26,11 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebook import Codebook
-from .errors import (CorruptCacheError, InvalidDimensionError, InvalidInputError,
-                     _check_power_of_two, _check_same_d, _finite_array, _read_only)
+from .errors import (InvalidDimensionError, InvalidInputError, _check_power_of_two,
+                     _check_same_d, _finite_array, _read_only)
 from .opcount import OpCounter
 from .transform import _TILE_ELEMS, RotationSpec, _row_tiles, rotate
-from .write_path import KVCache, QuantizedKey, _cache_rows
+from .write_path import KVCache, QuantizedKey, _cache_rows, _check_indices
 
 __all__ = [
     "PrecomputedTable",
@@ -162,16 +162,16 @@ def _pair_table(cols: np.ndarray, layout: tuple[int, int, int], mode: str,
 def _gather_offsets(cache: KVCache, b: int) -> tuple[tuple[int, int, int] | None, np.ndarray]:
     """(layout, offsets) of the cache's gather into a b-bit table, built once per b.
 
-    The first call at b checks every index against 2^b (a corrupt cache
-    raises on every query and stores nothing), picks the gather with
-    _pair_layout and builds the flat intp offsets of every row into that
-    gather's table.  The cache keeps both; later calls at b return them.
+    The first call at b checks the indices (write_path._check_indices: a
+    corrupt cache raises CorruptCacheError on every query and stores
+    nothing), picks the gather with _pair_layout and builds the flat intp
+    offsets of every row into that gather's table.  The cache keeps both;
+    later calls at b return them.
     """
     memo = cache._gathers.get(b)
     if memo is None:
         idx = cache.indices
-        if idx.size and idx.max() >= (1 << b):
-            raise CorruptCacheError(f"cache index exceeds 2^{b} - 1")
+        _check_indices(idx, b)
         n, d = idx.shape
         layout = _pair_layout(d, b, n)
         if layout is None:

@@ -18,7 +18,7 @@ from .codebook import Codebook
 from .errors import _check_same_d, _finite_array
 from .opcount import OpCounter
 from .transform import RotationSpec, _row_tiles, inverse_rotate
-from .write_path import QuantizedKey, _cache_rows
+from .write_path import QuantizedKey, _cache_rows, _check_indices
 
 __all__ = ["dequantize_key", "score_sequence_reference"]
 
@@ -37,8 +37,12 @@ def dequantize_key(qk: QuantizedKey, spec: RotationSpec, cb: Codebook,
 
 def _dequantize_rows(idx: np.ndarray, norms: np.ndarray, spec: RotationSpec,
                      cb: Codebook, counter: OpCounter | None) -> np.ndarray:
-    """dequantize_key, bit for bit, over (T, d) rows with one inverse rotation."""
+    """dequantize_key, bit for bit, over (T, d) rows with one inverse rotation.
+
+    An index past 2^b raises CorruptCacheError (write_path._check_indices).
+    """
     _check_same_d(("codebook", cb.d), ("rotation", spec.d))
+    _check_indices(idx, cb.b)
     if counter is not None:
         counter.add("norm", mults=idx.shape[0] * cb.d)
     recon = inverse_rotate(spec, cb.centroids[idx], counter)

@@ -142,7 +142,7 @@ def quantize_key(k: np.ndarray, spec: RotationSpec, cb: Codebook,
     then scores them as exactly 0.
     """
     idx, norms = quantize_batch(np.asarray(k, dtype=np.float64)[None], spec, cb, counter)
-    return QuantizedKey(indices=idx[0], norm=np.float16(norms[0]))
+    return QuantizedKey(indices=idx[0], norm=norms[0])
 
 
 def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
@@ -215,18 +215,24 @@ def _cache_rows(keys: Sequence[QuantizedKey], d: int) -> KVCache:
 
 
 def _record_groups(d: int, b: int) -> tuple[int, int, int, np.dtype]:
-    """(g, n, G, word) of the shift-or codec for d indices of b bits.
+    """(g, n, G, word) of the shift-or codec at design point (d, b).
 
-    g = 8 / gcd(8, b) indices fill n = g*b/8 whole bytes, so the record is
-    G = ceil(d/g) groups, each the low n bytes of one little-endian word
-    holding index g*k + j at bits [b*j, b*j + b), cut to ceil(d*b/8) bytes.
-    The word is the narrowest unsigned integer of at least n bytes.
+    g = 8 / gcd(8, b) indices fill n = g*b/8 whole bytes, or, when d < g (d =
+    2 or 4), the row is one group of g = d indices in n = ceil(d*b/8) <= 4
+    bytes; either way the ceil(d*b/8) index bytes are G = d/g whole groups.
+    Group k is the low n bytes of one little-endian word holding index g*k + j
+    at bits [b*j, b*j + b), the narrowest unsigned integer of at least n bytes.
     """
-    if not 1 <= b <= 8:
-        raise InvalidDimensionError(f"b must be in 1..8, got {b}")
-    g = 8 // math.gcd(8, b)
-    n = g * b // 8
-    return g, n, -(-d // g), np.dtype("<u%d" % (1 if n == 1 else 4 if n <= 4 else 8))
+    _validate_design_point(d, b)
+    g = min(d, 8 // math.gcd(8, b))
+    n = -(-g * b // 8)
+    return g, n, d // g, np.dtype("<u%d" % (1 if n == 1 else 4 if n <= 4 else 8))
+
+
+def _check_indices(idx: np.ndarray, b: int) -> None:
+    """Raise CorruptCacheError unless every cell index is below 2^b: the one index rule."""
+    if idx.size and idx.max() >= (1 << b):
+        raise CorruptCacheError(f"cache index exceeds 2^{b} - 1")
 
 
 def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
@@ -235,28 +241,22 @@ def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
     Index i of a row sits at bits [b*i, b*i + b) of its record; the rows
     come back as a (T, packed_size(d, b)) byte matrix.  Each group of g
     indices (_record_groups) is shifted and ORed into one word, whose low
-    bytes are the group's record bytes; a row short of a whole group is
-    padded with zero indices.  Rows run in tiles (transform._row_tiles) of
-    at most _TILE_ELEMS words.
+    n bytes are the group's record bytes.  Rows run in tiles
+    (transform._row_tiles) of at most _TILE_ELEMS words.
     """
-    if idx.size and idx.max() >= (1 << b):
-        raise FormatError(f"index out of range for b={b}")
     t, d = idx.shape
     g, n, groups, word = _record_groups(d, b)
-    size = (d * b + 7) // 8
+    _check_indices(idx, b)
+    size = groups * n
     out = np.empty((t, size + 2), dtype=np.uint8)
     for rows in _row_tiles(t, groups):
         m = rows.stop - rows.start
-        if groups * g == d:
-            cols = idx[rows].reshape(m, groups, g)
-        else:
-            cols = np.zeros((m, groups, g), dtype=np.uint8)
-            cols.reshape(m, groups * g)[:, :d] = idx[rows]
+        cols = idx[rows].reshape(m, groups, g)
         words = cols[:, :, 0].astype(word)
         for j in range(1, g):
             words |= cols[:, :, j].astype(word) << word.type(b * j)
         payload = words.view(np.uint8).reshape(m, groups, word.itemsize)[:, :, :n]
-        out[rows, :size] = payload.reshape(m, groups * n)[:, :size]
+        out[rows, :size] = payload.reshape(m, size)
     out[:, size:] = norms.astype("<f2").view(np.uint8).reshape(t, 2)
     return out
 
@@ -264,30 +264,21 @@ def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
 def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), norms (T,)).
 
-    Each group's record bytes are widened into one word, from which its g
-    indices come back by shift and mask, tile by tile as _pack_rows packs;
-    a row short of a whole group is unpacked padded and then cut to d.
+    Each group's n record bytes are widened into one word, from which its g
+    indices come back by shift and mask, tile by tile as _pack_rows packs.
     """
     t = rows.shape[0]
     g, n, groups, word = _record_groups(d, b)
-    size = (d * b + 7) // 8
     mask = word.type((1 << b) - 1)
     idx = np.empty((t, d), dtype=np.uint8)
     for tile in _row_tiles(t, groups):
         m = tile.stop - tile.start
-        if groups * g == d:
-            payload, cols = rows[tile, :size], idx[tile].reshape(m, groups, g)
-        else:
-            payload = np.zeros((m, groups * n), dtype=np.uint8)
-            payload[:, :size] = rows[tile, :size]
-            cols = np.empty((m, groups, g), dtype=np.uint8)
+        cols = idx[tile].reshape(m, groups, g)
         raw = np.zeros((m, groups, word.itemsize), dtype=np.uint8)
-        raw[:, :, :n] = payload.reshape(m, groups, n)
+        raw[:, :, :n] = rows[tile, :groups * n].reshape(m, groups, n)
         words = raw.view(word)[:, :, 0]
         for j in range(g):
             np.bitwise_and(words >> word.type(b * j), mask, out=cols[:, :, j], casting="unsafe")
-        if groups * g != d:
-            idx[tile] = cols.reshape(m, groups * g)[:, :d]
     norms = np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0].astype(np.float16)
     return idx, norms
 
@@ -320,7 +311,6 @@ _KVQ_HEADER = struct.Struct("<4sBBIII")
 
 def write_kvq(path, keys: Sequence[QuantizedKey], d: int, b: int,
               layer_id: int = 0) -> None:
-    _validate_design_point(d, b)
     cache = _cache_rows(keys, d)
     records = _pack_rows(cache.indices, cache.norms, b)
     header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, len(cache), layer_id)
@@ -364,7 +354,8 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
     """Load an (N, d) key matrix from .npy, whitespace text, or raw doubles.
 
     Raw files are row-major float64 and need d to recover the shape.  A
-    file that does not parse, or a text file with no values, raises FormatError.
+    file that does not parse, a text file with no values, or a .npy whose
+    dtype is not bool, integer or real floating raises FormatError.
     """
     name = str(path)
     if name.endswith((".npy", ".txt", ".csv")):
@@ -386,4 +377,6 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
             raise FormatError(
                 f"raw key file holds {flat.size} doubles, not a multiple of d={d}")
         mat = flat.reshape(-1, d)
+    if mat.dtype.kind not in "biuf":
+        raise FormatError(f"key matrix {name} holds dtype {mat.dtype}, not real numbers")
     return _finite_array(np.atleast_2d(mat), d, what="key matrix")

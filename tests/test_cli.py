@@ -1,5 +1,6 @@
 """Subcommand behavior, artifact formats, and exit-code classes."""
 
+import io
 import json
 import os
 import struct
@@ -321,6 +322,12 @@ def _diagnose_keys(ws, name, content):
     return run(ws, "diagnose-norms", "--keys", ws / name)
 
 
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 def _with_zero_layer_rom(ws, command):
     # A well-formed 8-byte header for d=128 whose record count is 0.
     _build_pipeline(ws)
@@ -341,6 +348,11 @@ def _with_zero_layer_rom(ws, command):
     # Key files that do not parse as numbers.
     (lambda ws: _diagnose_keys(ws, "bad.txt", b"1.0 2.0\n3.0 abc\n"), 4),
     (lambda ws: _diagnose_keys(ws, "bad.npy", b"not an npy file"), 4),
+    # .npy key files whose dtype is not bool, integer or real floating.
+    (lambda ws: _diagnose_keys(ws, "s.npy", _npy_bytes(np.full((2, 4), "1.0"))), 4),
+    (lambda ws: _diagnose_keys(
+        ws, "r.npy", _npy_bytes(np.zeros((2, 4), dtype=[("x", "f8"), ("y", "i4")]))), 4),
+    (lambda ws: _diagnose_keys(ws, "c.npy", _npy_bytes(np.ones((2, 4), complex))), 4),
     # A key file with no values, and a layer whose keys all have zero norm.
     (lambda ws: _diagnose_keys(ws, "empty.txt", b""), 4),
     (lambda ws: _diagnose_keys(ws, "zeros.txt", b"0 0\n0 0\n"), 11),
@@ -381,6 +393,7 @@ def _with_zero_layer_rom(ws, command):
                                     "eval"), 11),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
+        "npy-strings", "npy-structured", "npy-complex",
         "txt-empty", "zero-norm-layer",
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",

@@ -1,23 +1,26 @@
 """Each public entry point raises the same exception class for the same bad
-input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, and a
-codebook/rotation d mismatch.  Dimension checks run before finiteness.
+input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, a
+codebook/rotation d mismatch, a cell index past 2^b and a key file that does
+not hold real numbers.  Dimension checks run before finiteness.
 Constructors store read-only views and leave the caller's arrays writeable."""
 
 import numpy as np
 import pytest
 
 from kvlut.codebook import solve_codebook
-from kvlut.errors import (EmptyCalibrationError, FormatError, InvalidDimensionError,
-                          InvalidInputError)
+from kvlut.errors import (CorruptCacheError, EmptyCalibrationError, FormatError,
+                          InvalidDimensionError, InvalidInputError)
 from kvlut.evalkit import LayerProfile, SyntheticSpec
 from kvlut.opcount import OpCounter
-from kvlut.read_path import PrecomputedTable, precompute_table, score_sequence
+from kvlut.read_path import (PrecomputedTable, precompute_table, score_key, score_key_fp16,
+                             score_sequence)
 from kvlut.reference import dequantize_key, score_sequence_reference
 from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
 from kvlut.transform import (RotationSpec, SignVector, fwht, inverse_rotate,
                              random_signs, rotate)
-from kvlut.write_path import QuantizedKey, load_key_matrix, quantize_batch, quantize_key
+from kvlut.write_path import (QuantizedKey, load_key_matrix, pack, packed_size,
+                              quantize_batch, quantize_key, unpack, write_kvq)
 
 D, B = 16, 2
 CB = solve_codebook(D, B)
@@ -25,6 +28,9 @@ CB8 = solve_codebook(8, B)
 SPEC = RotationSpec(d=D, sign=random_signs(D, 1))
 KEY = QuantizedKey(indices=np.zeros(D, np.uint8), norm=1.0)
 SHORT_KEY = QuantizedKey(indices=np.zeros(D // 2, np.uint8), norm=1.0)
+# Index 7 at b = 2: past 2^b, so no b-bit record holds it.
+PAST_KEY = QuantizedKey(indices=np.where(np.arange(D) == 3, 7, 0), norm=1.0)
+KEY12 = QuantizedKey(indices=np.zeros(12, np.uint8), norm=1.0)
 ROWS = np.ones((3, D))
 
 
@@ -40,7 +46,7 @@ def _npy(tmp_path, arr, d=None):
     return load_key_matrix(path, d)
 
 
-DIM, BAD = InvalidDimensionError, InvalidInputError
+DIM, BAD, CORRUPT = InvalidDimensionError, InvalidInputError, CorruptCacheError
 
 CASES = {
     # name: (call taking tmp_path, expected class)
@@ -102,11 +108,31 @@ CASES = {
     "score_sequence_reference-cb-rotation": (
         lambda _: score_sequence_reference(
             np.ones(8), [QuantizedKey(np.zeros(8, np.uint8), 1.0)], SPEC, CB8), DIM),
+    # The record rules, through every entry point that packs, scores or
+    # reconstructs a key: (d, b) is a design point, every index is below 2^b.
+    "pack-non-pow2": (lambda _: pack(KEY12, B), DIM),
+    "unpack-non-pow2": (lambda _: unpack(bytes(packed_size(12, B)), 12, B), DIM),
+    "pack-index-past-2^b": (lambda _: pack(PAST_KEY, B), CORRUPT),
+    "write_kvq-index-past-2^b": (
+        lambda tmp: write_kvq(tmp / "c.kvq", [PAST_KEY], D, B), CORRUPT),
+    "score_sequence-index-past-2^b": (
+        lambda _: score_sequence(np.ones(D), [KEY, PAST_KEY], SPEC, CB), CORRUPT),
+    "score_key-index-past-2^b": (
+        lambda _: score_key(precompute_table(np.ones(D), SPEC, CB), PAST_KEY), CORRUPT),
+    "score_key_fp16-index-past-2^b": (
+        lambda _: score_key_fp16(precompute_table(np.ones(D), SPEC, CB), PAST_KEY), CORRUPT),
+    "dequantize_key-index-past-2^b": (lambda _: dequantize_key(PAST_KEY, SPEC, CB), CORRUPT),
+    "score_sequence_reference-index-past-2^b": (
+        lambda _: score_sequence_reference(np.ones(D), [KEY, PAST_KEY], SPEC, CB), CORRUPT),
     "load_key_matrix-length": (lambda tmp: _npy(tmp, np.ones((3, 8)), D), DIM),
     "load_key_matrix-nan": (lambda tmp: _npy(tmp, _with(np.nan, (3, D))), BAD),
     "load_key_matrix-inf": (lambda tmp: _npy(tmp, _with(np.inf, (3, D)), D), BAD),
     "load_key_matrix-nan-and-length": (
         lambda tmp: _npy(tmp, _with(np.nan, (3, 8)), D), DIM),
+    "load_key_matrix-strings": (lambda tmp: _npy(tmp, np.full((3, D), "1.0")), FormatError),
+    "load_key_matrix-structured": (
+        lambda tmp: _npy(tmp, np.zeros((3, D), dtype=[("x", "f8"), ("y", "i4")])), FormatError),
+    "load_key_matrix-complex": (lambda tmp: _npy(tmp, np.ones((3, D), complex)), FormatError),
     "CalibrationSet-ndim": (lambda _: CalibrationSet(keys=np.ones((2, 3, D))), DIM),
     "CalibrationSet-no-rows": (lambda _: CalibrationSet(keys=np.ones((0, D))), DIM),
     "CalibrationSet-nan": (lambda _: CalibrationSet(keys=_with(np.nan, (3, D))), BAD),

@@ -1,14 +1,17 @@
 """Write datapath: comparator quantization, op accounting, record packing."""
 
+import ast
 import itertools
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvlut.read_path as read_path
 import kvlut.write_path as write_path
 from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, FormatError,
@@ -411,9 +414,9 @@ def _bit_tensor_unpack(rows, d, b):
 @pytest.mark.parametrize("b", range(1, 9))
 def test_shift_or_codec_matches_the_bit_tensor_codec(d, b):
     # Groups of g = 8 / gcd(8, b) indices outgrow d = 2 and 4 for odd b (and
-    # d = 2 for b = 2, 6), so those rows are padded with zero indices.  The
-    # codec runs over row tiles of at most _TILE_ELEMS words, one word per
-    # group; the last T spans two whole tiles and one more row.
+    # d = 2 for b = 2, 6), so there the whole row is one group.  The codec
+    # runs over row tiles of at most _TILE_ELEMS words, one word per group;
+    # the last T spans two whole tiles and one more row.
     rng = np.random.default_rng(100 * d + b)
     groups = -(-d // (8 // math.gcd(8, b)))
     for t in (0, 1, 37, 257, 2 * (_TILE_ELEMS // groups) + 1):
@@ -440,6 +443,48 @@ def test_codec_rejects_a_width_no_uint8_index_fills():
             pack(qk, b)
         with pytest.raises(InvalidDimensionError):
             unpack(bytes(packed_size(D, b)), D, b)
+
+
+def _is_range(node):
+    # 1 << x, alone or inside arithmetic such as (1 << b) - 1.
+    if not isinstance(node, ast.BinOp):
+        return False
+    return ((isinstance(node.op, ast.LShift) and isinstance(node.left, ast.Constant)
+             and node.left.value == 1)
+            or _is_range(node.left) or _is_range(node.right))
+
+
+def _index_rule_faults(module, source):
+    """Comparisons against 1 << x outside write_path._check_indices, by line."""
+    tree = ast.parse(source)
+    owner = {id(n) for f in ast.walk(tree)
+             if module == "write_path" and isinstance(f, ast.FunctionDef)
+             and f.name == "_check_indices"
+             for n in ast.walk(f)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in owner
+            and any(_is_range(op) for op in [node.left, *node.comparators])]
+
+
+def test_only_check_indices_tests_an_index_against_2_to_the_b():
+    # The index rule "every index < 2^b" has one owner, which the codec, the
+    # read path's lookup and the oracle all call.
+    paths = sorted(Path(write_path.__file__).parent.glob("*.py"))
+    assert {"write_path.py", "read_path.py", "reference.py"} <= {p.name for p in paths}
+    for path in paths:
+        assert _index_rule_faults(path.stem, path.read_text()) == [], path.name
+    assert "def _check_indices(" in Path(write_path.__file__).read_text()
+
+
+@pytest.mark.parametrize("line", [
+    "if idx.size and idx.max() >= (1 << b): raise CorruptCacheError(b)",
+    "if np.any(idx >= 1 << cb.b): raise IndexError",
+    "bad = idx.max() > (1 << b) - 1",
+    "bad = (1 << b) <= idx.max()",
+])
+def test_index_rule_check_catches_an_inline_range_test(line):
+    path = Path(read_path.__file__)
+    assert _index_rule_faults("read_path", path.read_text() + "\n" + line + "\n")
 
 
 def _old_unit_rows(keys):
