@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codebook as cbmod
 from .errors import (ConfigConflictError, FormatError, InvalidInputError,
-                     IoError, KvlutError, _check_power_of_two, _layer_items)
+                     IoError, KvlutError, _layer_items)
 from .evalkit import (LayerProfile, SyntheticSpec, generate_keys,
                       jensen_bias_probe, sensitivity_sweep)
 from .opcount import OpCounter
@@ -167,7 +167,6 @@ def _cmd_solve_codebook(args) -> int:
 
 def _cmd_gen_signs(args) -> int:
     d = args.d
-    _check_power_of_two(d, "--d")
     if args.seeds is not None:
         seeds = _number_list(args.seeds)
     else:

@@ -104,14 +104,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _check_norms(norms: np.ndarray, what: str = "key norm") -> None:
-    """Stored norms are neither NaN nor negative (+inf marks an overflow)."""
-    norms = np.ravel(norms)
-    bad = norms[~(norms >= 0)]
-    if bad.size:
-        raise InvalidInputError(f"{what} must be non-negative, got {bad}")
-
-
 def _check_same_d(*named: tuple[str, int]) -> int:
     """The (name, d) pairs agree on d, which is returned."""
     if len({d for _, d in named}) > 1:

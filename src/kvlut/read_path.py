@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codebook import Codebook
-from .errors import (InvalidDimensionError, InvalidInputError, _check_power_of_two,
-                     _check_same_d, _finite_array, _read_only)
+from .codebook import Codebook, _validate_design_point
+from .errors import (InvalidDimensionError, InvalidInputError, _check_same_d,
+                     _finite_array, _read_only)
 from .opcount import OpCounter
 from .transform import _TILE_ELEMS, RotationSpec, _row_tiles, rotate
 from .write_path import KVCache, QuantizedKey, _cache_rows, _check_indices
@@ -44,14 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecomputedTable:
-    """Per-query lookup table: entries[i, j] = q_rot[i] * centroid[j]."""
+    """Per-query table at a design point (d, b): entries[i, j] = q_rot[i] * centroid[j]."""
 
     d: int
     b: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_power_of_two(self.d, "table d")
+        _validate_design_point(self.d, self.b)
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.shape != (self.d, 1 << self.b):
             raise InvalidDimensionError(

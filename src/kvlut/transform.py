@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
-                     InvalidInputError, _check_power_of_two, _check_same_d,
-                     _check_shape, _read_only)
+from .errors import (CorruptRomError, FormatError, InvalidInputError,
+                     _check_power_of_two, _check_same_d, _check_shape, _read_only)
 from .opcount import OpCounter
 
 __all__ = [
@@ -42,14 +41,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-def _check_positive_d(d: int) -> None:
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-
-
 @dataclass(frozen=True)
 class SignVector:
-    """A {-1, +1} diagonal for one layer's rotation."""
+    """A {-1, +1} diagonal for one layer's rotation; d is the rotation's, a power of 2."""
 
     d: int
     signs: np.ndarray
@@ -57,7 +51,7 @@ class SignVector:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.signs)
-        _check_positive_d(self.d)
+        _check_power_of_two(self.d, "sign vector d")
         _check_shape(raw, self.d, (1,), "sign vector")
         # Checked before the int8 cast, which would truncate 1.5 and wrap 257.
         if not np.all((raw == 1) | (raw == -1)):
@@ -69,13 +63,12 @@ class SignVector:
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """Binds a sign vector to the d-point Hadamard butterfly it feeds."""
+    """Binds a sign vector to the d-point Hadamard butterfly it feeds; SignVector checks d."""
 
     d: int
     sign: SignVector
 
     def __post_init__(self) -> None:
-        _check_power_of_two(self.d, "rotation dimension")
         _check_same_d(("rotation", self.d), ("sign vector", self.sign.d))
 
 
@@ -250,7 +243,7 @@ def random_signs(d: int, seed: int, layer_id: int = 0) -> SignVector:
     encoding, so a generated vector serializes to the raw little-endian draw
     bytes truncated to d bits.
     """
-    _check_positive_d(d)
+    _check_power_of_two(d, "sign vector d")
     words = splitmix64_stream(seed, (d + 63) // 64)
     raw = b"".join(struct.pack("<Q", w) for w in words)
     return deserialize_signs(raw[:(d + 7) // 8], d, layer_id)
@@ -266,6 +259,7 @@ def serialize_signs(s: SignVector) -> bytes:
 
 def deserialize_signs(data: bytes, d: int, layer_id: int = 0) -> SignVector:
     """Inverse of serialize_signs; wrong byte count is a format error."""
+    _check_power_of_two(d, "sign vector d")
     expected = (d + 7) // 8
     if len(data) != expected:
         raise FormatError(
@@ -288,9 +282,10 @@ _ROM_HEADER = struct.Struct("<2sBBHH")
 
 
 def _check_rom_header(d: int, count: int) -> None:
-    """A .sgnrom header for d x count layers: at least one layer, both u16."""
+    """A .sgnrom header: at least one layer, then SignVector's d rule, then both u16."""
     if count < 1:
         raise FormatError("sign ROM needs at least one layer")
+    _check_power_of_two(d, "sign ROM d")
     if max(d, count) > 0xFFFF:
         raise FormatError(f"sign ROM header holds d and the layer count as u16, "
                           f"got d={d} and {count} layers")
@@ -337,7 +332,6 @@ def _parse_sign_rom(data: bytes) -> _SignRom:
             f"sign ROM for d={d} x {count} layers must be {expected} bytes, "
             f"got {len(data)}")
     _check_rom_header(d, count)
-    _check_positive_d(d)
     return _SignRom(data, d, count)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .codebook import Codebook, _validate_design_point
 from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
-                     InvalidInputError, _check_norms, _check_same_d,
-                     _check_shape, _finite_array, _read_only)
+                     InvalidInputError, _check_same_d, _check_shape, _finite_array,
+                     _read_only)
 from .opcount import OpCounter
 from .transform import RotationSpec, _row_tiles, rotate
 
@@ -53,10 +53,10 @@ class QuantizedKey:
     norm: np.float16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices",
-                           _read_only(np.asarray(self.indices, dtype=np.uint8)))
-        object.__setattr__(self, "norm", np.float16(self.norm))
-        _check_norms(self.norm)
+        idx = np.asarray(self.indices, dtype=np.uint8)
+        _check_shape(idx, None, (1,), "key indices")
+        object.__setattr__(self, "indices", _read_only(idx))
+        object.__setattr__(self, "norm", _half_norms(self.norm)[()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,11 +82,11 @@ class KVCache(Sequence):
     def __post_init__(self) -> None:
         idx = np.array(self.indices, dtype=np.uint8)
         _check_shape(idx, None, (2,), "cache indices")
-        norms = np.array(self.norms, dtype=np.float16)
+        norms = np.asarray(self.norms)
         if norms.shape != idx.shape[:1]:
             raise InvalidDimensionError(
                 f"cache holds {idx.shape[0]} index rows but norms of shape {norms.shape}")
-        _check_norms(norms, "key norms")
+        norms = _half_norms(norms, "key norms")
         for arr in (idx, norms):
             arr.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -101,6 +101,15 @@ class KVCache(Sequence):
             return KVCache(self.indices[i], self.norms[i])
         i = operator.index(i)
         return _checked(QuantizedKey, indices=self.indices[i], norm=self.norms[i])
+
+
+def _half_norms(norms, what: str = "key norm") -> np.ndarray:
+    """The one norm rule: a half copy of norms, none NaN or negative (+inf marks overflow)."""
+    half = np.array(norms, dtype=np.float16)
+    bad = half[~(half >= 0)]
+    if bad.size:
+        raise InvalidInputError(f"{what} must be non-negative, got {bad}")
+    return half
 
 
 def _checked(cls, **fields):
@@ -262,7 +271,7 @@ def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
 
 
 def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), norms (T,)).
+    """Inverse of _pack_rows: (T, record) bytes -> (indices (T, d), unchecked <f2 norms).
 
     Each group's n record bytes are widened into one word, from which its g
     indices come back by shift and mask, tile by tile as _pack_rows packs.
@@ -279,8 +288,7 @@ def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarr
         words = raw.view(word)[:, :, 0]
         for j in range(g):
             np.bitwise_and(words >> word.type(b * j), mask, out=cols[:, :, j], casting="unsafe")
-    norms = np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0].astype(np.float16)
-    return idx, norms
+    return idx, np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0]
 
 
 def pack(qk: QuantizedKey, b: int) -> bytes:
@@ -289,7 +297,8 @@ def pack(qk: QuantizedKey, b: int) -> bytes:
 
 
 def unpack(data: bytes, d: int, b: int) -> QuantizedKey:
-    """Inverse of pack for a d-coordinate, b-bit record."""
+    """Inverse of pack for a d-coordinate, b-bit record; (d, b) is checked before its length."""
+    _validate_design_point(d, b)
     expected = packed_size(d, b)
     if len(data) != expected:
         raise FormatError(

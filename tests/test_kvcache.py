@@ -84,7 +84,7 @@ def test_keys_of_a_checked_cache_are_not_checked_again(monkeypatch):
 
     # Keys of the cache, and a list of them stacked back into one, reuse the
     # checks the cache and each key already passed.
-    monkeypatch.setattr(write_path, "_check_norms", refuse)
+    monkeypatch.setattr(write_path, "_half_norms", refuse)
     keys = list(cache)
     assert all(isinstance(k, QuantizedKey) and not k.indices.flags.writeable for k in keys)
     assert [k.norm.view(np.uint16) for k in keys] == list(norms.view(np.uint16))

@@ -66,7 +66,7 @@ def test_an_overflowed_norm_scores_non_finite_without_a_warning(mode, T):
     # +inf is the cache's marker for a norm past half range.  Under a zero
     # query its key scores 0 * inf = NaN, under a nonzero one inf or NaN;
     # every other key stays finite, on the single gather (T=8) and the pair
-    # gather (T=300), and no warning escapes either mode.
+    # gather (T=300), and no warning escapes either mode or the oracle.
     idx, norms = quantize_batch(np.random.default_rng(T).normal(size=(T, D)), SPEC, CB)
     norms = norms.astype(np.float16)
     norms[3] = np.inf
@@ -75,8 +75,10 @@ def test_an_overflowed_norm_scores_non_finite_without_a_warning(mode, T):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scores, _ = score_sequence(q, cache, SPEC, CB, mode)
-        finite = np.isfinite(scores)
-        assert not finite[3] and finite.sum() == T - 1
+            oracle, _ = score_sequence_reference(q, cache, SPEC, CB)
+        for got in (scores, oracle):
+            finite = np.isfinite(got)
+            assert not finite[3] and finite.sum() == T - 1
 
 
 def test_score_counter_per_key():

@@ -4,6 +4,8 @@ codebook/rotation d mismatch, a cell index past 2^b and a key file that does
 not hold real numbers.  Dimension checks run before finiteness.
 Constructors store read-only views and leave the caller's arrays writeable."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from kvlut.read_path import (PrecomputedTable, precompute_table, score_key, scor
 from kvlut.reference import dequantize_key, score_sequence_reference
 from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
-from kvlut.transform import (RotationSpec, SignVector, fwht, inverse_rotate,
-                             random_signs, rotate)
+from kvlut.transform import (RotationSpec, SignVector, deserialize_signs, fwht,
+                             inverse_rotate, random_signs, rotate, unpack_sign_rom)
 from kvlut.write_path import (QuantizedKey, load_key_matrix, pack, packed_size,
                               quantize_batch, quantize_key, unpack, write_kvq)
 
@@ -31,6 +33,8 @@ SHORT_KEY = QuantizedKey(indices=np.zeros(D // 2, np.uint8), norm=1.0)
 # Index 7 at b = 2: past 2^b, so no b-bit record holds it.
 PAST_KEY = QuantizedKey(indices=np.where(np.arange(D) == 3, 7, 0), norm=1.0)
 KEY12 = QuantizedKey(indices=np.zeros(12, np.uint8), norm=1.0)
+# A .sgnrom image whose header and length are consistent for one d=12 layer.
+SGNROM12 = struct.pack("<2sBBHH", b"SG", 1, 0, 12, 1) + bytes(2)
 ROWS = np.ones((3, D))
 
 
@@ -112,6 +116,15 @@ CASES = {
     # reconstructs a key: (d, b) is a design point, every index is below 2^b.
     "pack-non-pow2": (lambda _: pack(KEY12, B), DIM),
     "unpack-non-pow2": (lambda _: unpack(bytes(packed_size(12, B)), 12, B), DIM),
+    # The design point is checked before the record's length.
+    "unpack-empty-non-pow2": (lambda _: unpack(b"", 12, B), DIM),
+    "QuantizedKey-indices-2d": (
+        lambda _: QuantizedKey(indices=np.zeros((2, D), np.uint8), norm=1.0), DIM),
+    "QuantizedKey-indices-0d": (lambda _: QuantizedKey(indices=0, norm=1.0), DIM),
+    "PrecomputedTable-b0": (
+        lambda _: PrecomputedTable(d=D, b=0, entries=np.ones((D, 1))), DIM),
+    "PrecomputedTable-b9": (
+        lambda _: PrecomputedTable(d=D, b=9, entries=np.ones((D, 1 << 9))), DIM),
     "pack-index-past-2^b": (lambda _: pack(PAST_KEY, B), CORRUPT),
     "write_kvq-index-past-2^b": (
         lambda tmp: write_kvq(tmp / "c.kvq", [PAST_KEY], D, B), CORRUPT),
@@ -155,6 +168,11 @@ CASES = {
         lambda _: SyntheticSpec(d=D, N=4, profiles=(LayerProfile(gain=np.ones(8)),)),
         DIM),
     "SignVector-length": (lambda _: SignVector(d=D, signs=np.ones(8)), DIM),
+    # A sign vector, its record and the .sgnrom take the rotation's d rule.
+    "SignVector-non-pow2": (lambda _: SignVector(d=12, signs=np.ones(12)), DIM),
+    "random_signs-non-pow2": (lambda _: random_signs(12, 1), DIM),
+    "deserialize_signs-non-pow2": (lambda _: deserialize_signs(b"\0\0", 12), DIM),
+    "unpack_sign_rom-non-pow2": (lambda _: unpack_sign_rom(SGNROM12), DIM),
     # Values are checked before the int8 cast, which truncates, wraps or overflows them.
     "SignVector-fractional": (lambda _: SignVector(d=2, signs=[1.5, -1.7]), FormatError),
     "SignVector-wraps-int8": (

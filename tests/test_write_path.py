@@ -19,9 +19,9 @@ from kvlut.errors import (CorruptCacheError, FormatError,
 from kvlut.opcount import OpCounter
 from kvlut.reference import dequantize_key
 from kvlut.transform import _TILE_ELEMS, RotationSpec, _row_tiles, random_signs, rotate
-from kvlut.write_path import (QuantizedKey, _cell_indices, _pack_rows, _unpack_rows,
-                              load_key_matrix, pack, packed_size, quantize_batch,
-                              quantize_key, read_kvq, unpack, write_kvq)
+from kvlut.write_path import (KVCache, QuantizedKey, _cell_indices, _pack_rows,
+                              _unpack_rows, load_key_matrix, pack, packed_size,
+                              quantize_batch, quantize_key, read_kvq, unpack, write_kvq)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -485,6 +485,86 @@ def test_only_check_indices_tests_an_index_against_2_to_the_b():
 def test_index_rule_check_catches_an_inline_range_test(line):
     path = Path(read_path.__file__)
     assert _index_rule_faults("read_path", path.read_text() + "\n" + line + "\n")
+
+
+# Where write_path may name np.float16: the one norm rule, the stacking of
+# norms that are already half, and the QuantizedKey.norm annotation.
+_HALF_SCOPES = {"_half_norms", "_cache_rows", "QuantizedKey.norm"}
+
+
+def _half_cast_faults(source):
+    """(scope, line) of each np.float16 outside _HALF_SCOPES.
+
+    The scope is the innermost function or class, or "Class.field" for a
+    class-body annotation.
+    """
+    faults = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name
+            elif isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign):
+                inner = f"{node.name}.{child.target.id}"
+            elif (isinstance(child, ast.Attribute) and child.attr == "float16"
+                  and scope not in _HALF_SCOPES):
+                faults.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return faults
+
+
+def test_only_half_norms_rounds_a_norm_to_half():
+    # The norm rule "round to half, then no NaN or negative" has one owner,
+    # which QuantizedKey and KVCache both call.
+    source = Path(write_path.__file__).read_text()
+    assert _half_cast_faults(source) == []
+    assert "def _half_norms(" in source
+
+
+def test_half_cast_check_catches_a_second_rounding():
+    source = Path(write_path.__file__).read_text()
+    rounded = "_half_norms(self.norm)[()]"
+    assert source.count(rounded) == 1
+    faults = _half_cast_faults(source.replace(rounded, "np.float16(self.norm)"))
+    assert [scope for scope, _ in faults] == ["__post_init__"]
+
+
+def _norm_verdicts(norm, tmp_path):
+    """Each norm entry point's verdict on one norm: its stored uint16 bits, or
+    the class of the error it raised."""
+    record = bytes(packed_size(D, B) - 2) + struct.pack("<e", norm)
+    path = tmp_path / "norm.kvq"
+    path.write_bytes(struct.pack("<4sBBIII", b"KVQC", 1, B, D, 1, 0) + record)
+    entries = {
+        "QuantizedKey": lambda: QuantizedKey(np.zeros(D, np.uint8), norm).norm,
+        "KVCache": lambda: KVCache(np.zeros((1, D), np.uint8), [norm]).norms[0],
+        "unpack": lambda: unpack(record, D, B).norm,
+        "read_kvq": lambda: read_kvq(path)[0].norms[0],
+    }
+    verdicts = {}
+    for name, call in entries.items():
+        try:
+            verdicts[name] = int(np.asarray(call()).view(np.uint16))
+        except (InvalidInputError, CorruptCacheError) as exc:
+            verdicts[name] = type(exc)
+    return verdicts
+
+
+@pytest.mark.parametrize("norm", [0.0, -0.0, 2.0 ** -24, 1.0, 65504.0, np.inf,
+                                  np.nan, -1.0], ids=repr)
+def test_every_norm_entry_point_gives_one_verdict(norm, tmp_path):
+    # Built from a float, unpacked from a record or read from a .kvq, a norm
+    # is accepted with the same half bits everywhere, or rejected everywhere
+    # (as CorruptCacheError from a file).  +inf, an overflow, is accepted.
+    verdicts = _norm_verdicts(norm, tmp_path)
+    if np.isnan(norm) or norm < 0:
+        assert verdicts == {"QuantizedKey": InvalidInputError, "KVCache": InvalidInputError,
+                            "unpack": InvalidInputError, "read_kvq": CorruptCacheError}
+    else:
+        assert set(verdicts.values()) == {int(np.float16(norm).view(np.uint16))}
 
 
 def _old_unit_rows(keys):
