@@ -29,7 +29,7 @@ from .codebook import Codebook, _validate_design_point
 from .errors import (InvalidDimensionError, InvalidInputError, _check_same_d,
                      _finite_array, _read_only)
 from .opcount import OpCounter
-from .transform import _TILE_ELEMS, RotationSpec, _row_tiles, rotate
+from .transform import _TILE_BYTES, RotationSpec, _row_tiles, rotate
 from .write_path import KVCache, QuantizedKey, _cache_rows, _check_indices
 
 __all__ = [
@@ -125,9 +125,10 @@ def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
 
     L = 2^b, K = 256 >> b and G = ceil((d/2) / K).  None, for the single
     gather, when the table would outgrow one tile's gather or n keys would
-    not repay its build.
+    not repay its build.  Both bounds count rows of a float64 tile,
+    _TILE_BYTES // 8d (256 at d=128).
     """
-    rows = _TILE_ELEMS // d
+    rows = _TILE_BYTES // (8 * d)
     if 4 ** b > rows or n < max(rows, 4 ** (b + 1)):
         return None
     levels, k = 1 << b, 256 >> b
@@ -195,8 +196,11 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     query at b lays them out, and every query then only builds its table.
     Each row tile (transform._row_tiles) gathers its table entries with
     one take of its rows' offsets, sums them and writes its scores into the
-    preallocated (T,) output, so no temporary outgrows a tile.  Every step
-    is row by row, so the tiling changes no bit.
+    preallocated (T,) output, so no temporary outgrows a tile.  A tile is
+    sized by its gathered row's bytes, offsets per row times the table's
+    itemsize: 8*d in "double" on either gather, 4*d in "fp16" on the single
+    gather and 2*d on the pair gather, whose float32 rows are narrowest.
+    Every step is row by row, so the tiling changes no bit.
 
     Single gather: entry (i, idx) sits at offset idx + i*2^b of the (d, 2^b)
     table, d offsets per row.  Pair gather, when _pair_layout admits the
@@ -231,7 +235,7 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
         if mode == "double":
             table = tbl.entries if layout is None else _pair_table(tbl.entries, layout, mode)
             scores = np.empty(n)
-            for rows in _row_tiles(n, tbl.d):
+            for rows in _row_tiles(n, offsets.shape[1] * table.itemsize):
                 acc = table.take(offsets[rows]).view(np.float64)
                 scores[rows] = acc.sum(axis=1) * norms[rows].astype(np.float64)
         elif mode == "fp16":
@@ -240,7 +244,7 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
             scale = _tree_needs_scale(table)
             if layout is not None:
                 table = _pair_table(table, layout, mode, scale)
-            for rows in _row_tiles(n, tbl.d):
+            for rows in _row_tiles(n, offsets.shape[1] * table.itemsize):
                 acc = table.take(offsets[rows])
                 while acc.shape[1] > 1:
                     acc = acc[:, 0::2] + acc[:, 1::2]

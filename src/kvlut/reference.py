@@ -72,7 +72,7 @@ def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],
     scores = np.empty(t)
     # A +inf norm (an overflowed key) scores inf or NaN silently, as on the read path.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_tiles(t, cb.d):
+        for rows in _row_tiles(t, 8 * cb.d):
             recon = _dequantize_rows(cache.indices[rows], cache.norms[rows], spec, cb, counter)
             scores[rows] = (recon[:, None, :] @ q[:, None])[:, 0, 0]
     counter.add("score", mults=t * cb.d, adds=t * (cb.d - 1))

@@ -72,23 +72,24 @@ class RotationSpec:
         _check_same_d(("rotation", self.d), ("sign vector", self.sign.d))
 
 
-# Elements per row tile of the batched kernels.  A 4,096 x 128 temporary
-# (4 MiB) is handed back to the kernel when freed and page-faulted in again
-# on the next call; tiles of 2^15 elements (256 KiB as float64) are reused
-# from the heap instead.  At 2^16 a fresh process still faults on every
-# double query, as the heap trims at a lower mark there.  Every kernel step
-# is row-independent, so the tile size changes no bit.  This module owns
-# the tiling: the transform, the write and read paths, the record codec
-# and the oracle all run over _row_tiles.
-_TILE_ELEMS = 1 << 15
+# Bytes per row tile of the batched kernels, counted over each caller's
+# widest per-row temporary (8*d for a float64 row).  A 4,096 x 128 float64
+# temporary (4 MiB) is handed back to the kernel when freed and page-faulted
+# in again on the next call; 256 KiB tiles are reused from the heap instead.
+# At 512 KiB a fresh process still faults on every double query, as the heap
+# trims at a lower mark there.  Every kernel step is row-independent, so the
+# tile size changes no bit.  This module owns the tiling: the transform, the
+# write and read paths, the record codec and the oracle run over _row_tiles.
+_TILE_BYTES = 1 << 18
 
 
-def _row_tiles(n: int, d: int):
-    """Row slices covering range(n), each at most max(1, _TILE_ELEMS // d) rows.
+def _row_tiles(n: int, row_bytes: int):
+    """Row slices covering range(n), each at most max(1, _TILE_BYTES // row_bytes) rows.
 
-    n = 0 gives one empty slice, so a loop over the tiles runs once on no rows.
+    row_bytes is the size of the caller's widest per-row temporary.  n = 0
+    gives one empty slice, so a loop over the tiles runs once on no rows.
     """
-    step = max(1, _TILE_ELEMS // d)
+    step = max(1, _TILE_BYTES // row_bytes)
     for start in range(0, max(n, 1), step):
         yield slice(start, min(start + step, n))
 
@@ -160,10 +161,10 @@ def _rotate_rows(arr: np.ndarray, signs: np.ndarray | None,
     n = rows.shape[0]
     if n == 0:
         return arr.copy()
-    widest = next(_row_tiles(n, d)).stop
+    widest = next(_row_tiles(n, 8 * d)).stop
     buf, diff = np.empty(d * widest), np.empty((d // 2) * widest)
     out = np.empty((n, d))
-    for tile in _row_tiles(n, d):
+    for tile in _row_tiles(n, 8 * d):
         m = tile.stop - tile.start
         _rotate_block(rows[tile].T, signs, out[tile], buf[:d * m].reshape(d, m),
                       diff[:(d // 2) * m])

@@ -56,7 +56,9 @@ class QuantizedKey:
         idx = np.asarray(self.indices, dtype=np.uint8)
         _check_shape(idx, None, (1,), "key indices")
         object.__setattr__(self, "indices", _read_only(idx))
-        object.__setattr__(self, "norm", _half_norms(self.norm)[()])
+        norm = _half_norms(self.norm)
+        _check_shape(norm, None, (0,), "key norm")
+        object.__setattr__(self, "norm", norm[()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +176,7 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
     keys = np.asarray(keys, dtype=np.float64)
     _check_shape(keys, cb.d, (2,), "key matrix")
     n, d = keys.shape
-    if not all(np.isfinite(keys[rows]).all() for rows in _row_tiles(n, d)):
+    if not all(np.isfinite(keys[rows]).all() for rows in _row_tiles(n, 8 * d)):
         raise InvalidInputError("non-finite values in key matrix")
     if comparator != "flat":
         raise InvalidInputError(f"unknown comparator mode {comparator!r}")
@@ -187,7 +189,7 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
         counter.add("quantize", comps=n * d * (cb.levels - 1))
     idx = np.empty((n, d), dtype=np.uint8)
     norms = np.empty(n)
-    for rows in _row_tiles(n, d):
+    for rows in _row_tiles(n, 8 * d):
         tile = keys[rows]
         nrm = norms[rows] = np.linalg.norm(tile, axis=1)
         unit = tile / np.where(nrm == 0.0, 1.0, nrm)[:, None]
@@ -251,14 +253,18 @@ def _pack_rows(idx: np.ndarray, norms: np.ndarray, b: int) -> np.ndarray:
     come back as a (T, packed_size(d, b)) byte matrix.  Each group of g
     indices (_record_groups) is shifted and ORed into one word, whose low
     n bytes are the group's record bytes.  Rows run in tiles
-    (transform._row_tiles) of at most _TILE_ELEMS words.
+    (transform._row_tiles) of 8*G bytes a row: each word counts as the
+    widest word's 8 bytes.  Counting a word at its own itemsize would make
+    the <u1 and <u4 tiles 2-8x larger, and a fresh process then
+    page-faults their word temporaries on each call (T=4096, d=128, b in
+    {2, 3, 4, 6, 8}).
     """
     t, d = idx.shape
     g, n, groups, word = _record_groups(d, b)
     _check_indices(idx, b)
     size = groups * n
     out = np.empty((t, size + 2), dtype=np.uint8)
-    for rows in _row_tiles(t, groups):
+    for rows in _row_tiles(t, 8 * groups):
         m = rows.stop - rows.start
         cols = idx[rows].reshape(m, groups, g)
         words = cols[:, :, 0].astype(word)
@@ -280,7 +286,7 @@ def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarr
     g, n, groups, word = _record_groups(d, b)
     mask = word.type((1 << b) - 1)
     idx = np.empty((t, d), dtype=np.uint8)
-    for tile in _row_tiles(t, groups):
+    for tile in _row_tiles(t, 8 * groups):
         m = tile.stop - tile.start
         cols = idx[tile].reshape(m, groups, g)
         raw = np.zeros((m, groups, word.itemsize), dtype=np.uint8)

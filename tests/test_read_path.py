@@ -18,7 +18,7 @@ from kvlut.read_path import (Fp16Score, PrecomputedTable, _pair_layout,
                              precompute_table, score_key, score_key_fp16,
                              score_sequence)
 from kvlut.reference import score_sequence_reference
-from kvlut.transform import (_TILE_ELEMS, RotationSpec, _row_tiles, inverse_rotate,
+from kvlut.transform import (_TILE_BYTES, RotationSpec, _row_tiles, inverse_rotate,
                              random_signs, rotate)
 from kvlut.write_path import (KVCache, QuantizedKey, _cache_rows, quantize_batch,
                               quantize_key)
@@ -370,9 +370,10 @@ def _score_closed_form(d, b, T):
 @pytest.mark.parametrize("b", [1, 3, 8])
 @pytest.mark.parametrize("d", [128, 256])
 def test_sequence_matches_per_key_route_across_row_tiles(d, b):
+    # T spans two float64 row tiles and one row: the double gather's tiles.
     cb, spec = _design(d, b)
-    T = 2 * (_TILE_ELEMS // d) + 1
-    tiles = list(_row_tiles(T, d))
+    T = 2 * (_TILE_BYTES // (8 * d)) + 1
+    tiles = list(_row_tiles(T, 8 * d))
     assert [t.stop - t.start for t in tiles] == [T // 2, T // 2, 1]
     rng = np.random.default_rng(5 * d + b)
     n = d // 8
@@ -438,7 +439,7 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
     # tile (4^b <= rows); T - 1 and a one-row-past-a-tile T run the single
     # gather there.  d=1024 at b >= 3 never pairs, d=2 pads its table (K > d/2).
     cb, spec = _design(d, b)
-    rows = _TILE_ELEMS // d
+    rows = _TILE_BYTES // (8 * d)
     gate = max(rows, 4 ** (b + 1))
     fits = 4 ** b <= rows
     assert _pair_layout(d, b, gate - 1) is None
@@ -510,18 +511,126 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
                 assert np.isnan(got16[3]) and np.isnan(got16[4]), where
 
 
+def _recorded_tiles(monkeypatch):
+    # The (n, row_bytes) of each _row_tiles call _score_rows makes, with the
+    # row counts of the tiles it yields.
+    calls = []
+    row_tiles = read_path._row_tiles
+
+    def recording(n, row_bytes):
+        tiles = list(row_tiles(n, row_bytes))
+        calls.append((n, row_bytes, [t.stop - t.start for t in tiles]))
+        return iter(tiles)
+
+    monkeypatch.setattr(read_path, "_row_tiles", recording)
+    return calls
+
+
+@pytest.mark.parametrize("d, b", [(2, 1), (2, 8), (128, 3), (128, 8), (256, 3), (256, 8)])
+def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d, b):
+    # An fp16 tile holds _TILE_BYTES of gathered float32 rows: 2*d bytes a
+    # row on the pair gather (b <= 3 here) and 4*d on the single one (b=8),
+    # so T spans two whole fp16 tiles and one row.  The first and last rows
+    # of every tile hold a saturating key, a +inf norm, a zero norm and a
+    # key whose tree sums +inf beside -inf.
+    cb, spec = _design(d, b)
+    paired = b <= 3
+    row_bytes = (2 if paired else 4) * d
+    rows16 = _TILE_BYTES // row_bytes
+    T = 2 * rows16 + 1
+    assert (_pair_layout(d, b, T) is not None) == paired
+    tiles = list(_row_tiles(T, row_bytes))
+    assert [t.stop - t.start for t in tiles] == [rows16, rows16, 1]
+    rng = np.random.default_rng(11 * d + b)
+    n = max(1, d // 8)
+    top = cb.centroids[-1]
+    q = rng.normal(size=d)
+    q *= 1.5 * 65504 / precompute_table(q, spec, cb).entries.max(axis=1).sum()
+    # A random query scaled so its trees overflow; one whose table rows all
+    # peak at 2*65504/n, so n aligned coordinates sum past the half range
+    # (at d=2 one peak is half inf); and a zero query.
+    queries = [("random", q),
+               ("peak", inverse_rotate(spec, np.full(d, 2 * 65504 / n / top))),
+               ("zero", np.zeros(d))]
+    idx = rng.integers(0, 2 ** b, size=(T, d), dtype=np.uint8)
+    norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
+    hi, lo = np.full(d, 2 ** b - 1, np.uint8), np.zeros(d, np.uint8)
+    mixed = idx[0].copy()
+    mixed[:n], mixed[n:2 * n] = hi[:n], lo[n:2 * n]
+    special = [(hi, 1.0), (lo, np.inf), (hi, 0.0), (mixed, 1.0)]
+    edges = []
+    for t in tiles:
+        for r, (cells, norm) in [*zip(range(t.start, t.stop), special),
+                                 *zip(range(t.stop - 1, t.start - 1, -1), special)]:
+            idx[r], norms[r] = cells, norm
+            edges.append(r)
+    cache = KVCache(idx, norms)
+    calls = _recorded_tiles(monkeypatch)
+    for kind, q in queries:
+        tbl = precompute_table(q, spec, cb)
+        where = f"d={d}, b={b}, query={kind}"
+        got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
+        assert calls.pop() == (T, row_bytes, [rows16, rows16, 1]), where
+        with np.errstate(over="ignore", invalid="ignore"):
+            want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
+        singles16 = np.array([score_key_fp16(tbl, cache[r]).value for r in edges])
+        np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
+        np.testing.assert_array_equal(got16[edges].view(np.uint16),
+                                      singles16.view(np.uint16), where)
+        if kind == "peak":
+            starts = [t.start for t in tiles]
+            assert np.all(got16[starts] == np.inf), where
+            assert np.all(got16[[s + 1 for s in starts[:2]]] == -np.inf), where
+            assert np.all(np.isnan(got16[[s + k for s in starts[:2] for k in (2, 3)]])), where
+
+
+@pytest.mark.parametrize("d, b, T, paired", [(128, 3, 4096, True), (128, 8, 4096, False),
+                                             (2, 1, 1 << 15, True), (2, 8, 1 << 15, False)])
+def test_each_tile_holds_256_kib_of_gathered_rows(monkeypatch, d, b, T, paired):
+    # A tile's row_bytes is its gathered row's bytes: d float64 entries or
+    # d/2 complex128 pair records (8*d either way) in "double"; d float32
+    # entries (4*d) or d/2 float32 pair sums (2*d) in "fp16".
+    assert (_pair_layout(d, b, T) is not None) == paired
+    cb, spec = _design(d, b)
+    cache = KVCache(np.zeros((T, d), np.uint8), np.ones(T, np.float16))
+    calls = _recorded_tiles(monkeypatch)
+    for mode in ("double", "fp16"):
+        score_sequence(np.ones(d), cache, spec, cb, mode)
+    offsets = cache._gathers[b][1]
+    assert offsets.shape[1] == (d // 2 if paired else d)
+    (_, double, tiles), (_, fp16, tiles16) = calls
+    assert double == 8 * d and fp16 == (2 if paired else 4) * d
+    assert fp16 == offsets.shape[1] * np.dtype(np.float32).itemsize
+    if d == 128:
+        # 256 float64 rows a tile; fp16 runs 4 tiles of 1,024 pair rows or
+        # 8 of 512 single rows.
+        assert tiles == [256] * 16
+        assert tiles16 == ([1024] * 4 if paired else [512] * 8)
+
+
+def test_pair_gate_counts_float64_tile_rows():
+    # At d=128 a float64 tile is 256 rows: b <= 4 pairs from T = max(256,
+    # 4^(b+1)), and b >= 5 (4^b > 256) never pairs.
+    for b, gate in ((1, 256), (2, 256), (3, 256), (4, 1024)):
+        assert _pair_layout(128, b, gate - 1) is None, b
+        assert _pair_layout(128, b, gate) is not None, b
+    for b in range(5, 9):
+        assert _pair_layout(128, b, 1 << 40) is None, b
+
+
 @pytest.mark.parametrize("d", [1 << k for k in range(1, 17)])
 def test_pair_table_fits_one_tile(d):
     # Every admitted design point's table, padding included, holds at most
-    # _TILE_ELEMS pair entries and a slot for each of the d/2 pairs.
+    # a float64 tile's _TILE_BYTES // 8 pair entries and a slot for each of
+    # the d/2 pairs.
     for b in range(1, 9):
         layout = _pair_layout(d, b, 1 << 40)
-        assert (layout is not None) == (4 ** b <= _TILE_ELEMS // d), (d, b)
+        assert (layout is not None) == (4 ** b <= _TILE_BYTES // (8 * d)), (d, b)
         if layout is not None:
             g, levels, k = layout
             table = _pair_table(np.zeros((d, levels)), layout, "double")
             assert table.shape == (g, levels, k, levels) and g * k >= d // 2, (d, b)
-            assert table.size <= _TILE_ELEMS, (d, b)
+            assert table.size <= _TILE_BYTES // 8, (d, b)
 
 
 @pytest.mark.parametrize("mode, dtype", [("double", np.float64), ("fp16", np.float16)])

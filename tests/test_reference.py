@@ -12,7 +12,7 @@ import kvlut.write_path as write_path
 from kvlut.codebook import solve_codebook
 from kvlut.opcount import OpCounter
 from kvlut.reference import _dequantize_rows, dequantize_key, score_sequence_reference
-from kvlut.transform import (_TILE_ELEMS, RotationSpec, _row_tiles, inverse_rotate,
+from kvlut.transform import (_TILE_BYTES, RotationSpec, _row_tiles, inverse_rotate,
                              random_signs)
 from kvlut.write_path import QuantizedKey, _cache_rows, quantize_batch
 
@@ -100,10 +100,10 @@ def test_oracle_inverse_rotates_each_row_tile_once(monkeypatch):
 
     monkeypatch.setattr(reference, "inverse_rotate", counting)
     monkeypatch.setattr(reference, "dequantize_key", None)
-    T = 2 * (_TILE_ELEMS // D) + 1
+    T = 2 * (_TILE_BYTES // (8 * D)) + 1
     with np.errstate(invalid="ignore"):
         score_sequence_reference(np.ones(D), _cache(T + 1, seed=1)[1:], SPEC, CB)
-    assert shapes == [(tile.stop - tile.start, D) for tile in _row_tiles(T, D)]
+    assert shapes == [(tile.stop - tile.start, D) for tile in _row_tiles(T, 8 * D)]
     assert len(shapes) == 3 and sum(rows for rows, _ in shapes) == T
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import kvlut.transform as transform
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError)
 from kvlut.opcount import OpCounter
-from kvlut.transform import (_TILE_ELEMS, RotationSpec, SignVector, _row_tiles,
+from kvlut.transform import (_TILE_BYTES, RotationSpec, SignVector, _row_tiles,
                              deserialize_signs, fwht, inverse_rotate,
                              pack_sign_rom, random_signs, rotate,
                              serialize_signs, splitmix64_stream,
@@ -111,13 +111,25 @@ def test_fwht_bit_identical_to_row_butterfly(d):
     np.testing.assert_array_equal(x, before)
 
 
+@pytest.mark.parametrize("n, row_bytes, rows", [
+    (0, 8, [0]), (1025, 256, [1024, 1]), (513, 1024, [256, 256, 1]),
+    (3, 1 << 18, [1, 1, 1]), (2, 1 << 19, [1, 1]), (5, 1, [5])])
+def test_row_tiles_hold_at_most_256_kib_of_rows(n, row_bytes, rows):
+    # The budget is 2^18 bytes of the caller's widest per-row temporary,
+    # and a row wider than the budget still gets a tile of its own.
+    assert _TILE_BYTES == 1 << 18
+    tiles = list(_row_tiles(n, row_bytes))
+    assert [t.stop - t.start for t in tiles] == rows
+    assert [t.start for t in tiles] == [sum(rows[:i]) for i in range(len(rows))]
+
+
 @pytest.mark.parametrize("d", [2, 128, 1024, 2 ** 16])
 def test_fwht_and_rotations_across_row_tiles_match_the_whole_block(d):
     # fwht runs tile by tile (_row_tiles); two whole tiles and one more row
     # must give the whole-block network's bits, with the tiles' counts summed.
-    # At d = 2^16 a tile is one row.
-    T = 2 * max(1, _TILE_ELEMS // d) + 1
-    tiles = list(_row_tiles(T, d))
+    # A float64 row is 8*d bytes; at d = 2^16 a tile is one row.
+    T = 2 * max(1, _TILE_BYTES // (8 * d)) + 1
+    tiles = list(_row_tiles(T, 8 * d))
     assert len(tiles) == 3 and tiles[-1].stop - tiles[-1].start == 1
     rng = np.random.default_rng(d)
     x = rng.normal(size=(T, d)) * 10.0 ** rng.integers(-200, 201, size=(T, 1))
@@ -161,7 +173,7 @@ def test_fwht_runs_each_tile_under_a_row_length_buffer(monkeypatch, d, n):
     x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-100, 101, size=(n, 1))
     got = fwht(x)
     np.testing.assert_array_equal(got.view(np.uint64), concat_butterfly(x).view(np.uint64))
-    assert [rows for rows, _ in seen] == [t.stop - t.start for t in _row_tiles(n, d)]
+    assert [rows for rows, _ in seen] == [t.stop - t.start for t in _row_tiles(n, 8 * d)]
     assert all(size == ROW_BUFFER[rows] for rows, size in seen)
     assert np.getbufsize() == 8192
 

@@ -121,6 +121,9 @@ CASES = {
     "QuantizedKey-indices-2d": (
         lambda _: QuantizedKey(indices=np.zeros((2, D), np.uint8), norm=1.0), DIM),
     "QuantizedKey-indices-0d": (lambda _: QuantizedKey(indices=0, norm=1.0), DIM),
+    # One key holds one norm; a vector of them has no record to pack into.
+    "QuantizedKey-norm-1d": (
+        lambda _: QuantizedKey(indices=np.zeros(D, np.uint8), norm=[1.0, 2.0]), DIM),
     "PrecomputedTable-b0": (
         lambda _: PrecomputedTable(d=D, b=0, entries=np.ones((D, 1))), DIM),
     "PrecomputedTable-b9": (

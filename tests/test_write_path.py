@@ -18,7 +18,7 @@ from kvlut.errors import (CorruptCacheError, FormatError,
                           InvalidDimensionError, InvalidInputError)
 from kvlut.opcount import OpCounter
 from kvlut.reference import dequantize_key
-from kvlut.transform import _TILE_ELEMS, RotationSpec, _row_tiles, random_signs, rotate
+from kvlut.transform import _TILE_BYTES, RotationSpec, _row_tiles, random_signs, rotate
 from kvlut.write_path import (KVCache, QuantizedKey, _cell_indices, _pack_rows,
                               _unpack_rows, load_key_matrix, pack, packed_size,
                               quantize_batch, quantize_key, read_kvq, unpack, write_kvq)
@@ -148,8 +148,8 @@ def _quantize_closed_form(d, b, T):
 def test_batch_matches_per_key_route_across_row_tiles(d, b):
     cb = solve_codebook(d, b)
     spec = RotationSpec(d=d, sign=random_signs(d, b))
-    T = 2 * (_TILE_ELEMS // d) + 1
-    tiles = list(_row_tiles(T, d))
+    T = 2 * (_TILE_BYTES // (8 * d)) + 1
+    tiles = list(_row_tiles(T, 8 * d))
     assert [t.stop - t.start for t in tiles] == [T // 2, T // 2, 1]
     keys = random_keys(T, d, seed=d + b) * np.random.default_rng(b).uniform(1e-3, 1e3, (T, 1))
     # Zero keys open and close every tile.
@@ -412,14 +412,17 @@ def _bit_tensor_unpack(rows, d, b):
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16, 128, 256])
 @pytest.mark.parametrize("b", range(1, 9))
-def test_shift_or_codec_matches_the_bit_tensor_codec(d, b):
+def test_shift_or_codec_matches_the_bit_tensor_codec(monkeypatch, d, b):
     # Groups of g = 8 / gcd(8, b) indices outgrow d = 2 and 4 for odd b (and
     # d = 2 for b = 2, 6), so there the whole row is one group.  The codec
-    # runs over row tiles of at most _TILE_ELEMS words, one word per group;
-    # the last T spans two whole tiles and one more row.
+    # tiles its rows at 8 bytes a group whatever its word's width (2,048
+    # rows at d=128, b=1); the last T spans two whole tiles and one more row.
     rng = np.random.default_rng(100 * d + b)
     groups = -(-d // (8 // math.gcd(8, b)))
-    for t in (0, 1, 37, 257, 2 * (_TILE_ELEMS // groups) + 1):
+    row_bytes = []
+    monkeypatch.setattr(write_path, "_row_tiles",
+                        lambda n, rb: row_bytes.append(rb) or _row_tiles(n, rb))
+    for t in (0, 1, 37, 257, 2 * (_TILE_BYTES // (8 * groups)) + 1):
         idx = rng.integers(0, 1 << b, size=(t, d), dtype=np.uint8)
         norms = rng.integers(0, 1 << 16, size=t, dtype=np.uint16).view(np.float16)
         rows = _pack_rows(idx, norms, b)
@@ -434,6 +437,7 @@ def test_shift_or_codec_matches_the_bit_tensor_codec(d, b):
             np.testing.assert_array_equal(got_idx, want_idx)
             np.testing.assert_array_equal(got_norms.view(np.uint16),
                                           want_norms.view(np.uint16))
+    assert set(row_bytes) == {8 * groups}
 
 
 def test_codec_rejects_a_width_no_uint8_index_fills():
@@ -526,7 +530,7 @@ def test_only_half_norms_rounds_a_norm_to_half():
 
 def test_half_cast_check_catches_a_second_rounding():
     source = Path(write_path.__file__).read_text()
-    rounded = "_half_norms(self.norm)[()]"
+    rounded = "_half_norms(self.norm)"
     assert source.count(rounded) == 1
     faults = _half_cast_faults(source.replace(rounded, "np.float16(self.norm)"))
     assert [scope for scope, _ in faults] == ["__post_init__"]
@@ -577,10 +581,11 @@ def _old_unit_rows(keys):
 def test_quantize_batch_normalizes_zero_and_underflowing_rows_as_before(monkeypatch):
     # A zero row, a -0.0 row and a row whose norm underflows to 0 are rotated
     # as they are, bit for bit as the old two-np.where normalization did.
-    T = 2 * (_TILE_ELEMS // D) + 1
+    tile = _TILE_BYTES // (8 * D)
+    T = 2 * tile + 1
     keys = random_keys(T, seed=8)
     keys[3] = 0.0
-    keys[_TILE_ELEMS // D] = -0.0
+    keys[tile] = -0.0
     keys[T - 1] = 1e-170
     keys[T - 1, ::3] = -1e-170
     rotated = []
@@ -591,17 +596,17 @@ def test_quantize_batch_normalizes_zero_and_underflowing_rows_as_before(monkeypa
 
     monkeypatch.setattr(write_path, "rotate", spy)
     idx, norms = quantize_batch(keys, SPEC, CB)
-    assert not norms[[3, _TILE_ELEMS // D, T - 1]].any()
+    assert not norms[[3, tile, T - 1]].any()
     unit = np.concatenate(rotated)
     np.testing.assert_array_equal(unit.view(np.uint64), _old_unit_rows(keys).view(np.uint64))
-    assert np.signbit(unit[_TILE_ELEMS // D]).all()
+    assert np.signbit(unit[tile]).all()
     np.testing.assert_array_equal(
         idx, np.searchsorted(CB.boundaries, rotate(SPEC, _old_unit_rows(keys)), side="right"))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_key_in_the_last_tile_leaves_the_counter_alone(bad, monkeypatch):
-    T = 2 * (_TILE_ELEMS // D) + 1
+    T = 2 * (_TILE_BYTES // (8 * D)) + 1
     keys = random_keys(T, seed=9)
     keys[T - 1, D - 1] = bad
     monkeypatch.setattr(write_path, "rotate", None)  # no tile reaches the kernel
