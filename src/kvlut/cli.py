@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import sys
 
 import numpy as np
 
@@ -233,11 +234,15 @@ def _cmd_simulate_attention(args) -> int:
     d = cb.d
     spec = RotationSpec(d=d, sign=rom.layer(layer_id))
     scores, counter = score_sequence(qmat[0], cache, spec, cb, mode=args.mode)
+    saturated = np.flatnonzero(~np.isfinite(scores))
+    if saturated.size:
+        print(f"warning: {saturated.size} of {len(cache)} {args.mode} scores are not "
+              f"finite; the first is key {saturated[0]}", file=sys.stderr)
     payload = {
         "d": d, "b": cb.b, "T": len(cache), "layer": layer_id,
         "mode": args.mode,
         "scores": [float(s) for s in scores],
-        "saturated": int(np.count_nonzero(~np.isfinite(scores))),
+        "saturated": int(saturated.size),
         "ops": counter.to_dict(),
     }
     if args.reference:

@@ -124,9 +124,9 @@ def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
     """(G, L, K) of the (G, L, K, L) pair table for n keys of width d, or None.
 
     L = 2^b, K = 256 >> b and G = ceil((d/2) / K).  None, for the single
-    gather, when the table would outgrow one tile's gather or n keys would
-    not repay its build.  Both bounds count rows of a float64 tile,
-    _TILE_BYTES // 8d (256 at d=128).
+    gather, when the table would outgrow one float64 tile's gather or n keys
+    would not repay its build.  Both bounds still count rows of a float64
+    tile, _TILE_BYTES // 8d (256 at d=128), not rows of a scoring tile.
     """
     rows = _TILE_BYTES // (8 * d)
     if 4 ** b > rows or n < max(rows, 4 ** (b + 1)):
@@ -135,39 +135,39 @@ def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
     return -(-d // (2 * k)), levels, k
 
 
-def _pair_table(cols: np.ndarray, layout: tuple[int, int, int], mode: str,
-                scale: bool = True) -> np.ndarray:
+def _pair_table(cols: np.ndarray, layout: tuple[int, int, int],
+                scale: bool | None = None) -> np.ndarray:
     """The pair table of a (d, L) column table, built straight into its layout.
 
     Entry [g, c, k, a] belongs to pair i = g*K + k, coordinates (2i, 2i+1) at
-    cells (a, c).  "double" stores the 16-byte record (cols[2i, a],
-    cols[2i+1, c]) as one complex128; "fp16" stores their sum rounded to
-    half (_round_half with the given scale), the adder tree's first level.
-    Pairs past d/2 (K > d/2) stay zero.
+    cells (a, c), and holds the adder tree's first level, cols[2i, a] +
+    cols[2i+1, c], in cols' dtype: as it is when scale is None (double),
+    else rounded to half by _round_half with that scale (fp16).  Pairs past
+    d/2 (K > d/2) stay zero.
     """
     g, levels, k = layout
     h = cols.shape[0] // (2 * g)
     even = cols[0::2].reshape(g, 1, h, levels)
     odd = cols[1::2].reshape(g, h, levels).transpose(0, 2, 1)[..., None]
-    if mode == "double":
-        table = np.zeros((g, levels, k, levels), np.complex128)
-        table.real[:, :, :h] = even
-        table.imag[:, :, :h] = odd
-    else:
-        table = np.zeros((g, levels, k, levels), np.float32)
-        np.add(even, odd, out=table[:, :, :h])
+    table = np.zeros((g, levels, k, levels), cols.dtype)
+    np.add(even, odd, out=table[:, :, :h])
+    if scale is not None:
         _round_half(table, scale)
     return table
 
 
-def _gather_offsets(cache: KVCache, b: int) -> tuple[tuple[int, int, int] | None, np.ndarray]:
-    """(layout, offsets) of the cache's gather into a b-bit table, built once per b.
+def _gather_offsets(cache: KVCache, b: int) -> tuple[tuple[int, int, int] | None, list]:
+    """(layout, tiles) of the cache's gather into a b-bit table, built once per b.
 
     The first call at b checks the indices (write_path._check_indices: a
     corrupt cache raises CorruptCacheError on every query and stores
-    nothing), picks the gather with _pair_layout and builds the flat intp
-    offsets of every row into that gather's table.  The cache keeps both;
-    later calls at b return them.
+    nothing), picks the gather with _pair_layout (P = d offsets a key, or
+    d/2 paired) and keeps, per row tile of _row_tiles(n, 4*P) (_TILE_BYTES
+    of the fp16 tree's float32 partials), one C-contiguous (P, m) intp
+    block: column j holds key j's offsets, and row p the offset of slot
+    rev(p), the log2(P)-bit reversal of p, from one strided copy of the
+    rows viewed as (m, 2, ..., 2) with the bit axes reversed, plus the
+    base in that order.  Later calls at b return what the cache keeps.
     """
     memo = cache._gathers.get(b)
     if memo is None:
@@ -182,7 +182,14 @@ def _gather_offsets(cache: KVCache, b: int) -> tuple[tuple[int, int, int] | None
             i = np.arange(d // 2, dtype=np.intp)
             base = i % k * levels + i // k * (levels << 8)
             idx = idx.view("<u2")
-        memo = cache._gathers[b] = (layout, idx + base)
+        p, bits = base.size, (2,) * (base.size.bit_length() - 1)
+        axes = tuple(range(len(bits), -1, -1))
+        base = base.reshape((1,) + bits).transpose(axes)
+        tiles = []
+        for rows in _row_tiles(n, 4 * p):
+            cols = idx[rows].reshape((rows.stop - rows.start,) + bits).transpose(axes)
+            tiles.append((rows, np.add(cols, base, order="C").reshape(p, -1)))
+        memo = cache._gathers[b] = (layout, tiles)
     return memo
 
 
@@ -190,69 +197,58 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
                 counter: OpCounter | None) -> np.ndarray:
     """Score the T keys of a cache, (T, d) indices and (T,) half norms, tile by tile.
 
-    The cache comes from _cache_rows, which checks its width against the
-    table; its rows are C-contiguous.  The gather offsets depend on the
-    cache and b only, so the cache owns them (_gather_offsets): the first
-    query at b lays them out, and every query then only builds its table.
-    Each row tile (transform._row_tiles) gathers its table entries with
-    one take of its rows' offsets, sums them and writes its scores into the
-    preallocated (T,) output, so no temporary outgrows a tile.  A tile is
-    sized by its gathered row's bytes, offsets per row times the table's
-    itemsize: 8*d in "double" on either gather, 4*d in "fp16" on the single
-    gather and 2*d on the pair gather, whose float32 rows are narrowest.
-    Every step is row by row, so the tiling changes no bit.
+    Both modes run one loop over the tiles the cache keeps (_gather_offsets):
+    take the keys' table entries, sum them in the balanced adder tree,
+    multiply by the norms.  Single gather: entry (i, idx) sits at offset
+    idx + i*2^b of the (d, 2^b) table.  Pair gather: a row viewed as
+    little-endian uint16 holds a | c << 8 for each coordinate pair (a, c) =
+    (idx[2i], idx[2i+1]), so with L = 2^b and K = 256 >> b, pair i's entry
+    sits at (a | c << 8) + (i % K)*L + (i // K)*(L << 8) in the table
+    _pair_table builds per query, whose entries are the tree's first level.
 
-    Single gather: entry (i, idx) sits at offset idx + i*2^b of the (d, 2^b)
-    table, d offsets per row.  Pair gather, when _pair_layout admits the
-    input: a row viewed as little-endian uint16 holds a | c << 8 for each
-    coordinate pair (a, c) = (idx[2i], idx[2i+1]), so with L = 2^b and K =
-    256 >> b, pair i's entry sits at offset (a | c << 8) + (i % K)*L +
-    (i // K)*(L << 8) of the interleaved table that _pair_table builds once
-    per query: d/2 offsets per row.  In "double" the gathered complex
-    records viewed as float64 are exactly the single gather's (rows, d)
-    block, so the sum runs in the same order on the same values.  In
-    "fp16" each pair entry is the tree's first level, computed as the tree
-    computes it, and the remaining levels run as before.  The gate (see
-    _pair_layout) keeps the table within one tile's gather.
-
-    "fp16" rounds as score_key_fp16 describes, on a float32 copy of the
-    half-rounded table: a float32 sum of two halves rounded to half is the
-    correctly rounded half sum (24 >= 2*11 + 2 bits), and the only NaN the
-    tree makes, inf + -inf, has one payload, so every level matches half
-    arithmetic bit for bit.  Each level rounds its partial sums with
-    _round_half on their float32 bits, not through a float16 cast: every
-    partial is a sum of two halves, so a multiple of 2^-24, which is the
-    precondition under which that rounding is exact.  The levels skip the
-    overflow scale when _tree_needs_scale proves no partial can reach inf
-    for this query's table.
+    Each tile takes its entries into one buffer per query, a (P, m) block
+    whose row p holds slot rev(p) of its m keys (mode="clip" skips numpy's
+    bounds-checked copy; the offsets come from checked indices), so slots
+    rev(p) and rev(p + P/2) = rev(p) + 1 are a tree pair.  Each level adds
+    the block's second half into its first in place, one contiguous add
+    that allocates nothing, and its sums stay in bit-reversed order, so
+    every key sums ((x0 + x1) + (x2 + x3)) + ... in the hardware's order,
+    whatever the gather and the tiling.  "double" adds in float64; "fp16"
+    differs only in rounding, as score_key_fp16 describes, on a float32
+    copy of the half-rounded table.  A float32 sum of two halves rounded
+    to half is the correctly rounded half sum (24 >= 2*11 + 2 bits), and
+    the tree's only NaN, inf + -inf, has one payload, so every level
+    matches half arithmetic bit for bit.  _round_half rounds on the float32
+    bits, exact because every partial is a sum of two halves, so a
+    multiple of 2^-24; it skips the overflow scale when _tree_needs_scale
+    proves no partial can reach inf.  The float32 product of the root and a
+    half norm is exact, so writing it into the float16 output rounds once.
 
     Both modes run under one np.errstate: a +inf norm marks an overflowed
     key, which scores inf (NaN when its gathered sum is 0) without a warning.
     """
-    layout, offsets = _gather_offsets(cache, tbl.b)
-    n, norms = len(cache), cache.norms
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "double":
-            table = tbl.entries if layout is None else _pair_table(tbl.entries, layout, mode)
-            scores = np.empty(n)
-            for rows in _row_tiles(n, offsets.shape[1] * table.itemsize):
-                acc = table.take(offsets[rows]).view(np.float64)
-                scores[rows] = acc.sum(axis=1) * norms[rows].astype(np.float64)
+            table, scale, scores = tbl.entries, None, np.empty(len(cache))
         elif mode == "fp16":
-            scores = np.empty(n, dtype=np.float16)
             table = tbl.entries.astype(np.float16).astype(np.float32)
-            scale = _tree_needs_scale(table)
-            if layout is not None:
-                table = _pair_table(table, layout, mode, scale)
-            for rows in _row_tiles(n, offsets.shape[1] * table.itemsize):
-                acc = table.take(offsets[rows])
-                while acc.shape[1] > 1:
-                    acc = acc[:, 0::2] + acc[:, 1::2]
-                    _round_half(acc, scale)
-                scores[rows] = acc[:, 0].astype(np.float16) * norms[rows]
+            scale, scores = _tree_needs_scale(table), np.empty(len(cache), np.float16)
         else:
             raise InvalidInputError(f"unknown scoring mode {mode!r}")
+        layout, tiles = _gather_offsets(cache, tbl.b)
+        if layout is not None:
+            table = _pair_table(table, layout, scale)
+        buf = np.empty(tiles[0][1].size, table.dtype)
+        for rows, block in tiles:
+            acc = table.take(block, out=buf[:block.size].reshape(block.shape), mode="clip")
+            while len(acc) > 1:
+                h = len(acc) // 2
+                acc = np.add(acc[:h], acc[h:], out=acc[:h])
+                if scale is not None:
+                    _round_half(acc, scale)
+            np.multiply(acc[0], cache.norms[rows], out=scores[rows])
     if counter is not None:
+        n = len(scores)
         counter.add("score", mults=n, adds=n * (tbl.d - 1), lookups=n * tbl.d)
     return scores
 

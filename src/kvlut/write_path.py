@@ -200,8 +200,9 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
 # -- packed record --------------------------------------------------------
 
 def packed_size(d: int, b: int) -> int:
-    """Bytes per stored key: ceil(d*b/8) index bytes + 2 norm bytes."""
-    return (d * b + 7) // 8 + 2
+    """Bytes per stored key: _record_groups' G*n = ceil(d*b/8) index bytes + 2 norm bytes."""
+    _, n, groups, _ = _record_groups(d, b)
+    return groups * n + 2
 
 
 def _cache_rows(keys: Sequence[QuantizedKey], d: int) -> KVCache:
@@ -304,7 +305,6 @@ def pack(qk: QuantizedKey, b: int) -> bytes:
 
 def unpack(data: bytes, d: int, b: int) -> QuantizedKey:
     """Inverse of pack for a d-coordinate, b-bit record; (d, b) is checked before its length."""
-    _validate_design_point(d, b)
     expected = packed_size(d, b)
     if len(data) != expected:
         raise FormatError(
@@ -346,10 +346,9 @@ def read_kvq(path) -> tuple[KVCache, int, int, int]:
     if version != _KVQ_VERSION:
         raise CorruptCacheError(f"unsupported cache version {version}")
     try:
-        _validate_design_point(d, b)
+        record = packed_size(d, b)
     except InvalidDimensionError as exc:
         raise CorruptCacheError(f"bad cache header: {exc}") from exc
-    record = packed_size(d, b)
     expected = _KVQ_HEADER.size + count * record
     if len(data) != expected:
         raise FormatError(

@@ -152,9 +152,10 @@ def test_quantize_has_no_comparator_flag(workspace, capsys):
     assert json.loads((workspace / "q.json").read_text())["comparator"] == "flat"
 
 
-def test_simulate_fp16_mode(workspace):
+def test_simulate_fp16_mode(workspace, capsys):
     _build_pipeline(workspace)
     sim = workspace / "sim16.json"
+    capsys.readouterr()
     assert run(workspace, "simulate-attention", "--query", workspace / "query.npy",
                "--cache", workspace / "c.kvq", "--signs", workspace / "s.sgnrom",
                "--codebook", workspace / "cb.cbrom", "--mode", "fp16",
@@ -162,6 +163,37 @@ def test_simulate_fp16_mode(workspace):
     payload = json.loads(sim.read_text())
     assert payload["mode"] == "fp16"
     assert payload["saturated"] == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_simulate_names_its_first_saturated_key(workspace, capsys):
+    # Keys 0-4 have norms near 11 and the rest near 1e4, so under a query of
+    # norm about 1e3 only the later keys' half scores pass 65504.
+    _build_pipeline(workspace)
+    rng = np.random.default_rng(6)
+    keys = rng.normal(size=(30, D))
+    keys[5:] *= 1e3
+    np.save(workspace / "big.npy", keys)
+    np.save(workspace / "bigq.npy", rng.normal(size=(1, D)) * 100)
+    roms = ["--signs", workspace / "s.sgnrom", "--codebook", workspace / "cb.cbrom"]
+    assert run(workspace, "quantize", "--keys", workspace / "big.npy", *roms,
+               "--out", workspace / "big.kvq") == 0
+    sim = ["simulate-attention", "--query", workspace / "bigq.npy",
+           "--cache", workspace / "big.kvq", *roms]
+    for mode in ("fp16", "double"):
+        capsys.readouterr()
+        report = workspace / f"{mode}.json"
+        assert run(workspace, *sim, "--mode", mode, "--report", report) == 0
+        payload = json.loads(report.read_text())
+        bad = [i for i, s in enumerate(payload["scores"]) if not np.isfinite(s)]
+        assert payload["saturated"] == len(bad)
+        err = capsys.readouterr().err
+        if mode == "double":
+            assert not bad and err == ""
+        else:
+            assert len(bad) >= 10 and bad[0] >= 5
+            assert err == (f"warning: {len(bad)} of 30 fp16 scores are not finite; "
+                           f"the first is key {bad[0]}\n")
 
 
 def test_quantize_empty_keys(workspace):

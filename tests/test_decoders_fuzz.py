@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kvlut.codebook import deserialize_rom, rom_size
 from kvlut.errors import KvlutError
 from kvlut.transform import unpack_sign_rom
-from kvlut.write_path import packed_size, read_kvq
+from kvlut.write_path import read_kvq
 
 
 def _parses_or_kvlut_error(decode, data):
@@ -71,14 +71,16 @@ def kvq_images(draw):
     version = draw(st.sampled_from([1, 1, 2]))
     header = struct.pack("<4sBBIII", b"KVQC", version, b, d, count,
                          draw(st.integers(0, 2 ** 32 - 1)))
+    # Records are sized here, not by packed_size, which has no size for an
+    # off-design (d, b).
+    record = (d * b + 7) // 8 + 2
     if d <= 8 and draw(st.booleans()):
         # Well-formed records whose norm is one of the edge values.
         body = b"".join(
-            draw(st.binary(min_size=packed_size(d, b) - 2,
-                           max_size=packed_size(d, b) - 2))
+            draw(st.binary(min_size=record - 2, max_size=record - 2))
             + draw(st.sampled_from(_NORMS)) for _ in range(count))
         return header + body
-    exact = count * packed_size(d, b) if d <= 8 else 0
+    exact = count * record if d <= 8 else 0
     size = draw(st.sampled_from([exact, draw(st.integers(0, 40))]))
     return header + draw(st.binary(min_size=size, max_size=size))
 

@@ -24,7 +24,7 @@ GOLDEN = {
     "q.json":
         "7081ec243faf3672191c710d3f386452b325ba91f171502ed993cfcf01e47ced",
     "ref.json":
-        "f404b3d237243356f5b77f8ed5f96cb82bdff2f2995e0f5cc25d5d4cce14e212",
+        "653ad4b5d6e3c7630343f316426ddb54b54e274a3ad7e00393c6b5b947d86866",
     "fp16.json":
         "c502123d74cbb39d77c7132851a925e281eb338dbb24218f90077a2b00ff2892",
 }

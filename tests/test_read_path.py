@@ -2,6 +2,9 @@
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,6 +29,21 @@ from kvlut.write_path import (KVCache, QuantizedKey, _cache_rows, quantize_batch
 D, B = 128, 3
 CB = solve_codebook(D, B)
 SPEC = RotationSpec(d=D, sign=random_signs(D, 4))
+
+
+def _tree_double(entries, indices, norms):
+    # Per-key double datapath in plain Python floats, independent of numpy's
+    # reductions: gather, a balanced tree pairing (2i, 2i+1) level by level,
+    # then the norm.  (T, d) indices and (T,) norms give (T,) scores, and
+    # (d,) indices with a scalar norm one.  Each level is a list of columns,
+    # one float per key, so every key's tree runs the same Python additions.
+    idx = np.asarray(indices)
+    rows = idx.reshape(-1, idx.shape[-1])
+    level = entries[np.arange(entries.shape[0]), rows].T.tolist()
+    while len(level) > 1:
+        level = [[x + y for x, y in zip(a, c)] for a, c in zip(level[0::2], level[1::2])]
+    norms = np.ravel(norms).astype(np.float64).tolist()
+    return np.array([s * n for s, n in zip(level[0], norms)]).reshape(idx.shape[:-1])
 
 
 def make_cache(n, seed=0):
@@ -55,9 +73,8 @@ def test_score_key_equals_manual_gather_sum():
     tbl = precompute_table(q, SPEC, CB)
     (qk,) = make_cache(1, seed=7)
     got = score_key(tbl, qk)
-    rows = np.arange(D)
-    want = float(tbl.entries[rows, qk.indices].sum() * float(qk.norm))
-    assert got == want
+    want = float(_tree_double(tbl.entries, qk.indices, qk.norm))
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 @pytest.mark.parametrize("T", [8, 300])
@@ -353,8 +370,7 @@ def test_double_sequence_matches_per_key_gather_sum():
         q = rng.normal(size=d)
         got, _ = score_sequence(q, cache, spec, cb)
         tbl = precompute_table(q, spec, cb)
-        want = np.array([tbl.entries[np.arange(d), qk.indices].sum() * float(qk.norm)
-                         for qk in cache])
+        want = np.array([_tree_double(tbl.entries, qk.indices, qk.norm) for qk in cache])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
                                       f"d={d}, b={b}")
 
@@ -370,11 +386,17 @@ def _score_closed_form(d, b, T):
 @pytest.mark.parametrize("b", [1, 3, 8])
 @pytest.mark.parametrize("d", [128, 256])
 def test_sequence_matches_per_key_route_across_row_tiles(d, b):
-    # T spans two float64 row tiles and one row: the double gather's tiles.
+    # T spans two whole scoring tiles and one row.  Both modes score over
+    # one set of tiles, _row_tiles(T, 4*P) with P = d/2 offsets a key on the
+    # pair gather (b <= 3 here) and d on the single one (b=8).
     cb, spec = _design(d, b)
-    T = 2 * (_TILE_BYTES // (8 * d)) + 1
-    tiles = list(_row_tiles(T, 8 * d))
-    assert [t.stop - t.start for t in tiles] == [T // 2, T // 2, 1]
+    paired = b <= 3
+    p = d // 2 if paired else d
+    rows = _TILE_BYTES // (4 * p)
+    T = 2 * rows + 1
+    assert (_pair_layout(d, b, T) is not None) == paired
+    tiles = list(_row_tiles(T, 4 * p))
+    assert [t.stop - t.start for t in tiles] == [rows, rows, 1]
     rng = np.random.default_rng(5 * d + b)
     n = d // 8
     q = rng.normal(size=d)
@@ -388,6 +410,10 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
         tbl = precompute_table(q, spec, cb)
         hi, lo = (np.argmax(tbl.entries, axis=1).astype(np.uint8),
                   np.argmin(tbl.entries, axis=1).astype(np.uint8))
+        if kind == "zero":
+            # Every entry is +-0.0 (0 * c); keys "against" the query take the
+            # -0.0 ones, so they sum -0.0 in both modes.
+            lo = np.argmax(np.signbit(tbl.entries), axis=1).astype(np.uint8)
         idx = rng.integers(0, 2**b, size=(T, d), dtype=np.uint8)
         norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
         # Each tile opens on a saturating key (aligned with the query, norm
@@ -407,9 +433,7 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
         where = f"d={d}, b={b}, query={kind}"
         with np.errstate(over="ignore", invalid="ignore"):
             got, ctr = score_sequence(q, cache, spec, cb)
-            gather = tbl.entries[np.arange(d), idx].sum(axis=1) * norms.astype(np.float64)
-            want = np.array([tbl.entries[np.arange(d), qk.indices].sum() * float(qk.norm)
-                             for qk in cache])
+            want = _tree_double(tbl.entries, idx, norms)
             singles = np.array([score_key(tbl, qk) for qk in cache])
             got16, ctr16 = score_sequence(q, cache, spec, cb, mode="fp16")
             want16 = np.array([_tree_fp16(tbl.entries, qk.indices, qk.norm) for qk in cache],
@@ -418,7 +442,8 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
             for t in (0, 1):
                 assert score_sequence(q, cache[:t], spec, cb)[1].to_dict() == \
                     _score_closed_form(d, b, t), where
-        for other in (want, singles, gather):
+        assert [r for r, _ in cache._gathers[b][1]] == tiles, where
+        for other in (want, singles):
             np.testing.assert_array_equal(got.view(np.uint64), other.view(np.uint64), where)
         for other in (want16, singles16):
             np.testing.assert_array_equal(got16.view(np.uint16), other.view(np.uint16), where)
@@ -430,6 +455,9 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
             assert np.all(got16[[i + 1 for i in firsts[:2]]] == -np.inf), where
         else:
             assert np.all(np.isnan(got[firsts])) and np.all(np.isnan(got16[firsts])), where
+            for scores in (got, got16):
+                lows = scores[[i + 1 for i in firsts[:2]]]
+                assert np.all(lows == 0) and np.all(np.signbit(lows)), where
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -484,7 +512,7 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
             if layout is not None and kind in ("peak", "over"):
                 with np.errstate(over="ignore", invalid="ignore"):
                     half = tbl.entries.astype(np.float16).astype(np.float32)
-                    pairs = _pair_table(half, layout, "fp16")
+                    pairs = _pair_table(half, layout, True)
                 assert np.isposinf(pairs).any(), where
                 assert np.isnan(pairs).any() == (kind == "over"), where
             got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
@@ -492,8 +520,7 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = score_sequence(q, cache, spec, cb)[0]
                 listed = score_sequence(q, keys, spec, cb)[0]
-                want = tbl.entries[np.arange(d), cache.indices].sum(axis=1) \
-                    * cache.norms.astype(np.float64)
+                want = _tree_double(tbl.entries, cache.indices, cache.norms)
                 want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
                 sample = [*range(8), *range(T - 2, T)]
                 singles = np.array([score_key(tbl, cache[i]) for i in sample])
@@ -528,19 +555,20 @@ def _recorded_tiles(monkeypatch):
 
 @pytest.mark.parametrize("d, b", [(2, 1), (2, 8), (128, 3), (128, 8), (256, 3), (256, 8)])
 def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d, b):
-    # An fp16 tile holds _TILE_BYTES of gathered float32 rows: 2*d bytes a
-    # row on the pair gather (b <= 3 here) and 4*d on the single one (b=8),
-    # so T spans two whole fp16 tiles and one row.  The first and last rows
-    # of every tile hold a saturating key, a +inf norm, a zero norm and a
-    # key whose tree sums +inf beside -inf.
+    # A scoring tile holds _TILE_BYTES of the fp16 tree's float32 partials:
+    # 4*P bytes a key, with P = d/2 offsets on the pair gather (b <= 3 here)
+    # and d on the single one (b=8), so T spans two whole tiles and one row.
+    # The double tree runs over the same tiles.  The first and last rows of
+    # every tile hold a saturating key, a +inf norm, a zero norm and a key
+    # whose tree sums +inf beside -inf.
     cb, spec = _design(d, b)
     paired = b <= 3
-    row_bytes = (2 if paired else 4) * d
-    rows16 = _TILE_BYTES // row_bytes
-    T = 2 * rows16 + 1
+    p = d // 2 if paired else d
+    rows = _TILE_BYTES // (4 * p)
+    T = 2 * rows + 1
     assert (_pair_layout(d, b, T) is not None) == paired
-    tiles = list(_row_tiles(T, row_bytes))
-    assert [t.stop - t.start for t in tiles] == [rows16, rows16, 1]
+    tiles = list(_row_tiles(T, 4 * p))
+    assert [t.stop - t.start for t in tiles] == [rows, rows, 1]
     rng = np.random.default_rng(11 * d + b)
     n = max(1, d // 8)
     top = cb.centroids[-1]
@@ -570,42 +598,107 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
         tbl = precompute_table(q, spec, cb)
         where = f"d={d}, b={b}, query={kind}"
         got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
-        assert calls.pop() == (T, row_bytes, [rows16, rows16, 1]), where
+        got = score_sequence(q, cache, spec, cb)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
+            want = _tree_double(tbl.entries, cache.indices, cache.norms)
+            singles = np.array([score_key(tbl, cache[r]) for r in edges])
         singles16 = np.array([score_key_fp16(tbl, cache[r]).value for r in edges])
         np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
         np.testing.assert_array_equal(got16[edges].view(np.uint16),
                                       singles16.view(np.uint16), where)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), where)
+        np.testing.assert_array_equal(got[edges].view(np.uint64), singles.view(np.uint64),
+                                      where)
         if kind == "peak":
             starts = [t.start for t in tiles]
             assert np.all(got16[starts] == np.inf), where
             assert np.all(got16[[s + 1 for s in starts[:2]]] == -np.inf), where
             assert np.all(np.isnan(got16[[s + k for s in starts[:2] for k in (2, 3)]])), where
+    # The first query laid the tiles out, once for both modes and every query
+    # (the one-key calls are score_key's).
+    assert [c for c in calls if c[0] == T] == [(T, 4 * p, [rows, rows, 1])]
+    assert [r for r, _ in cache._gathers[b][1]] == tiles
+
+
+def _bit_reversal(p):
+    # rev[j] is the log2(p)-bit reversal of j, by string reversal.
+    k = p.bit_length() - 1
+    return np.array([int(format(j, f"0{k}b")[::-1], 2) if k else 0 for j in range(p)])
 
 
 @pytest.mark.parametrize("d, b, T, paired", [(128, 3, 4096, True), (128, 8, 4096, False),
                                              (2, 1, 1 << 15, True), (2, 8, 1 << 15, False)])
 def test_each_tile_holds_256_kib_of_gathered_rows(monkeypatch, d, b, T, paired):
-    # A tile's row_bytes is its gathered row's bytes: d float64 entries or
-    # d/2 complex128 pair records (8*d either way) in "double"; d float32
-    # entries (4*d) or d/2 float32 pair sums (2*d) in "fp16".
+    # One tile rule serves both modes, _row_tiles(T, 4*P) with P offsets a
+    # key (d/2 paired, d single): a whole tile holds _TILE_BYTES of the fp16
+    # tree's float32 partials, and twice that of double's float64 partials
+    # and of its intp offsets.  A tile's offsets are one C-contiguous (P, m)
+    # block: column j is the tile's key j, row p the offset of its slot
+    # rev(p), the log2(P)-bit reversal of p, so the tree's halves pair slots
+    # (2i, 2i+1).
     assert (_pair_layout(d, b, T) is not None) == paired
     cb, spec = _design(d, b)
-    cache = KVCache(np.zeros((T, d), np.uint8), np.ones(T, np.float16))
+    idx = np.random.default_rng(d + b).integers(0, 2 ** b, size=(T, d), dtype=np.uint8)
+    cache = KVCache(idx, np.ones(T, np.float16))
     calls = _recorded_tiles(monkeypatch)
     for mode in ("double", "fp16"):
         score_sequence(np.ones(d), cache, spec, cb, mode)
-    offsets = cache._gathers[b][1]
-    assert offsets.shape[1] == (d // 2 if paired else d)
-    (_, double, tiles), (_, fp16, tiles16) = calls
-    assert double == 8 * d and fp16 == (2 if paired else 4) * d
-    assert fp16 == offsets.shape[1] * np.dtype(np.float32).itemsize
-    if d == 128:
-        # 256 float64 rows a tile; fp16 runs 4 tiles of 1,024 pair rows or
-        # 8 of 512 single rows.
-        assert tiles == [256] * 16
-        assert tiles16 == ([1024] * 4 if paired else [512] * 8)
+    p = d // 2 if paired else d
+    ((n, row_bytes, heights),) = calls
+    assert (n, row_bytes) == (T, 4 * p)
+    # 1,024 pair rows or 512 single rows a tile at d=128; at d=2 one tile,
+    # half of a pair tile's 65,536 rows or a whole single tile.
+    assert heights == {(128, 3): [1024] * 4, (128, 8): [512] * 8,
+                       (2, 1): [T], (2, 8): [T]}[d, b]
+    layout, tiles = cache._gathers[b]
+    rev = _bit_reversal(p)
+    if paired:
+        _, levels, k = layout
+        slots = idx.view("<u2").astype(np.intp)
+        base = rev % k * levels + rev // k * (levels << 8)
+    else:
+        slots = idx.astype(np.intp)
+        base = rev << b
+    for (rows, block), m in zip(tiles, heights):
+        assert block.dtype == np.intp and block.flags.c_contiguous
+        assert block.shape == (p, m) and 4 * block.size <= _TILE_BYTES
+        np.testing.assert_array_equal(block, slots[rows][:, rev].T + base[:, None])
+
+
+# Scores 21 queries at T=4096, d=128 in a fresh interpreter and prints the
+# minor page faults per query after the first, which lays out the offsets.
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from kvlut.codebook import solve_codebook
+from kvlut.read_path import score_sequence
+from kvlut.transform import RotationSpec, random_signs
+from kvlut.write_path import KVCache, quantize_batch
+b, mode = int(sys.argv[1]), sys.argv[2]
+cb, spec = solve_codebook(128, b), RotationSpec(d=128, sign=random_signs(128, 1))
+rng = np.random.default_rng(b)
+cache = KVCache(*quantize_batch(rng.normal(size=(4096, 128)), spec, cb))
+queries = rng.normal(size=(21, 128))
+score_sequence(queries[0], cache, spec, cb, mode)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for q in queries[1:]:
+    score_sequence(q, cache, spec, cb, mode)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.parametrize("mode", ["double", "fp16"])
+@pytest.mark.parametrize("b", [3, 5])
+def test_decode_queries_take_no_page_faults_in_a_fresh_process(b, mode):
+    # b=3 runs the pair gather and b=5 the single one.  Every tile temporary
+    # is at most 512 KiB, so after the warm-up query the allocator serves
+    # them from the heap instead of mapping and faulting them in again.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(b), mode],
+                          env=env, capture_output=True, text=True, check=True)
+    assert float(done.stdout.split()[-1]) < 1, done.stdout
 
 
 def test_pair_gate_counts_float64_tile_rows():
@@ -628,8 +721,9 @@ def test_pair_table_fits_one_tile(d):
         assert (layout is not None) == (4 ** b <= _TILE_BYTES // (8 * d)), (d, b)
         if layout is not None:
             g, levels, k = layout
-            table = _pair_table(np.zeros((d, levels)), layout, "double")
+            table = _pair_table(np.zeros((d, levels)), layout)
             assert table.shape == (g, levels, k, levels) and g * k >= d // 2, (d, b)
+            assert table.dtype == np.float64, (d, b)
             assert table.size <= _TILE_BYTES // 8, (d, b)
 
 
@@ -658,8 +752,7 @@ def _assert_scores_per_key(tbl, cache):
         np.testing.assert_array_equal(got[mode].view(view), again.view(view), mode)
     d, rows = tbl.d, list(range(min(6, len(cache))))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = tbl.entries[np.arange(d), cache.indices].sum(axis=1) \
-            * cache.norms.astype(np.float64)
+        want = _tree_double(tbl.entries, cache.indices, cache.norms)
         want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
         singles = np.array([score_key(tbl, cache[r]) for r in rows])
     singles16 = np.array([score_key_fp16(tbl, cache[r]).value for r in rows])
@@ -686,14 +779,18 @@ def test_cache_keeps_its_gather_offsets_per_bit_width(T):
                   for s in (1.0, 300.0)] for b in (3, 4)}
     for b in (3, 4):
         for k, tbl in enumerate(tables[b]):
-            # The second query at b finds the offsets the first one built.
+            # The second query at b finds the tiles the first one laid out.
             _assert_scores_per_key(tbl, cache)
-            layout, offsets = cache._gathers[b]
-            assert (layout is None) == (_pair_layout(D, b, T) is None)
-            assert offsets.dtype == np.intp and offsets.shape == (T, D if layout is None
-                                                                  else D // 2)
             if k:
-                assert cache._gathers[b][1] is offsets
+                assert cache._gathers[b] is memo
+            memo = cache._gathers[b]
+            layout, tiles = memo
+            assert (layout is None) == (_pair_layout(D, b, T) is None)
+            p = D if layout is None else D // 2
+            assert [rows for rows, _ in tiles] == list(_row_tiles(T, 4 * p))
+            for rows, block in tiles:
+                assert block.dtype == np.intp and block.flags.c_contiguous
+                assert block.shape == (p, rows.stop - rows.start)
     assert set(cache._gathers) == {3, 4}
     # A slice is a new cache with its own offsets; a list is stacked into one.
     part = cache[1:T - 1]
@@ -707,6 +804,37 @@ def test_cache_keeps_its_gather_offsets_per_bit_width(T):
         listed = _score_rows(tables[4][0], _cache_rows(keys, D), mode, None)
         held = _score_rows(tables[4][0], cache, mode, None)
         np.testing.assert_array_equal(listed.view(view), held.view(view))
+
+
+@pytest.mark.parametrize("d", [2, 128, 256])
+def test_double_tree_sums_signed_zeros_and_infinities_as_python_floats(d):
+    # Row 0 of the table holds +inf, row d-1 -inf and every row -0.0 in
+    # cell 1, so the tree meets inf + -inf at its last level (its only one
+    # at d=2) and an all-ones key sums -0.0, which numpy's sum turns into
+    # +0.0.  T = gate - 1 runs the single gather and T = gate the pair one.
+    rng = np.random.default_rng(d)
+    entries = np.zeros((d, 2))
+    entries[:, 0], entries[:, 1] = rng.normal(size=d), -0.0
+    entries[0, 0], entries[-1, 0] = np.inf, -np.inf
+    tbl = PrecomputedTable(d=d, b=1, entries=entries)
+    gate = max(_TILE_BYTES // (8 * d), 16)
+    ones, zeros, first = np.ones(d, np.uint8), np.zeros(d, np.uint8), np.ones(d, np.uint8)
+    first[0] = 0
+    special = [(zeros, 1.0), (first, 1.0), (ones, 1.0), (ones, 2.0), (first, 0.0),
+               (ones, np.inf)]
+    for T in (gate - 1, gate):
+        idx = rng.integers(0, 2, size=(T, d), dtype=np.uint8)
+        norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
+        for r, (cells, norm) in [*enumerate(special), *zip(range(T - 1, 0, -1), special)]:
+            idx[r], norms[r] = cells, norm
+        cache = KVCache(idx, norms)
+        got = _assert_scores_per_key(tbl, cache)["double"]
+        assert (_pair_layout(d, 1, T) is None) == (T < gate), T
+        for r in (0, T - 1):
+            assert np.isnan(got[r]) and got[1 if r == 0 else T - 2] == np.inf, (d, T)
+        for r in (2, 3, T - 3, T - 4):
+            assert got[r] == 0 and np.signbit(got[r]), (d, T, r)
+        assert np.isnan(got[[4, 5, T - 5, T - 6]]).all(), (d, T)
 
 
 def test_corrupt_cache_raises_on_every_query_and_keeps_no_offsets():

@@ -115,9 +115,10 @@ CASES = {
     # The record rules, through every entry point that packs, scores or
     # reconstructs a key: (d, b) is a design point, every index is below 2^b.
     "pack-non-pow2": (lambda _: pack(KEY12, B), DIM),
-    "unpack-non-pow2": (lambda _: unpack(bytes(packed_size(12, B)), 12, B), DIM),
+    "unpack-non-pow2": (lambda _: unpack(bytes((12 * B + 7) // 8 + 2), 12, B), DIM),
     # The design point is checked before the record's length.
     "unpack-empty-non-pow2": (lambda _: unpack(b"", 12, B), DIM),
+    "packed_size-non-pow2": (lambda _: packed_size(12, B), DIM),
     "QuantizedKey-indices-2d": (
         lambda _: QuantizedKey(indices=np.zeros((2, D), np.uint8), norm=1.0), DIM),
     "QuantizedKey-indices-0d": (lambda _: QuantizedKey(indices=0, norm=1.0), DIM),

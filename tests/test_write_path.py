@@ -214,6 +214,14 @@ def test_dequantize_high_bit_reconstruction():
 
 def test_packed_record_is_50_bytes():
     assert packed_size(D, B) == 50
+    # The codec's group layout sizes the record: ceil(d*b/8) index bytes
+    # plus the norm at every design point, and no size anywhere else.
+    for d in (1 << k for k in range(1, 17)):
+        for b in range(1, 9):
+            assert packed_size(d, b) == -(-d * b // 8) + 2, (d, b)
+    for d, b in ((12, 2), (16, 0), (16, 9), (0, 3), (3, 3)):
+        with pytest.raises(InvalidDimensionError):
+            packed_size(d, b)
     qk = quantize_key(random_keys(1)[0], SPEC, CB)
     assert len(pack(qk, B)) == 50
 
@@ -299,10 +307,12 @@ def test_kvq_records_match_per_key_packing(tmp_path, d, b):
 
 @pytest.mark.parametrize("d, b", [(128, 0), (128, 9), (0, 3), (3, 3)])
 def test_kvq_rejects_off_design_headers(tmp_path, d, b):
-    # The file length matches the header, so only the (d, b) rule can reject it.
+    # The file length matches the header (ceil(d*b/8) + 2 bytes a record,
+    # counted here: packed_size has no size off the design points), so only
+    # the (d, b) rule can reject it.
     path = tmp_path / "cache.kvq"
     path.write_bytes(struct.pack("<4sBBIII", b"KVQC", 1, b, d, 1, 0)
-                     + b"\x00" * packed_size(d, b))
+                     + b"\x00" * ((d * b + 7) // 8 + 2))
     with pytest.raises(CorruptCacheError):
         read_kvq(path)
     qk = QuantizedKey(indices=np.zeros(d, dtype=np.uint8), norm=np.float16(1.0))
@@ -446,7 +456,7 @@ def test_codec_rejects_a_width_no_uint8_index_fills():
         with pytest.raises(InvalidDimensionError):
             pack(qk, b)
         with pytest.raises(InvalidDimensionError):
-            unpack(bytes(packed_size(D, b)), D, b)
+            unpack(bytes((D * b + 7) // 8 + 2), D, b)
 
 
 def _is_range(node):
