@@ -120,76 +120,70 @@ def _tree_needs_scale(half: np.ndarray) -> bool:
     return not s * (1 + 2.0 ** -11) ** (half.shape[0].bit_length() - 1) < 65520
 
 
-def _pair_layout(d: int, b: int, n: int) -> tuple[int, int, int] | None:
-    """(G, L, K) of the (G, L, K, L) pair table for n keys of width d, or None.
+def _folds(d: int, b: int, n: int) -> int:
+    """Adder-tree levels folded into the table for n keys of width d: 0 or 1.
 
-    L = 2^b, K = 256 >> b and G = ceil((d/2) / K).  None, for the single
-    gather, when the table would outgrow one float64 tile's gather or n keys
-    would not repay its build.  Both bounds still count rows of a float64
-    tile, _TILE_BYTES // 8d (256 at d=128), not rows of a scoring tile.
+    1 when the folded table fits one float64 tile's gather (4^b entries a
+    pair, at most _TILE_BYTES // 8d, the rows of a float64 tile: 256 at
+    d=128) and n keys repay its build (n >= max(rows, 4^(b+1))); else 0.
     """
     rows = _TILE_BYTES // (8 * d)
-    if 4 ** b > rows or n < max(rows, 4 ** (b + 1)):
-        return None
-    levels, k = 1 << b, 256 >> b
-    return -(-d // (2 * k)), levels, k
+    return int(4 ** b <= rows and n >= max(rows, 4 ** (b + 1)))
 
 
-def _pair_table(cols: np.ndarray, layout: tuple[int, int, int],
-                scale: bool | None = None) -> np.ndarray:
-    """The pair table of a (d, L) column table, built straight into its layout.
+def _fold(cols: np.ndarray, scale: bool | None = None) -> np.ndarray:
+    """Fold the adder tree's first level into a (d, W) table, W = 2^b.
 
-    Entry [g, c, k, a] belongs to pair i = g*K + k, coordinates (2i, 2i+1) at
-    cells (a, c), and holds the adder tree's first level, cols[2i, a] +
+    Entry [i, a + c*W] of the (d/2, W^2) result is cols[2i, a] +
     cols[2i+1, c], in cols' dtype: as it is when scale is None (double),
-    else rounded to half by _round_half with that scale (fp16).  Pairs past
-    d/2 (K > d/2) stay zero.
+    else rounded to half by _round_half with that scale (fp16).
     """
-    g, levels, k = layout
-    h = cols.shape[0] // (2 * g)
-    even = cols[0::2].reshape(g, 1, h, levels)
-    odd = cols[1::2].reshape(g, h, levels).transpose(0, 2, 1)[..., None]
-    table = np.zeros((g, levels, k, levels), cols.dtype)
-    np.add(even, odd, out=table[:, :, :h])
+    d, w = cols.shape
+    table = np.add(cols[0::2, None, :], cols[1::2, :, None])
     if scale is not None:
         _round_half(table, scale)
-    return table
+    return table.reshape(d // 2, w * w)
 
 
-def _gather_offsets(cache: KVCache, b: int) -> tuple[tuple[int, int, int] | None, list]:
-    """(layout, tiles) of the cache's gather into a b-bit table, built once per b.
+def _gather_offsets(cache: KVCache, b: int) -> tuple[int, list]:
+    """(folds, tiles) of the cache's gather into a b-bit table, built once per b.
 
     The first call at b checks the indices (write_path._check_indices: a
     corrupt cache raises CorruptCacheError on every query and stores
-    nothing), picks the gather with _pair_layout (P = d offsets a key, or
-    d/2 paired) and keeps, per row tile of _row_tiles(n, 4*P) (_TILE_BYTES
-    of the fp16 tree's float32 partials), one C-contiguous (P, m) intp
-    block: column j holds key j's offsets, and row p the offset of slot
-    rev(p), the log2(P)-bit reversal of p, from one strided copy of the
-    rows viewed as (m, 2, ..., 2) with the bit axes reversed, plus the
-    base in that order.  Later calls at b return what the cache keeps.
+    nothing), takes folds from _folds and keeps, per row tile of
+    _row_tiles(n, 4*P) (_TILE_BYTES of the fp16 tree's float32 partials),
+    one C-contiguous (P, m) intp block.  P = d >> folds slots a key, and
+    slot s of a key holds its cell in table row s: idx[s] on the (d, 2^b)
+    table, or a | c << b for the pair (a, c) = (idx[2s], idx[2s+1]) on the
+    folded (d/2, 4^b) one, from the row's little-endian uint16 view
+    v = a | c << 8 as v & 0xFF or'd in place with (v >> 8) << b.  Column j
+    of a block holds key j's offsets, and row p the offset of slot rev(p),
+    the log2(P)-bit reversal of p: the tile's cells in one strided copy of
+    the rows viewed as (m, 2, ..., 2) with the bit axes reversed, plus the
+    base rev(p) times the table's row width, one rule for both gathers.
+    Later calls at b return what the cache keeps.
     """
     memo = cache._gathers.get(b)
     if memo is None:
         idx = cache.indices
         _check_indices(idx, b)
         n, d = idx.shape
-        layout = _pair_layout(d, b, n)
-        if layout is None:
-            base = np.arange(0, d << b, 1 << b, dtype=np.intp)
-        else:
-            _, levels, k = layout
-            i = np.arange(d // 2, dtype=np.intp)
-            base = i % k * levels + i // k * (levels << 8)
-            idx = idx.view("<u2")
-        p, bits = base.size, (2,) * (base.size.bit_length() - 1)
+        folds = _folds(d, b, n)
+        p = d >> folds
+        bits = (2,) * (p.bit_length() - 1)
         axes = tuple(range(len(bits), -1, -1))
-        base = base.reshape((1,) + bits).transpose(axes)
+        base = (np.arange(p, dtype=np.intp) << (b << folds)).reshape((1,) + bits)
+        base = base.transpose(axes)
         tiles = []
         for rows in _row_tiles(n, 4 * p):
-            cols = idx[rows].reshape((rows.stop - rows.start,) + bits).transpose(axes)
+            cells = idx[rows]
+            if folds:
+                v = cells.view("<u2")
+                cells = v & 0xFF
+                cells |= (v >> 8) << b
+            cols = cells.reshape((rows.stop - rows.start,) + bits).transpose(axes)
             tiles.append((rows, np.add(cols, base, order="C").reshape(p, -1)))
-        memo = cache._gathers[b] = (layout, tiles)
+        memo = cache._gathers[b] = (folds, tiles)
     return memo
 
 
@@ -199,12 +193,11 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
 
     Both modes run one loop over the tiles the cache keeps (_gather_offsets):
     take the keys' table entries, sum them in the balanced adder tree,
-    multiply by the norms.  Single gather: entry (i, idx) sits at offset
-    idx + i*2^b of the (d, 2^b) table.  Pair gather: a row viewed as
-    little-endian uint16 holds a | c << 8 for each coordinate pair (a, c) =
-    (idx[2i], idx[2i+1]), so with L = 2^b and K = 256 >> b, pair i's entry
-    sits at (a | c << 8) + (i % K)*L + (i // K)*(L << 8) in the table
-    _pair_table builds per query, whose entries are the tree's first level.
+    multiply by the norms.  The table is the (d, 2^b) one, or, when the
+    cache's gather folds a level (_folds), the (d/2, 4^b) table _fold
+    builds per query, whose entries are the tree's first level (rounded to
+    half in fp16).  Either way slot s's entry sits at flat offset cell +
+    s * (row width), with cell idx[s] or, folded, a | c << b.
 
     Each tile takes its entries into one buffer per query, a (P, m) block
     whose row p holds slot rev(p) of its m keys (mode="clip" skips numpy's
@@ -235,9 +228,9 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
             scale, scores = _tree_needs_scale(table), np.empty(len(cache), np.float16)
         else:
             raise InvalidInputError(f"unknown scoring mode {mode!r}")
-        layout, tiles = _gather_offsets(cache, tbl.b)
-        if layout is not None:
-            table = _pair_table(table, layout, scale)
+        folds, tiles = _gather_offsets(cache, tbl.b)
+        if folds:
+            table = _fold(table, scale)
         buf = np.empty(tiles[0][1].size, table.dtype)
         for rows, block in tiles:
             acc = table.take(block, out=buf[:block.size].reshape(block.shape), mode="clip")

@@ -16,9 +16,8 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.opcount import OpCounter
-from kvlut.read_path import (Fp16Score, PrecomputedTable, _pair_layout,
-                             _pair_table, _round_half, _score_rows,
-                             precompute_table, score_key, score_key_fp16,
+from kvlut.read_path import (Fp16Score, PrecomputedTable, _fold, _folds, _round_half,
+                             _score_rows, precompute_table, score_key, score_key_fp16,
                              score_sequence)
 from kvlut.reference import score_sequence_reference
 from kvlut.transform import (_TILE_BYTES, RotationSpec, _row_tiles, inverse_rotate,
@@ -394,7 +393,7 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
     p = d // 2 if paired else d
     rows = _TILE_BYTES // (4 * p)
     T = 2 * rows + 1
-    assert (_pair_layout(d, b, T) is not None) == paired
+    assert _folds(d, b, T) == paired
     tiles = list(_row_tiles(T, 4 * p))
     assert [t.stop - t.start for t in tiles] == [rows, rows, 1]
     rng = np.random.default_rng(5 * d + b)
@@ -460,21 +459,18 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
                 assert np.all(lows == 0) and np.all(np.signbit(lows)), where
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 4])
-@pytest.mark.parametrize("d", [2, 128, 1024])
+@pytest.mark.parametrize("d, b", [*itertools.product([2, 128, 1024], [1, 2, 3, 4]), (2, 7)])
 def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
-    # The pair gather runs from T = max(rows, 4^(b+1)) when the table fits a
-    # tile (4^b <= rows); T - 1 and a one-row-past-a-tile T run the single
-    # gather there.  d=1024 at b >= 3 never pairs, d=2 pads its table (K > d/2).
+    # The pair gather runs from T = max(rows, 4^(b+1)) when the folded table
+    # fits a tile (4^b <= rows); T - 1 and a one-row-past-a-tile T run the
+    # single gather there.  d=1024 at b >= 3 never pairs; d=2, b=7 is the
+    # widest fold, 14-bit cells, from T = 65,536.
     cb, spec = _design(d, b)
     rows = _TILE_BYTES // (8 * d)
     gate = max(rows, 4 ** (b + 1))
     fits = 4 ** b <= rows
-    assert _pair_layout(d, b, gate - 1) is None
-    assert (_pair_layout(d, b, gate) is not None) == fits
-    if d == 2:
-        g, levels, k = _pair_layout(d, b, gate)
-        assert (g, levels) == (1, 2 ** b) and k > d // 2
+    assert _folds(d, b, gate - 1) == 0
+    assert _folds(d, b, gate) == fits
     rng = np.random.default_rng(7 * d + b)
     top = cb.centroids[-1]
     # A random query scaled so its trees overflow; "peak", whose table rows
@@ -489,7 +485,7 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
                ("zero", np.zeros(d))]
     n = max(1, d // 8)
     for T in (gate - 1, gate, rows + 1):
-        layout = _pair_layout(d, b, T)
+        folds = _folds(d, b, T)
         for kind, q in queries:
             tbl = precompute_table(q, spec, cb)
             hi, lo = (np.argmax(tbl.entries, axis=1).astype(np.uint8),
@@ -509,10 +505,10 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
             # A plain list of keys is stacked into fresh contiguous rows.
             keys = list(cache) if T == gate else cache
             where = f"d={d}, b={b}, T={T}, query={kind}"
-            if layout is not None and kind in ("peak", "over"):
+            if folds and kind in ("peak", "over"):
                 with np.errstate(over="ignore", invalid="ignore"):
                     half = tbl.entries.astype(np.float16).astype(np.float32)
-                    pairs = _pair_table(half, layout, True)
+                    pairs = _fold(half, True)
                 assert np.isposinf(pairs).any(), where
                 assert np.isnan(pairs).any() == (kind == "over"), where
             got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
@@ -566,7 +562,7 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
     p = d // 2 if paired else d
     rows = _TILE_BYTES // (4 * p)
     T = 2 * rows + 1
-    assert (_pair_layout(d, b, T) is not None) == paired
+    assert _folds(d, b, T) == paired
     tiles = list(_row_tiles(T, 4 * p))
     assert [t.stop - t.start for t in tiles] == [rows, rows, 1]
     rng = np.random.default_rng(11 * d + b)
@@ -624,7 +620,7 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
 def _bit_reversal(p):
     # rev[j] is the log2(p)-bit reversal of j, by string reversal.
     k = p.bit_length() - 1
-    return np.array([int(format(j, f"0{k}b")[::-1], 2) if k else 0 for j in range(p)])
+    return [int(format(j, f"0{k}b")[::-1], 2) if k else 0 for j in range(p)]
 
 
 @pytest.mark.parametrize("d, b, T, paired", [(128, 3, 4096, True), (128, 8, 4096, False),
@@ -636,8 +632,9 @@ def test_each_tile_holds_256_kib_of_gathered_rows(monkeypatch, d, b, T, paired):
     # and of its intp offsets.  A tile's offsets are one C-contiguous (P, m)
     # block: column j is the tile's key j, row p the offset of its slot
     # rev(p), the log2(P)-bit reversal of p, so the tree's halves pair slots
-    # (2i, 2i+1).
-    assert (_pair_layout(d, b, T) is not None) == paired
+    # (2i, 2i+1).  Slot s's offset is its cell plus s times the table's row
+    # width: idx[s] + s*2^b single, (idx[2s] | idx[2s+1] << b) + s*4^b paired.
+    assert _folds(d, b, T) == paired
     cb, spec = _design(d, b)
     idx = np.random.default_rng(d + b).integers(0, 2 ** b, size=(T, d), dtype=np.uint8)
     cache = KVCache(idx, np.ones(T, np.float16))
@@ -651,34 +648,37 @@ def test_each_tile_holds_256_kib_of_gathered_rows(monkeypatch, d, b, T, paired):
     # half of a pair tile's 65,536 rows or a whole single tile.
     assert heights == {(128, 3): [1024] * 4, (128, 8): [512] * 8,
                        (2, 1): [T], (2, 8): [T]}[d, b]
-    layout, tiles = cache._gathers[b]
-    rev = _bit_reversal(p)
+    folds, tiles = cache._gathers[b]
+    assert folds == paired
+    keys, rev = idx.tolist(), _bit_reversal(p)
     if paired:
-        _, levels, k = layout
-        slots = idx.view("<u2").astype(np.intp)
-        base = rev % k * levels + rev // k * (levels << 8)
+        slots = [[(key[2 * s] | key[2 * s + 1] << b) + s * 4 ** b for key in keys]
+                 for s in rev]
     else:
-        slots = idx.astype(np.intp)
-        base = rev << b
+        slots = [[key[s] + s * 2 ** b for key in keys] for s in rev]
     for (rows, block), m in zip(tiles, heights):
         assert block.dtype == np.intp and block.flags.c_contiguous
         assert block.shape == (p, m) and 4 * block.size <= _TILE_BYTES
-        np.testing.assert_array_equal(block, slots[rows][:, rev].T + base[:, None])
+        want = np.array([row[rows] for row in slots])
+        np.testing.assert_array_equal(block, want)
 
 
 # Scores 21 queries at T=4096, d=128 in a fresh interpreter and prints the
 # minor page faults per query after the first, which lays out the offsets.
+# The cache is drawn straight as uint8 cells and half norms, with no float64
+# key matrix to quantize.
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
 from kvlut.codebook import solve_codebook
 from kvlut.read_path import score_sequence
 from kvlut.transform import RotationSpec, random_signs
-from kvlut.write_path import KVCache, quantize_batch
+from kvlut.write_path import KVCache
 b, mode = int(sys.argv[1]), sys.argv[2]
 cb, spec = solve_codebook(128, b), RotationSpec(d=128, sign=random_signs(128, 1))
 rng = np.random.default_rng(b)
-cache = KVCache(*quantize_batch(rng.normal(size=(4096, 128)), spec, cb))
+cells = rng.integers(0, 2 ** b, (4096, 128), dtype=np.uint8)
+cache = KVCache(cells, rng.uniform(0.1, 2.0, 4096).astype(np.float16))
 queries = rng.normal(size=(21, 128))
 score_sequence(queries[0], cache, spec, cb, mode)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -689,13 +689,23 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 
 @pytest.mark.parametrize("mode", ["double", "fp16"])
-@pytest.mark.parametrize("b", [3, 5])
+@pytest.mark.parametrize("b", [3, 4, 5])
 def test_decode_queries_take_no_page_faults_in_a_fresh_process(b, mode):
-    # b=3 runs the pair gather and b=5 the single one.  Every tile temporary
-    # is at most 512 KiB, so after the warm-up query the allocator serves
+    # b=3 and b=4 (the widest folded table at d=128) run the pair gather and
+    # b=5 the single one.  Every tile temporary is at most 512 KiB (double's
+    # float64 partials), so after the warm-up query the allocator serves
     # them from the heap instead of mapping and faulting them in again.
+    # glibc's mmap threshold is fixed at 768 KiB and heap trimming is off.
+    # Its default threshold rises to the largest block freed so far, so any
+    # temporary faults in once, on the second query, as the heap grows: a
+    # 512 KiB tile about 100 times, a whole-cache one a few hundred, and a
+    # per-query average cannot tell them apart.  Fixed, a tile comes from
+    # the heap and a temporary past 768 KiB is mapped and faulted in on
+    # every query.
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "MALLOC_MMAP_THRESHOLD_": str(3 * _TILE_BYTES),
+           "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(b), mode],
                           env=env, capture_output=True, text=True, check=True)
     assert float(done.stdout.split()[-1]) < 1, done.stdout
@@ -705,26 +715,49 @@ def test_pair_gate_counts_float64_tile_rows():
     # At d=128 a float64 tile is 256 rows: b <= 4 pairs from T = max(256,
     # 4^(b+1)), and b >= 5 (4^b > 256) never pairs.
     for b, gate in ((1, 256), (2, 256), (3, 256), (4, 1024)):
-        assert _pair_layout(128, b, gate - 1) is None, b
-        assert _pair_layout(128, b, gate) is not None, b
+        assert _folds(128, b, gate - 1) == 0, b
+        assert _folds(128, b, gate) == 1, b
     for b in range(5, 9):
-        assert _pair_layout(128, b, 1 << 40) is None, b
+        assert _folds(128, b, 1 << 40) == 0, b
 
 
 @pytest.mark.parametrize("d", [1 << k for k in range(1, 17)])
 def test_pair_table_fits_one_tile(d):
-    # Every admitted design point's table, padding included, holds at most
-    # a float64 tile's _TILE_BYTES // 8 pair entries and a slot for each of
-    # the d/2 pairs.
+    # Every admitted design point's folded table is (d/2, 4^b), with no
+    # padding, so it holds at most _TILE_BYTES // 16 entries: half a float64
+    # tile's gather.  Entry [i, a + c*2^b] is cols[2i, a] + cols[2i+1, c]:
+    # the Python float sum in double mode and the float16 sum, in its uint16
+    # view, in fp16 mode.  Row 0 holds +inf in cell 0 and row 1 -inf in
+    # every cell, so pair 0's entries [0, c*2^b] sum inf + -inf; the last
+    # row holds -inf in cell 1, and entries past 65504 round to half inf.
+    rng = np.random.default_rng(d)
     for b in range(1, 9):
-        layout = _pair_layout(d, b, 1 << 40)
-        assert (layout is not None) == (4 ** b <= _TILE_BYTES // (8 * d)), (d, b)
-        if layout is not None:
-            g, levels, k = layout
-            table = _pair_table(np.zeros((d, levels)), layout)
-            assert table.shape == (g, levels, k, levels) and g * k >= d // 2, (d, b)
-            assert table.dtype == np.float64, (d, b)
-            assert table.size <= _TILE_BYTES // 8, (d, b)
+        w = 2 ** b
+        folds = _folds(d, b, 1 << 40)
+        assert folds == (4 ** b <= _TILE_BYTES // (8 * d)), (d, b)
+        if not folds:
+            continue
+        cols = rng.normal(size=(d, w)) * 3e4
+        cols[0, 0], cols[1], cols[-1, 1] = np.inf, -np.inf, -np.inf
+        rows = cols.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = cols.astype(np.float16)
+            halves = [[np.float16(x) for x in row] for row in half.astype(np.float64).tolist()]
+            table = _fold(cols)
+            table16 = _fold(half.astype(np.float32), True)
+            want = [[rows[2 * i][a] + rows[2 * i + 1][c] for c in range(w) for a in range(w)]
+                    for i in range(d // 2)]
+            want16 = [[halves[2 * i][a] + halves[2 * i + 1][c]
+                       for c in range(w) for a in range(w)] for i in range(d // 2)]
+        assert table.shape == table16.shape == (d // 2, 4 ** b), (d, b)
+        assert table.size <= _TILE_BYTES // 16, (d, b)
+        assert table.dtype == np.float64 and table16.dtype == np.float32, (d, b)
+        assert np.isnan(table[0, ::w]).all() and np.isnan(table16[0, ::w]).all(), (d, b)
+        np.testing.assert_array_equal(table.view(np.uint64),
+                                      np.array(want).view(np.uint64), f"d={d}, b={b}")
+        np.testing.assert_array_equal(table16.astype(np.float16).view(np.uint16),
+                                      np.array(want16, np.float16).view(np.uint16),
+                                      f"d={d}, b={b}")
 
 
 @pytest.mark.parametrize("mode, dtype", [("double", np.float64), ("fp16", np.float16)])
@@ -768,7 +801,7 @@ def _assert_scores_per_key(tbl, cache):
 @pytest.mark.parametrize("T", [255, 256, 1024])
 def test_cache_keeps_its_gather_offsets_per_bit_width(T):
     # b=3 pairs from T=256 and b=4 from T=1024 (at d=128), so each T runs
-    # one b on each side of _pair_layout's gate or both on one side.
+    # one b on each side of _folds' gate or both on one side.
     rng = np.random.default_rng(T)
     idx = rng.integers(0, 8, size=(T, D), dtype=np.uint8)
     norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
@@ -784,9 +817,9 @@ def test_cache_keeps_its_gather_offsets_per_bit_width(T):
             if k:
                 assert cache._gathers[b] is memo
             memo = cache._gathers[b]
-            layout, tiles = memo
-            assert (layout is None) == (_pair_layout(D, b, T) is None)
-            p = D if layout is None else D // 2
+            folds, tiles = memo
+            assert folds == _folds(D, b, T)
+            p = D >> folds
             assert [rows for rows, _ in tiles] == list(_row_tiles(T, 4 * p))
             for rows, block in tiles:
                 assert block.dtype == np.intp and block.flags.c_contiguous
@@ -829,7 +862,7 @@ def test_double_tree_sums_signed_zeros_and_infinities_as_python_floats(d):
             idx[r], norms[r] = cells, norm
         cache = KVCache(idx, norms)
         got = _assert_scores_per_key(tbl, cache)["double"]
-        assert (_pair_layout(d, 1, T) is None) == (T < gate), T
+        assert _folds(d, 1, T) == (T >= gate), T
         for r in (0, T - 1):
             assert np.isnan(got[r]) and got[1 if r == 0 else T - 2] == np.inf, (d, T)
         for r in (2, 3, T - 3, T - 4):
