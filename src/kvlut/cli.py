@@ -258,8 +258,11 @@ def _cmd_simulate_attention(args) -> int:
 
 def _cmd_bench_mults(args) -> int:
     d, b, T = args.d, args.b, args.T
-    if T < 0:
-        raise InvalidInputError(f"--T must be >= 0, got {T}")
+    # Before a sign or key is drawn: gen-signs' d rule, then at most 2^27
+    # float64 key values (1 GiB).
+    _check_rom_header(d, 1)
+    if not 0 <= T <= 2 ** 27 // d:
+        raise InvalidInputError(f"--T must be in [0, {2 ** 27 // d}] at d={d}, got {T}")
     cb = cbmod.solve_codebook(d, b)
     seed = _seed64(args.seed)
     spec = RotationSpec(d=d, sign=random_signs(d, seed + 1))

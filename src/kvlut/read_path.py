@@ -78,17 +78,16 @@ def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
     return PrecomputedTable(d=cb.d, b=cb.b, entries=entries)
 
 
-def _round_half(s: np.ndarray, scale: bool = True) -> None:
-    """Round float32 s in place to half precision, as a float16 cast would.
+def _round_half(s: np.ndarray) -> None:
+    """Round float32 s in place to half precision, held at the 2^112 bias.
 
-    Precondition: every value is a multiple of 2^-24 (the half subnormal
-    step), +-inf, or the NaN 0xFFC00000.  Then a value below the half normal
-    range is already a half subnormal, and rounding to nearest even at
-    mantissa bit 13 of the float32 bits rounds every other value.  Scaling
-    by 2^112 overflows exactly the results of magnitude >= 2^16, which half
-    rounds to inf; scaling back by 2^-112 is exact for all the rest.  When
-    no value can round to 2^16 (_tree_needs_scale says when), the scale and
-    scale-back are the identity, and scale=False skips them.
+    Precondition: every value is a multiple of 2^88 (the half subnormal step
+    2^-24 at the bias), +-inf, or the NaN 0xFFC00000.  A value below 2^98
+    (half's normal range at the bias) then has at most 10 significant bits
+    and is already a biased half subnormal, so rounding to nearest even at
+    mantissa bit 13 of the float32 bits rounds every value as casting it,
+    unbiased, to half would.  A value in [65520 * 2^112, 2^128), which half
+    rounds to inf, carries into float32's +inf bits; the rest stay finite.
     """
     u = s.view(np.uint32)
     t = u >> 13
@@ -96,28 +95,6 @@ def _round_half(s: np.ndarray, scale: bool = True) -> None:
     t += 0xFFF
     u += t
     u &= 0xFFFFE000
-    if scale:
-        s *= np.float32(2.0 ** 112)
-        s *= np.float32(2.0 ** -112)
-
-
-def _tree_needs_scale(half: np.ndarray) -> bool:
-    """False when no adder-tree partial over the (d, 2^b) half table can be inf.
-
-    Let S = sum_i max_j |half[i, j]| and u = 2^-11, the half unit roundoff.
-    A level-k partial is the rounded sum of two level-(k-1) partials, and
-    rounding to nearest grows a magnitude below 65520 by at most a factor
-    1+u, so by induction every level-k partial of any key is at most
-    S*(1+u)^k, and the exact sum it rounds is at most S*(1+u)^(k-1) (the
-    standard bound for recursive summation, Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., ch. 4).  Half rounds a sum to inf only
-    from 65520 up, so S*(1+u)^(log2(d)-1) < 65520 means no level of the
-    log2(d) overflows.  The test below uses exponent log2(d): the extra 1+u
-    covers the float64 rounding of S, which is at most d*2^-53 relative.
-    A table holding +-inf or NaN gives S = inf or NaN and keeps the scale.
-    """
-    s = np.abs(half).max(axis=1).sum(dtype=np.float64)
-    return not s * (1 + 2.0 ** -11) ** (half.shape[0].bit_length() - 1) < 65520
 
 
 def _folds(d: int, b: int, n: int) -> int:
@@ -131,17 +108,17 @@ def _folds(d: int, b: int, n: int) -> int:
     return int(4 ** b <= rows and n >= max(rows, 4 ** (b + 1)))
 
 
-def _fold(cols: np.ndarray, scale: bool | None = None) -> np.ndarray:
+def _fold(cols: np.ndarray, half: bool = False) -> np.ndarray:
     """Fold the adder tree's first level into a (d, W) table, W = 2^b.
 
     Entry [i, a + c*W] of the (d/2, W^2) result is cols[2i, a] +
-    cols[2i+1, c], in cols' dtype: as it is when scale is None (double),
-    else rounded to half by _round_half with that scale (fp16).
+    cols[2i+1, c], in cols' dtype, and with half, rounded by _round_half
+    (cols then being the biased float32 halves _score_rows builds).
     """
     d, w = cols.shape
     table = np.add(cols[0::2, None, :], cols[1::2, :, None])
-    if scale is not None:
-        _round_half(table, scale)
+    if half:
+        _round_half(table)
     return table.reshape(d // 2, w * w)
 
 
@@ -208,38 +185,45 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     every key sums ((x0 + x1) + (x2 + x3)) + ... in the hardware's order,
     whatever the gather and the tiling.  "double" adds in float64; "fp16"
     differs only in rounding, as score_key_fp16 describes, on a float32
-    copy of the half-rounded table.  A float32 sum of two halves rounded
-    to half is the correctly rounded half sum (24 >= 2*11 + 2 bits), and
-    the tree's only NaN, inf + -inf, has one payload, so every level
-    matches half arithmetic bit for bit.  _round_half rounds on the float32
-    bits, exact because every partial is a sum of two halves, so a
-    multiple of 2^-24; it skips the overflow scale when _tree_needs_scale
-    proves no partial can reach inf.  The float32 product of the root and a
-    half norm is exact, so writing it into the float16 output rounds once.
+    copy of the half-rounded table held at a fixed 2^112 bias, so that
+    every biased partial is a multiple of 2^88, +-inf, or the NaN
+    0xFFC00000 (inf + -inf, the tree's only NaN).  Under that precondition
+    a float32 sum of two biased halves rounded by _round_half is the
+    correctly rounded half sum at the bias (24 >= 2*11 + 2 bits), and a
+    sum half rounds to inf is one at or past 65520 * 2^112: _round_half
+    carries it into float32's +inf, or the float32 add already overflowed
+    (from 2^128 - 2^103).  So every level matches half arithmetic bit for
+    bit.  The norms are multiplied by 2^-112 once per query, exactly (a
+    half norm below 2^-14 becomes a float32 subnormal, a multiple of
+    2^-136), so the float32 product of a biased root and a norm is the
+    product of two halves, 22 significant bits between 2^-48 and 2^32, and
+    exact: writing it into the float16 output rounds once.
 
     Both modes run under one np.errstate: a +inf norm marks an overflowed
     key, which scores inf (NaN when its gathered sum is 0) without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "double":
-            table, scale, scores = tbl.entries, None, np.empty(len(cache))
+            table, norms, half, scores = tbl.entries, cache.norms, False, np.empty(len(cache))
         elif mode == "fp16":
             table = tbl.entries.astype(np.float16).astype(np.float32)
-            scale, scores = _tree_needs_scale(table), np.empty(len(cache), np.float16)
+            table *= np.float32(2.0 ** 112)
+            norms = cache.norms * np.float32(2.0 ** -112)
+            half, scores = True, np.empty(len(cache), np.float16)
         else:
             raise InvalidInputError(f"unknown scoring mode {mode!r}")
         folds, tiles = _gather_offsets(cache, tbl.b)
         if folds:
-            table = _fold(table, scale)
+            table = _fold(table, half)
         buf = np.empty(tiles[0][1].size, table.dtype)
         for rows, block in tiles:
             acc = table.take(block, out=buf[:block.size].reshape(block.shape), mode="clip")
             while len(acc) > 1:
                 h = len(acc) // 2
                 acc = np.add(acc[:h], acc[h:], out=acc[:h])
-                if scale is not None:
-                    _round_half(acc, scale)
-            np.multiply(acc[0], cache.norms[rows], out=scores[rows])
+                if half:
+                    _round_half(acc)
+            np.multiply(acc[0], norms[rows], out=scores[rows])
     if counter is not None:
         n = len(scores)
         counter.add("score", mults=n, adds=n * (tbl.d - 1), lookups=n * tbl.d)

@@ -369,8 +369,11 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
 
     Raw files are row-major float64 and need d to recover the shape.  A
     file that does not parse, a text file with no values, or a .npy whose
-    dtype is not bool, integer or real floating raises FormatError.
+    dtype is not bool, integer or real floating raises FormatError; a d
+    below 1 raises InvalidDimensionError.
     """
+    if d is not None and d < 1:
+        raise InvalidDimensionError(f"key matrix d must be >= 1, got {d}")
     name = str(path)
     if name.endswith((".npy", ".txt", ".csv")):
         try:

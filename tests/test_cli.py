@@ -349,9 +349,9 @@ def _diagnose_synthetic(ws, spec_text, command="diagnose-norms"):
     return run(ws, command, "--synthetic", ws / "bad.json")
 
 
-def _diagnose_keys(ws, name, content):
+def _diagnose_keys(ws, name, content, *flags):
     (ws / name).write_bytes(content)
-    return run(ws, "diagnose-norms", "--keys", ws / name)
+    return run(ws, "diagnose-norms", "--keys", ws / name, *flags)
 
 
 def _npy_bytes(arr):
@@ -423,6 +423,11 @@ def _with_zero_layer_rom(ws, command):
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 4, "profiles": []})), 11),
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 4, "profiles": []}),
                                     "eval"), 11),
+    # A raw key file read with a d below 1, which cannot shape its rows.
+    (lambda ws: _diagnose_keys(ws, "raw16.bin", np.arange(16.0).astype("<f8").tobytes(),
+                               "--d", 0), 7),
+    (lambda ws: _diagnose_keys(ws, "raw16.bin", np.arange(16.0).astype("<f8").tobytes(),
+                               "--d", -4), 7),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "npy-strings", "npy-structured", "npy-complex",
@@ -432,10 +437,43 @@ def _with_zero_layer_rom(ws, command):
         "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
         "bench-mults-negative-T", "jensen-no-scores", "jensen-negative-scores",
         "jensen-std-nan", "jensen-std-inf", "seeds-not-int", "b-list-not-int",
-        "jensen-std-not-float", "diagnose-no-profiles", "eval-no-profiles"])
+        "jensen-std-not-float", "diagnose-no-profiles", "eval-no-profiles",
+        "raw-keys-d-zero", "raw-keys-d-negative"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+
+
+# Runs each argv through main in one interpreter, its address space capped
+# at 2 GiB, and prints its exit code, its last stdout line and its wall time.
+_TIMED_PROBE = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import kvlut.cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = kvlut.cli.main(argv)
+    print(json.dumps([code, out.getvalue().splitlines()[-1], time.perf_counter() - t0]))
+"""
+
+
+def test_bench_mults_checks_sizes_before_drawing_keys():
+    # d = 2^36 would draw 2^30 signs in a Python loop, and T = 2^31 at d=128
+    # would ask numpy for 2 TiB of keys: both are rejected first, in a child
+    # process so that a missing check fails (MemoryError, or the timeout)
+    # instead of hanging the suite or filling the machine's memory.
+    argvs = [["bench-mults", "--d", "68719476736", "--b", "3", "--T", "0"],
+             ["bench-mults", "--d", "128", "--b", "3", "--T", "2147483648"]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _TIMED_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True, timeout=60)
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [code for code, _, _ in results] == [4, 8]
+    for _, last, seconds in results:
+        assert last.startswith("error: ") and seconds < 1, (last, seconds)
 
 
 def _seeded(ws, where, seed):

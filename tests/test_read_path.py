@@ -313,13 +313,19 @@ def test_fp16_sequence_matches_per_key_adder_tree():
                         and np.isnan(want[-2]) and np.isnan(sums[-1])), where
 
 
+BIAS, UNBIAS = np.float32(2.0 ** 112), np.float32(2.0 ** -112)
+
+
 def _assert_rounds_as_cast(bits):
-    # _round_half on float32 bit patterns against numpy's f32 -> f16 -> f32.
+    # _round_half on float32 bit patterns held at the 2^112 bias, against
+    # numpy's f32 -> f16 -> f32.  Values from 2^16 up overflow to inf when
+    # biased, as a biased partial past 2^128 does in the tree.
     x = np.asarray(bits, dtype=np.uint32).view(np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         want = x.astype(np.float16).astype(np.float32)
-        got = x.copy()
+        got = x * BIAS
         _round_half(got)
+        got *= UNBIAS
     np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
     return got
 
@@ -508,7 +514,7 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
             if folds and kind in ("peak", "over"):
                 with np.errstate(over="ignore", invalid="ignore"):
                     half = tbl.entries.astype(np.float16).astype(np.float32)
-                    pairs = _fold(half, True)
+                    pairs = _fold(half * BIAS, True) * UNBIAS
                 assert np.isposinf(pairs).any(), where
                 assert np.isnan(pairs).any() == (kind == "over"), where
             got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
@@ -744,7 +750,7 @@ def test_pair_table_fits_one_tile(d):
             half = cols.astype(np.float16)
             halves = [[np.float16(x) for x in row] for row in half.astype(np.float64).tolist()]
             table = _fold(cols)
-            table16 = _fold(half.astype(np.float32), True)
+            table16 = _fold(half.astype(np.float32) * BIAS, True) * UNBIAS
             want = [[rows[2 * i][a] + rows[2 * i + 1][c] for c in range(w) for a in range(w)]
                     for i in range(d // 2)]
             want16 = [[halves[2 * i][a] + halves[2 * i + 1][c]
@@ -897,50 +903,49 @@ def _threshold_table(row_max, b=B, seed=0):
     return PrecomputedTable(d=row_max.size, b=b, entries=half.astype(np.float64))
 
 
-def _recorded_scales(monkeypatch):
-    scales = []
-
-    def recording(s, scale=True):
-        scales.append(scale)
-        _round_half(s, scale)
-
-    monkeypatch.setattr(read_path, "_round_half", recording)
-    return scales
-
-
-@pytest.mark.parametrize("T", [255, 256])
-def test_fp16_tree_skips_the_overflow_scale_only_under_the_bound(monkeypatch, T):
-    # At d=128 the bound admits S < 65520 / (1 + 2^-11)^7 = 65296.3...: with
-    # 127 rows peaking at 510, a last row of 526 gives S = 65296 and 527
-    # gives 65297.  A tree reaching exactly 65504 and one whose last level
-    # sums 65520 (a tie that rounds to inf) have S past it; a row holding
-    # half +-inf gives S = inf.
-    assert 65296 < 65520 / (1 + 2.0 ** -11) ** 7 < 65297
+@pytest.mark.parametrize("d", [2, 128, 256])
+def test_fp16_tree_matches_half_arithmetic_near_the_half_maximum(d):
+    # Let S = sum_i max_j |h[i, j]| over the half table.  Every partial of
+    # every key's tree is at most S * (1 + 2^-11)^k at level k (Higham, ch.
+    # 4), so S * (1 + 2^-11)^log2(d) < 65520 bounds the tree below half inf.
+    # Five tables, on the single gather (T one below the pair gate) and the
+    # pair gather: S just under that bound and just over it, a tree reaching
+    # exactly 65504, one whose last level sums 65520 (a tie that rounds to
+    # inf), and a row holding half +inf.
+    bound = 65520 / (1 + 2.0 ** -11) ** (d.bit_length() - 1)
+    base = float(np.float16(bound / d * 0.99))
+    last = np.float16(bound - (d - 1) * base)
+    while (d - 1) * base + float(last) >= bound:
+        last = np.nextafter(last, np.float16(0))
     cases = {
-        "just-below": ([510.0] * 127 + [526.0], False),
-        "just-above": ([510.0] * 127 + [527.0], True),
-        "reaches-65504": ([511.75] * 128, True),
-        "reaches-65520": ([511.75] * 64 + [512.0] * 64, True),
-        "half-inf": ([1.0] * 127 + [1e5], True),
+        "just-below": [base] * (d - 1) + [float(last)],
+        "just-above": [base] * (d - 1) + [float(np.nextafter(last, np.float16(np.inf)))],
+        "reaches-65504": [65504 / d] * d,
+        "reaches-65520": [65504 / d] * (d // 2) + [65536 / d] * (d // 2),
+        "half-inf": [1.0] * (d - 1) + [1e5],
     }
-    rng = np.random.default_rng(T)
-    for kind, (row_max, scaled) in cases.items():
-        tbl = _threshold_table(row_max, seed=T)
-        with np.errstate(over="ignore"):
-            half = tbl.entries.astype(np.float16).astype(np.float32)
-        assert read_path._tree_needs_scale(half) == scaled, kind
-        # Keys aligned with every row's peak, against it, alternating, and
-        # random, with norms 1, 0.5 and +inf.
-        idx = rng.integers(0, 2 ** B, size=(T, D), dtype=np.uint8)
-        idx[0], idx[1], idx[2] = 0, 1, np.arange(D) % 2
-        norms = np.ones(T, dtype=np.float16)
-        norms[3], norms[4] = 0.5, np.inf
-        scales = _recorded_scales(monkeypatch)
-        got = _assert_scores_per_key(tbl, KVCache(idx, norms))["fp16"]
-        monkeypatch.undo()
-        assert set(scales) == {scaled}, kind
-        peak = {"reaches-65504": 65504.0, "reaches-65520": np.inf, "half-inf": np.inf}
-        if kind in peak:
-            assert got[0] == peak[kind] and got[1] == -peak[kind], kind
-        else:
-            assert np.isfinite(got[:2]).all() and got[0] > 65000, kind
+    assert sum(cases["just-below"]) < bound <= sum(cases["just-above"])
+    gate = max(_TILE_BYTES // (8 * d), 4 ** (B + 1))
+    for T in (gate - 1, gate):
+        assert _folds(d, B, T) == (T == gate)
+        rng = np.random.default_rng(T)
+        for kind, row_max in cases.items():
+            tbl = _threshold_table(row_max, seed=T)
+            # Keys aligned with every row's peak, against it, alternating,
+            # aligned twice more, and random, with norms 1, 0.5 on the
+            # second aligned key (a tree tying at 65520 is inf before the
+            # norm halves it), +inf, and the least half subnormal on the
+            # third.
+            idx = rng.integers(0, 2 ** B, size=(T, d), dtype=np.uint8)
+            idx[0], idx[1], idx[2], idx[3], idx[5] = 0, 1, np.arange(d) % 2, 0, 0
+            norms = np.ones(T, dtype=np.float16)
+            norms[3], norms[4], norms[5] = 0.5, np.inf, 2.0 ** -24
+            got = _assert_scores_per_key(tbl, KVCache(idx, norms))["fp16"]
+            peak = {"reaches-65504": 65504.0, "reaches-65520": np.inf, "half-inf": np.inf}
+            where = f"d={d}, T={T}, table={kind}"
+            if kind in peak:
+                assert got[0] == peak[kind] and got[1] == -peak[kind], where
+                assert got[3] == peak[kind] / 2, where
+            else:
+                assert np.isfinite(got[:2]).all() and got[0] > 65000, where
+                assert got[5] == np.float16(float(got[0]) * 2.0 ** -24), where
