@@ -903,6 +903,65 @@ def _threshold_table(row_max, b=B, seed=0):
     return PrecomputedTable(d=row_max.size, b=b, entries=half.astype(np.float64))
 
 
+def _recorded_biases(monkeypatch):
+    # One flag per _round_half call: every finite value it was handed is a
+    # multiple of 2^88, the half subnormal step at the 2^112 bias.
+    biased = []
+
+    def recording(s):
+        v = s[np.isfinite(s)].astype(np.float64) * 2.0 ** -88
+        biased.append(bool(np.all(v == np.floor(v))))
+        _round_half(s)
+
+    monkeypatch.setattr(read_path, "_round_half", recording)
+    return biased
+
+
+@pytest.mark.parametrize("T", [255, 256])
+def test_fp16_tree_skips_the_overflow_scale_only_under_the_bound(monkeypatch, T):
+    # The fp16 tree once skipped its 2^112 overflow scale when a Higham
+    # bound proved the query's tree stays below half inf, and scaled
+    # otherwise.  It now scales on every query, so no table skips it: at
+    # d=128 (T=255 the single gather, 256 the pair gather) the five tables
+    # either side of that bound all reach _round_half biased.  The bound
+    # admits S = sum_i max_j |h[i, j]| < 65520 / (1 + 2^-11)^7 = 65296.3...:
+    # with 127 rows peaking at 510, a last row of 526 gives S = 65296 and
+    # 527 gives 65297.  A tree reaching exactly 65504 and one whose last
+    # level sums 65520 (a tie that rounds to inf) have S past it; a row
+    # holding half +-inf gives S = inf.
+    bound = 65520 / (1 + 2.0 ** -11) ** 7
+    assert 65296 < bound < 65297
+    cases = {
+        "just-below": ([510.0] * 127 + [526.0], True),
+        "just-above": ([510.0] * 127 + [527.0], False),
+        "reaches-65504": ([511.75] * 128, False),
+        "reaches-65520": ([511.75] * 64 + [512.0] * 64, False),
+        "half-inf": ([1.0] * 127 + [1e5], False),
+    }
+    assert _folds(D, B, T) == (T == 256)
+    rng = np.random.default_rng(T)
+    for kind, (row_max, under) in cases.items():
+        tbl = _threshold_table(row_max, seed=T)
+        with np.errstate(over="ignore"):
+            half = tbl.entries.astype(np.float16).astype(np.float64)
+        assert (np.abs(half).max(axis=1).sum() < bound) == under, kind
+        # Keys aligned with every row's peak, against it, alternating, and
+        # random, with norms 1, 0.5 and +inf.
+        idx = rng.integers(0, 2 ** B, size=(T, D), dtype=np.uint8)
+        idx[0], idx[1], idx[2] = 0, 1, np.arange(D) % 2
+        norms = np.ones(T, dtype=np.float16)
+        norms[3], norms[4] = 0.5, np.inf
+        biased = _recorded_biases(monkeypatch)
+        got = _assert_scores_per_key(tbl, KVCache(idx, norms))["fp16"]
+        monkeypatch.undo()
+        assert biased and set(biased) == {True}, kind
+        peak = {"reaches-65504": 65504.0, "reaches-65520": np.inf, "half-inf": np.inf}
+        if kind in peak:
+            assert got[0] == peak[kind] and got[1] == -peak[kind], kind
+        else:
+            assert np.isfinite(got[:2]).all() and got[0] > 65000, kind
+
+
 @pytest.mark.parametrize("d", [2, 128, 256])
 def test_fp16_tree_matches_half_arithmetic_near_the_half_maximum(d):
     # Let S = sum_i max_j |h[i, j]| over the half table.  Every partial of
