@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codebook as cbmod
 from .errors import (ConfigConflictError, FormatError, InvalidInputError,
-                     IoError, KvlutError, _layer_items)
+                     IoError, KvlutError, _check_power_of_two, _layer_items)
 from .evalkit import (LayerProfile, SyntheticSpec, generate_keys,
                       jensen_bias_probe, sensitivity_sweep)
 from .opcount import OpCounter
@@ -258,11 +258,11 @@ def _cmd_simulate_attention(args) -> int:
 
 def _cmd_bench_mults(args) -> int:
     d, b, T = args.d, args.b, args.T
-    # Before a sign or key is drawn: gen-signs' d rule, then at most 2^27
-    # float64 key values (1 GiB).
-    _check_rom_header(d, 1)
-    if not 0 <= T <= 2 ** 27 // d:
-        raise InvalidInputError(f"--T must be in [0, {2 ** 27 // d}] at d={d}, got {T}")
+    # Before a sign or key is drawn: d a power of two, then at most 2^27
+    # float64 values (1 GiB) in the query and the keys together.
+    _check_power_of_two(d, "--d")
+    if not 0 <= T < 2 ** 27 // d:
+        raise InvalidInputError(f"--T must be >= 0 and (T + 1) * d <= 2^27, got T={T} at d={d}")
     cb = cbmod.solve_codebook(d, b)
     seed = _seed64(args.seed)
     spec = RotationSpec(d=d, sign=random_signs(d, seed + 1))

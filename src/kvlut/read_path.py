@@ -108,16 +108,16 @@ def _folds(d: int, b: int, n: int) -> int:
     return int(4 ** b <= rows and n >= max(rows, 4 ** (b + 1)))
 
 
-def _fold(cols: np.ndarray, half: bool = False) -> np.ndarray:
+def _fold(cols: np.ndarray) -> np.ndarray:
     """Fold the adder tree's first level into a (d, W) table, W = 2^b.
 
     Entry [i, a + c*W] of the (d/2, W^2) result is cols[2i, a] +
-    cols[2i+1, c], in cols' dtype, and with half, rounded by _round_half
-    (cols then being the biased float32 halves _score_rows builds).
+    cols[2i+1, c], in cols' dtype, and rounded by _round_half when that is
+    float32 (the biased halves of the fp16 table _score_rows builds).
     """
     d, w = cols.shape
     table = np.add(cols[0::2, None, :], cols[1::2, :, None])
-    if half:
+    if table.dtype == np.float32:
         _round_half(table)
     return table.reshape(d // 2, w * w)
 
@@ -193,37 +193,37 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     sum half rounds to inf is one at or past 65520 * 2^112: _round_half
     carries it into float32's +inf, or the float32 add already overflowed
     (from 2^128 - 2^103).  So every level matches half arithmetic bit for
-    bit.  The norms are multiplied by 2^-112 once per query, exactly (a
-    half norm below 2^-14 becomes a float32 subnormal, a multiple of
-    2^-136), so the float32 product of a biased root and a norm is the
-    product of two halves, 22 significant bits between 2^-48 and 2^32, and
-    exact: writing it into the float16 output rounds once.
+    bit.  Each tile's root is multiplied by 2^-112 in place, exactly (a
+    half subnormal becomes a float32 one, a multiple of 2^-24), so its
+    float32 product with a norm is the product of two halves, 22
+    significant bits between 2^-48 and 2^32, and exact: writing it into the
+    float16 output rounds once.
 
     Both modes run under one np.errstate: a +inf norm marks an overflowed
     key, which scores inf (NaN when its gathered sum is 0) without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "double":
-            table, norms, half, scores = tbl.entries, cache.norms, False, np.empty(len(cache))
+            table, scores = tbl.entries, np.empty(len(cache))
         elif mode == "fp16":
-            table = tbl.entries.astype(np.float16).astype(np.float32)
-            table *= np.float32(2.0 ** 112)
-            norms = cache.norms * np.float32(2.0 ** -112)
-            half, scores = True, np.empty(len(cache), np.float16)
+            table = tbl.entries.astype(np.float16).astype(np.float32) * np.float32(2.0 ** 112)
+            scores = np.empty(len(cache), np.float16)
         else:
             raise InvalidInputError(f"unknown scoring mode {mode!r}")
         folds, tiles = _gather_offsets(cache, tbl.b)
         if folds:
-            table = _fold(table, half)
+            table = _fold(table)
         buf = np.empty(tiles[0][1].size, table.dtype)
         for rows, block in tiles:
             acc = table.take(block, out=buf[:block.size].reshape(block.shape), mode="clip")
             while len(acc) > 1:
                 h = len(acc) // 2
                 acc = np.add(acc[:h], acc[h:], out=acc[:h])
-                if half:
+                if mode == "fp16":
                     _round_half(acc)
-            np.multiply(acc[0], norms[rows], out=scores[rows])
+            if mode == "fp16":
+                np.multiply(acc[0], np.float32(2.0 ** -112), out=acc[0])
+            np.multiply(acc[0], cache.norms[rows], out=scores[rows])
     if counter is not None:
         n = len(scores)
         counter.add("score", mults=n, adds=n * (tbl.d - 1), lookups=n * tbl.d)

@@ -405,6 +405,7 @@ def _with_zero_layer_rom(ws, command):
     # A negative key count; an empty or negative score count and a
     # non-finite noise level for the Jensen probe.
     (lambda ws: run(ws, "bench-mults", "--d", 128, "--b", 3, "--T", -1), 8),
+    (lambda ws: run(ws, "bench-mults", "--d", 96, "--b", 3, "--T", 4), 7),
     (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
                     "--jensen-std", "0.1", "--jensen-scores", 0), 8),
     (lambda ws: run(ws, "eval", "--synthetic", ws / "synth.json", "--seeds", "1",
@@ -435,7 +436,8 @@ def _with_zero_layer_rom(ws, command):
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
-        "bench-mults-negative-T", "jensen-no-scores", "jensen-negative-scores",
+        "bench-mults-negative-T", "bench-mults-d-not-power-of-two",
+        "jensen-no-scores", "jensen-negative-scores",
         "jensen-std-nan", "jensen-std-inf", "seeds-not-int", "b-list-not-int",
         "jensen-std-not-float", "diagnose-no-profiles", "eval-no-profiles",
         "raw-keys-d-zero", "raw-keys-d-negative"])
@@ -463,16 +465,19 @@ def test_bench_mults_checks_sizes_before_drawing_keys():
     # d = 2^36 would draw 2^30 signs in a Python loop, and T = 2^31 at d=128
     # would ask numpy for 2 TiB of keys: both are rejected first, in a child
     # process so that a missing check fails (MemoryError, or the timeout)
-    # instead of hanging the suite or filling the machine's memory.
+    # instead of hanging the suite or filling the machine's memory.  d =
+    # 65536, past the sign ROM header's u16 but writing no ROM, still runs.
     argvs = [["bench-mults", "--d", "68719476736", "--b", "3", "--T", "0"],
-             ["bench-mults", "--d", "128", "--b", "3", "--T", "2147483648"]]
+             ["bench-mults", "--d", "128", "--b", "3", "--T", "2147483648"],
+             ["bench-mults", "--d", "65536", "--b", "3", "--T", "0"]]
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", _TIMED_PROBE, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True, timeout=60)
     results = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [code for code, _, _ in results] == [4, 8]
-    for _, last, seconds in results:
+    assert [code for code, _, _ in results] == [8, 8, 0]
+    assert results[2][1] == "524288 vs 0 multiplications, ratio 0.0"
+    for _, last, seconds in results[:2]:
         assert last.startswith("error: ") and seconds < 1, (last, seconds)
 
 

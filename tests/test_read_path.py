@@ -514,7 +514,7 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
             if folds and kind in ("peak", "over"):
                 with np.errstate(over="ignore", invalid="ignore"):
                     half = tbl.entries.astype(np.float16).astype(np.float32)
-                    pairs = _fold(half * BIAS, True) * UNBIAS
+                    pairs = _fold(half * BIAS) * UNBIAS
                 assert np.isposinf(pairs).any(), where
                 assert np.isnan(pairs).any() == (kind == "over"), where
             got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
@@ -750,7 +750,7 @@ def test_pair_table_fits_one_tile(d):
             half = cols.astype(np.float16)
             halves = [[np.float16(x) for x in row] for row in half.astype(np.float64).tolist()]
             table = _fold(cols)
-            table16 = _fold(half.astype(np.float32) * BIAS, True) * UNBIAS
+            table16 = _fold(half.astype(np.float32) * BIAS) * UNBIAS
             want = [[rows[2 * i][a] + rows[2 * i + 1][c] for c in range(w) for a in range(w)]
                     for i in range(d // 2)]
             want16 = [[halves[2 * i][a] + halves[2 * i + 1][c]
@@ -920,91 +920,67 @@ def _recorded_biases(monkeypatch):
 @pytest.mark.parametrize("T", [255, 256])
 def test_fp16_tree_skips_the_overflow_scale_only_under_the_bound(monkeypatch, T):
     # The fp16 tree once skipped its 2^112 overflow scale when a Higham
-    # bound proved the query's tree stays below half inf, and scaled
-    # otherwise.  It now scales on every query, so no table skips it: at
-    # d=128 (T=255 the single gather, 256 the pair gather) the five tables
-    # either side of that bound all reach _round_half biased.  The bound
-    # admits S = sum_i max_j |h[i, j]| < 65520 / (1 + 2^-11)^7 = 65296.3...:
-    # with 127 rows peaking at 510, a last row of 526 gives S = 65296 and
-    # 527 gives 65297.  A tree reaching exactly 65504 and one whose last
-    # level sums 65520 (a tie that rounds to inf) have S past it; a row
-    # holding half +-inf gives S = inf.
-    bound = 65520 / (1 + 2.0 ** -11) ** 7
-    assert 65296 < bound < 65297
-    cases = {
-        "just-below": ([510.0] * 127 + [526.0], True),
-        "just-above": ([510.0] * 127 + [527.0], False),
-        "reaches-65504": ([511.75] * 128, False),
-        "reaches-65520": ([511.75] * 64 + [512.0] * 64, False),
-        "half-inf": ([1.0] * 127 + [1e5], False),
-    }
-    assert _folds(D, B, T) == (T == 256)
-    rng = np.random.default_rng(T)
-    for kind, (row_max, under) in cases.items():
-        tbl = _threshold_table(row_max, seed=T)
-        with np.errstate(over="ignore"):
-            half = tbl.entries.astype(np.float16).astype(np.float64)
-        assert (np.abs(half).max(axis=1).sum() < bound) == under, kind
-        # Keys aligned with every row's peak, against it, alternating, and
-        # random, with norms 1, 0.5 and +inf.
-        idx = rng.integers(0, 2 ** B, size=(T, D), dtype=np.uint8)
-        idx[0], idx[1], idx[2] = 0, 1, np.arange(D) % 2
-        norms = np.ones(T, dtype=np.float16)
-        norms[3], norms[4] = 0.5, np.inf
-        biased = _recorded_biases(monkeypatch)
-        got = _assert_scores_per_key(tbl, KVCache(idx, norms))["fp16"]
-        monkeypatch.undo()
-        assert biased and set(biased) == {True}, kind
-        peak = {"reaches-65504": 65504.0, "reaches-65520": np.inf, "half-inf": np.inf}
-        if kind in peak:
-            assert got[0] == peak[kind] and got[1] == -peak[kind], kind
-        else:
-            assert np.isfinite(got[:2]).all() and got[0] > 65000, kind
-
-
-@pytest.mark.parametrize("d", [2, 128, 256])
-def test_fp16_tree_matches_half_arithmetic_near_the_half_maximum(d):
-    # Let S = sum_i max_j |h[i, j]| over the half table.  Every partial of
-    # every key's tree is at most S * (1 + 2^-11)^k at level k (Higham, ch.
-    # 4), so S * (1 + 2^-11)^log2(d) < 65520 bounds the tree below half inf.
-    # Five tables, on the single gather (T one below the pair gate) and the
-    # pair gather: S just under that bound and just over it, a tree reaching
-    # exactly 65504, one whose last level sums 65520 (a tie that rounds to
-    # inf), and a row holding half +inf.
-    bound = 65520 / (1 + 2.0 ** -11) ** (d.bit_length() - 1)
-    base = float(np.float16(bound / d * 0.99))
-    last = np.float16(bound - (d - 1) * base)
-    while (d - 1) * base + float(last) >= bound:
-        last = np.nextafter(last, np.float16(0))
-    cases = {
-        "just-below": [base] * (d - 1) + [float(last)],
-        "just-above": [base] * (d - 1) + [float(np.nextafter(last, np.float16(np.inf)))],
-        "reaches-65504": [65504 / d] * d,
-        "reaches-65520": [65504 / d] * (d // 2) + [65536 / d] * (d // 2),
-        "half-inf": [1.0] * (d - 1) + [1e5],
-    }
-    assert sum(cases["just-below"]) < bound <= sum(cases["just-above"])
-    gate = max(_TILE_BYTES // (8 * d), 4 ** (B + 1))
-    for T in (gate - 1, gate):
-        assert _folds(d, B, T) == (T == gate)
-        rng = np.random.default_rng(T)
+    # bound proved a query's tree stays below half inf: with S = sum_i
+    # max_j |h[i, j]| over the half table, every partial at level k is at
+    # most S * (1 + 2^-11)^k, so S * (1 + 2^-11)^log2(d) < 65520 sufficed.
+    # Every partial is now held at the bias, so no table skips it.  Five
+    # tables at d = 2, 128 and 256: S just under that bound and just over
+    # it, a tree reaching exactly 65504, one whose last level sums 65520 (a
+    # tie that rounds to inf), and a row holding half +inf.  T is the key
+    # count at d=128, one below the pair gate (255, the single gather) or
+    # at it (256, the pair gather); each d runs the same side of its gate.
+    for d in (2, 128, 256):
+        bound = 65520 / (1 + 2.0 ** -11) ** (d.bit_length() - 1)
+        base = float(np.float16(bound / d * 0.99))
+        last = np.float16(bound - (d - 1) * base)
+        while (d - 1) * base + float(last) >= bound:
+            last = np.nextafter(last, np.float16(0))
+        cases = {
+            "just-below": [base] * (d - 1) + [float(last)],
+            "just-above": [base] * (d - 1) + [float(np.nextafter(last, np.float16(np.inf)))],
+            "reaches-65504": [65504 / d] * d,
+            "reaches-65520": [65504 / d] * (d // 2) + [65536 / d] * (d // 2),
+            "half-inf": [1.0] * (d - 1) + [1e5],
+        }
+        assert sum(cases["just-below"]) < bound <= sum(cases["just-above"])
+        n = max(_TILE_BYTES // (8 * d), 4 ** (B + 1)) - 256 + T
+        assert _folds(d, B, n) == (T == 256)
+        rng = np.random.default_rng(n)
         for kind, row_max in cases.items():
-            tbl = _threshold_table(row_max, seed=T)
+            tbl = _threshold_table(row_max, seed=n)
             # Keys aligned with every row's peak, against it, alternating,
             # aligned twice more, and random, with norms 1, 0.5 on the
             # second aligned key (a tree tying at 65520 is inf before the
             # norm halves it), +inf, and the least half subnormal on the
             # third.
-            idx = rng.integers(0, 2 ** B, size=(T, d), dtype=np.uint8)
+            idx = rng.integers(0, 2 ** B, size=(n, d), dtype=np.uint8)
             idx[0], idx[1], idx[2], idx[3], idx[5] = 0, 1, np.arange(d) % 2, 0, 0
-            norms = np.ones(T, dtype=np.float16)
+            norms = np.ones(n, dtype=np.float16)
             norms[3], norms[4], norms[5] = 0.5, np.inf, 2.0 ** -24
+            biased = _recorded_biases(monkeypatch)
             got = _assert_scores_per_key(tbl, KVCache(idx, norms))["fp16"]
+            monkeypatch.undo()
+            where = f"d={d}, T={n}, table={kind}"
+            assert biased and set(biased) == {True}, where
             peak = {"reaches-65504": 65504.0, "reaches-65520": np.inf, "half-inf": np.inf}
-            where = f"d={d}, T={T}, table={kind}"
             if kind in peak:
                 assert got[0] == peak[kind] and got[1] == -peak[kind], where
                 assert got[3] == peak[kind] / 2, where
             else:
                 assert np.isfinite(got[:2]).all() and got[0] > 65000, where
                 assert got[5] == np.float16(float(got[0]) * 2.0 ** -24), where
+
+
+def test_fp16_root_times_each_half_norm_is_the_exact_product():
+    # Each tile's root leaves the bias in float32 before it meets the
+    # float16 norms.  Scaling a float16 array by the float32 scalar 2^-112
+    # instead would, under numpy 1.x's value-based casting, cast the scalar
+    # to half 0 and score every finite key 0.  The root here is 2.0, times
+    # norms from the least half subnormal to the half maximum.
+    tbl = PrecomputedTable(d=2, b=1, entries=np.array([[1.0, 0.5], [1.0, 0.25]]))
+    norms = np.array([1.0, 2.0 ** -24, 2.0 ** -14, 0.5, 60000.0, 65504.0], np.float16)
+    got = _score_rows(tbl, KVCache(np.zeros((6, 2), np.uint8), norms), "fp16", None)
+    with np.errstate(over="ignore"):
+        want = (np.float32(2.0) * norms.astype(np.float32)).astype(np.float16)
+    np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16))
+    assert got.dtype == np.float16 and (got != 0).all()
