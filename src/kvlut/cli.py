@@ -302,7 +302,15 @@ def _gather_layers(args) -> dict[int, CalibrationSet]:
     return _load_layer_sets(args.keys, args.d)
 
 
+# --jensen-scores draws that many floats, and the probe's trials draw them
+# again; the count is checked before any key or score is drawn.
+MAX_JENSEN_SCORES = 1 << 16
+
+
 def _cmd_eval(args) -> int:
+    if args.jensen_std is not None and not 1 <= args.jensen_scores <= MAX_JENSEN_SCORES:
+        raise InvalidInputError(
+            f"--jensen-scores must be in 1..{MAX_JENSEN_SCORES}, got {args.jensen_scores}")
     layers = _gather_layers(args)
     seeds = _number_list(args.seeds)
     bs = _number_list(args.b_list)
@@ -317,8 +325,6 @@ def _cmd_eval(args) -> int:
     if len(layers) > 1:
         payload["norm_diagnostic"] = norm_ratio_diagnostic(layers).to_dict()
     if args.jensen_std is not None:
-        if args.jensen_scores < 1:
-            raise InvalidInputError(f"--jensen-scores must be >= 1, got {args.jensen_scores}")
         rng = np.random.default_rng(_seed64(args.seed))
         true_scores = rng.normal(size=args.jensen_scores)
         payload["jensen"] = [

@@ -112,19 +112,37 @@ def _cell_means(sigma: float, boundaries: np.ndarray) -> np.ndarray:
     return sigma * _pdf_drop(edges[:-1], edges[1:]) / _cell_mass(edges)
 
 
+def _solve_tridiagonal(lower: list, diag: list, upper: list, rhs: list) -> list:
+    """x with lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
+
+    The Thomas algorithm, forward elimination then back substitution, in
+    plain Python floats, for n >= 2 unknowns.  It does not pivot, so the
+    system must be diagonally dominant, as the Newton step's Jacobian is.
+    """
+    up, x = [upper[0] / diag[0]], [rhs[0] / diag[0]]
+    for a, b, c, r in zip(lower, diag[1:], [*upper[1:], 0.0], rhs[1:]):
+        pivot = b - a * up[-1]
+        up.append(c / pivot)
+        x.append((r - a * x[-1]) / pivot)
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= up[i] * x[i + 1]
+    return x
+
+
 def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarray:
     """Newton iteration on G(c) = c - cellmeans(midpoints(c)).
 
     A zero of G is a Lloyd-Max fixed point: every centroid is the mean of its
     cell and every boundary the midpoint of its neighbours.  The Jacobian is
     tridiagonal with closed-form entries from truncated-normal moment
-    derivatives, and from the quantile start's cell means the iteration
-    contracts quadratically.  It stops once a step drops below tol/10, or
-    once a step fails to halve the previous one (the floating-point floor),
-    and after at most 50 steps; the caller's residual check decides whether
-    tol was reached.
+    derivatives, and each step solves it directly from its three diagonals
+    (_solve_tridiagonal), so no BLAS or LAPACK kernel, which numpy may pick
+    by CPU, touches the centroids.  From the quantile start's cell means the
+    iteration contracts quadratically.  It stops once a step drops below
+    tol/10, or once a step fails to halve the previous one (the
+    floating-point floor), and after at most 50 steps; the caller's residual
+    check decides whether tol was reached.
     """
-    levels = centroids.size
     c = centroids.copy()
     prev_step = np.inf
     for _ in range(50):
@@ -140,13 +158,9 @@ def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarra
         dm_dlow = pdf[:-1] * (m - lo_edge) / (sigma * mass)
         dm_dhigh = pdf[1:] * (hi_edge - m) / (sigma * mass)
 
-        jac = np.eye(levels)
-        idx = np.arange(levels)
-        jac[idx, idx] -= 0.5 * (dm_dlow + dm_dhigh)
-        jac[idx[1:], idx[1:] - 1] -= 0.5 * dm_dlow[1:]
-        jac[idx[:-1], idx[:-1] + 1] -= 0.5 * dm_dhigh[:-1]
-
-        delta = np.linalg.solve(jac, m - c)
+        delta = np.array(_solve_tridiagonal(
+            (-0.5 * dm_dlow[1:]).tolist(), (1.0 - 0.5 * (dm_dlow + dm_dhigh)).tolist(),
+            (-0.5 * dm_dhigh[:-1]).tolist(), (m - c).tolist()))
         c = c + delta
         step = float(np.max(np.abs(delta)))
         if step < tol / 10.0 or step >= 0.5 * prev_step:

@@ -99,7 +99,7 @@ def generate_keys(spec: SyntheticSpec) -> dict[int, CalibrationSet]:
             rows = rows * prof.gain
         if prof.direction_gain > 1.0:
             v = rng.normal(size=spec.d)
-            v /= np.linalg.norm(v)
+            v /= np.sqrt(np.sum(v * v))
             # rms-norm multiplier g: the component's variance alpha^2 solves
             # d + alpha^2 = g^2 d.
             alpha = math.sqrt((prof.direction_gain**2 - 1.0) * spec.d)
@@ -140,7 +140,9 @@ def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
     Inner-product errors are normalized by ||q|| ||k|| per pair, so the
     statistics are scale-free and stay finite for near-orthogonal pairs.
     Compression is the packed record size against 2d bytes of half-precision
-    storage.
+    storage.  Every dot product and norm is an elementwise product summed by
+    numpy's reduction, not BLAS, so the report holds the same bits on every
+    CPU.
     """
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -155,7 +157,7 @@ def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
     rotated_mse = (candidate_mse(CalibrationSet(keys=keys), spec.sign, cb)
                    if np.any(norms > 0) else 0.0)
     approx = np.array([score_sequence(q, cache, spec, cb)[0] for q in queries])
-    exact = queries @ keys.T
+    exact = np.array([np.multiply(keys, q).sum(axis=1) for q in queries])
 
     qn = np.linalg.norm(queries, axis=1)
     denom = np.maximum(qn[:, None] * norms[None, :], np.finfo(np.float64).tiny)
@@ -164,8 +166,8 @@ def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
 
     cosines = []
     for a, e in zip(approx, exact):
-        na, ne = np.linalg.norm(a), np.linalg.norm(e)
-        cosines.append(float(a @ e / (na * ne)) if na > 0 and ne > 0 else 1.0)
+        na, ne = np.sqrt(np.sum(a * a)), np.sqrt(np.sum(e * e))
+        cosines.append(float(np.sum(a * e) / (na * ne)) if na > 0 and ne > 0 else 1.0)
 
     return ErrorReport(
         rotated_mse=rotated_mse,

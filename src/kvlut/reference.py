@@ -58,12 +58,11 @@ def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],
     Per key the counter picks up the inverse transform's additions, the d
     reconstruction rescales (norm category), and a d-multiply dot product
     (score category); the score-category multiplication total is exactly T*d.
-    Each key's dot product is its own q @ row, as with one key at a time; a
-    matrix-vector product would sum in another order.  The stacked (1, d) @
-    (d, 1) matmul below runs those same vector dot products (numpy's dot
-    kernel, as 1-D q @ row does) in one call per row tile
-    (transform._row_tiles): each tile is reconstructed, scored and written
-    into the preallocated (T,) output, so no temporary outgrows a tile.
+    Each key's dot product is the elementwise product row * q summed by
+    numpy's own reduction, never a BLAS dot, whose kernel numpy may pick by
+    CPU, so the scores are the same bits on every CPU.  One call per row tile
+    (transform._row_tiles) reconstructs, multiplies in place and sums each
+    row into the preallocated (T,) output, so no temporary outgrows a tile.
     """
     q = _finite_array(q, cb.d, (1,), "query")
     counter = OpCounter()
@@ -74,6 +73,6 @@ def score_sequence_reference(q: np.ndarray, cache: Sequence[QuantizedKey],
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_tiles(t, 8 * cb.d):
             recon = _dequantize_rows(cache.indices[rows], cache.norms[rows], spec, cb, counter)
-            scores[rows] = (recon[:, None, :] @ q[:, None])[:, 0, 0]
+            scores[rows] = np.multiply(recon, q, out=recon).sum(axis=1)
     counter.add("score", mults=t * cb.d, adds=t * (cb.d - 1))
     return scores, counter

@@ -23,7 +23,7 @@ from .errors import (EmptyCalibrationError, InvalidDimensionError, InvalidInputE
                      _check_same_d, _finite_array, _layer_items, _read_only)
 from .transform import (SignVector, _rotate_block, pack_sign_rom, random_signs,
                         serialize_signs)
-from .write_path import _cell_indices
+from .write_path import _cell_indices, _key_norms
 
 __all__ = [
     "CalibrationSet",
@@ -104,8 +104,10 @@ class SignSearchReport:
 
 
 def _row_norms(keys: CalibrationSet) -> np.ndarray:
-    """Row norms of one layer's keys; a layer with no nonzero row is an error."""
-    norms = np.linalg.norm(keys.keys, axis=1)
+    """Row norms of one layer's keys by the write path's rule
+    (write_path._key_norms, InvalidInputError if one is not finite); a layer
+    with no nonzero row is an error."""
+    norms = _key_norms(keys.keys, f"layer {keys.layer_id}'s calibration keys")
     if not norms.any():
         raise EmptyCalibrationError(
             f"all {norms.size} calibration rows of layer {keys.layer_id} have zero norm")
@@ -221,9 +223,15 @@ def candidate_mse(keys: CalibrationSet, s: SignVector, cb: Codebook) -> float:
     return float(_candidate_mses(unit, [s], [cb])[0, 0])
 
 
+# The paper picks among 200 candidates a layer.  The cap is checked before
+# the first sign is drawn, so a mistyped count fails at once instead of
+# drawing billions of sign vectors.
+MAX_CANDIDATES = 1 << 16
+
+
 def _check_candidate_count(C: int) -> None:
-    if C < 1:
-        raise InvalidInputError(f"candidate count must be >= 1, got {C}")
+    if not 1 <= C <= MAX_CANDIDATES:
+        raise InvalidInputError(f"candidate count must be in 1..{MAX_CANDIDATES}, got {C}")
 
 
 def _search_layer(keys: CalibrationSet, C: int, cb: Codebook, base_seed: int,

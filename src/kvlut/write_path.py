@@ -114,6 +114,27 @@ def _half_norms(norms, what: str = "key norm") -> np.ndarray:
     return half
 
 
+def _key_norms(keys: np.ndarray, what: str) -> np.ndarray:
+    """The one key-norm rule: the float64 norms of (N, d) rows, one row tile
+    at a time (transform._row_tiles).
+
+    A row whose norm is not finite, from a NaN or infinite entry or from a
+    sum of squares past the float64 range (entries of 1e200, say), raises
+    InvalidInputError naming the first such row of `what`; no overflow
+    warning escapes.
+    """
+    n, d = keys.shape
+    norms = np.empty(n)
+    with np.errstate(over="ignore"):
+        for rows in _row_tiles(n, 8 * d):
+            norms[rows] = np.linalg.norm(keys[rows], axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise InvalidInputError(f"row {bad[0]} of {what} has a non-finite norm (a NaN or "
+                                "infinite entry, or a sum of squares past the float64 range)")
+    return norms
+
+
 def _checked(cls, **fields):
     """A frozen dataclass cls built from fields that already pass its checks."""
     obj = object.__new__(cls)
@@ -163,10 +184,11 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
 
     Keys run through norm, normalize, rotate and the comparator bank one row
     tile at a time (transform._row_tiles), each tile writing into the
-    preallocated outputs, so no temporary outgrows a tile.  A pre-pass checks
-    every tile for non-finite values before the counter is touched.  A
-    zero-norm key is divided by 1.0, so it stays as it is (-0.0 and
-    subnormals included).  Counter deltas are N times those of one key.
+    preallocated outputs, so no temporary outgrows a tile.  A pre-pass takes
+    every key's norm (_key_norms) before the counter is touched, so a key
+    whose norm is not finite raises InvalidInputError first.  A zero-norm
+    key is divided by 1.0, so it stays as it is (-0.0 and subnormals
+    included).  Counter deltas are N times those of one key.
 
     comparator accepts only "flat", the one bank; any other value raises
     InvalidInputError.  The keyword is kept only because the benchmark's
@@ -176,8 +198,7 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
     keys = np.asarray(keys, dtype=np.float64)
     _check_shape(keys, cb.d, (2,), "key matrix")
     n, d = keys.shape
-    if not all(np.isfinite(keys[rows]).all() for rows in _row_tiles(n, 8 * d)):
-        raise InvalidInputError("non-finite values in key matrix")
+    norms = _key_norms(keys, "the key matrix")
     if comparator != "flat":
         raise InvalidInputError(f"unknown comparator mode {comparator!r}")
 
@@ -188,11 +209,9 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
         counter.add("norm", mults=n * 2 * d, adds=n * (d - 1))
         counter.add("quantize", comps=n * d * (cb.levels - 1))
     idx = np.empty((n, d), dtype=np.uint8)
-    norms = np.empty(n)
     for rows in _row_tiles(n, 8 * d):
-        tile = keys[rows]
-        nrm = norms[rows] = np.linalg.norm(tile, axis=1)
-        unit = tile / np.where(nrm == 0.0, 1.0, nrm)[:, None]
+        nrm = norms[rows]
+        unit = keys[rows] / np.where(nrm == 0.0, 1.0, nrm)[:, None]
         _cell_indices(rotate(spec, unit, counter), cb, out=idx[rows])
     return idx, norms
 

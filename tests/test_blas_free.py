@@ -1,34 +1,31 @@
-"""No BLAS or LAPACK call in src/kvlut beyond a short, commented allow-list.
+"""No BLAS or LAPACK call in src/kvlut, and the same artifacts under every
+OpenBLAS kernel.
 
 numpy's BLAS and LAPACK may pick their kernels by CPU at start-up, so a
 matrix product, a 1-D norm or a linear solve can give other bits on another
-x86 CPU.  Every such call that can reach a reported number is listed below;
-the list is meant only to shrink.  An axis-wise np.linalg.norm is a numpy
-reduction, not BLAS, and is not counted.
+x86 CPU.  So every reported number rests on numpy's elementwise ufuncs and
+reductions alone: an ast scan fails on any BLAS or LAPACK call in
+src/kvlut, and there is no allow-list.  An axis-wise np.linalg.norm is a
+numpy reduction, not BLAS, and is not counted.  A subprocess test then runs
+the CLI under three OpenBLAS kernels and compares every file it writes.
 """
 
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kvlut
 import kvlut.read_path as read_path
 
-# (module, innermost function, call) -> how many such calls it makes today.
-ALLOWED = Counter({
-    # The Newton step's tridiagonal Jacobian, solved by LAPACK gesv.
-    ("codebook", "_newton_refine", "np.linalg.solve"): 1,
-    # The oracle's stacked (1, d) @ (d, 1) dot products, one per key.
-    ("reference", "score_sequence_reference", "@"): 1,
-    # The 1-D norm that normalizes a synthetic layer's direction.
-    ("evalkit", "generate_keys", "np.linalg.norm"): 1,
-    # queries @ keys.T for the exact scores, and a @ e for a cosine.
-    ("evalkit", "evaluate_pipeline", "@"): 2,
-    # The 1-D norms of a and e in that cosine.
-    ("evalkit", "evaluate_pipeline", "np.linalg.norm"): 2,
-})
+# (module, innermost function, call) -> count: no call is exempt.
+ALLOWED = Counter()
 
 # numpy functions that call BLAS whatever their arguments' shapes.
 BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
@@ -115,3 +112,86 @@ def test_blas_scan_catches_a_call_added_to_the_read_path(line):
 def test_blas_scan_passes_an_axis_wise_norm():
     source = "def f(v):\n    return np.linalg.norm(v, axis=1)\n"
     assert _blas_calls("read_path", source) == Counter()
+
+
+# Runs in a child process: the golden pipeline layer (tests/test_golden.py)
+# and every other report-writing command, in process through kvlut.cli.main,
+# into the directory argv[1].  Prints the hash of one BLAS dot product whose
+# summation order depends on the kernel, the control that the kernel changed.
+_KERNEL_RUN = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+import numpy as np
+from kvlut.cli import main
+
+out = Path(sys.argv[1])
+rng = np.random.default_rng(20260418)
+keys = rng.normal(size=(300, 128)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))
+keys[17] = 0.0
+np.save(out / "keys.npy", keys)
+np.save(out / "query.npy", rng.normal(size=(1, 128)))
+(out / "synth.json").write_text(json.dumps(
+    {"d": 128, "N": 300, "seed": 11,
+     "profiles": [{"scale": 1.0}, {"scale": 40.0, "direction_gain": 6.0}]}))
+roms = ["--signs", out / "s.sgnrom", "--codebook", out / "cb.cbrom"]
+sim = ["simulate-attention", "--query", out / "query.npy", "--cache", out / "c.kvq", *roms]
+for argv in [
+        ["solve-codebook", "--d", 128, "--b", 8, "--out", out / "cb8.cbrom",
+         "--report", out / "cb8.json"],
+        ["solve-codebook", "--d", 128, "--b", 3, "--out", out / "cb.cbrom",
+         "--report", out / "cb.json"],
+        ["gen-signs", "--d", 128, "--seeds", 7, "--out", out / "s.sgnrom",
+         "--report", out / "signs.json"],
+        ["quantize", "--keys", out / "keys.npy", *roms, "--out", out / "c.kvq",
+         "--report", out / "q.json"],
+        [*sim, "--reference", "--report", out / "ref.json"],
+        [*sim, "--mode", "fp16", "--report", out / "fp16.json"],
+        ["optimize-signs", "--keys", out / "keys.npy", "--b", 3, "--candidates", 8,
+         "--out", out / "opt.sgnrom", "--report", out / "opt.json"],
+        ["eval", "--synthetic", out / "synth.json", "--b-list", "1,3,4", "--seeds", "1,2,3",
+         "--jensen-std", "0,0.5", "--jensen-trials", 1000, "--report", out / "eval.json"],
+        ["bench-mults", "--d", 128, "--b", 3, "--T", 300, "--seed", 5,
+         "--report", out / "bench.json"],
+        ["diagnose-norms", "--synthetic", out / "synth.json", "--report", out / "diag.json"]]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in argv]) == 0, argv
+x = np.random.default_rng(1).normal(size=(2, 1000)) * 10.0 ** (np.arange(1000) % 17)
+print(hashlib.sha256(np.dot(x[0], x[1]).tobytes()).hexdigest())
+"""
+
+
+def _blas_config():
+    # numpy's description of the BLAS it links, or "" where numpy gives none.
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+    except (TypeError, KeyError):
+        return ""
+
+
+def test_artifacts_are_byte_identical_under_every_openblas_kernel(tmp_path):
+    if "DYNAMIC_ARCH" not in _blas_config():
+        pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
+    cpuinfo = Path("/proc/cpuinfo")
+    if not (cpuinfo.exists() and "avx2" in cpuinfo.read_text()):
+        pytest.skip("the CPU lacks AVX2, so the Haswell kernel cannot run")
+    src = Path(kvlut.__file__).resolve().parent.parent
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    runs = {}
+    for kernel in ("default", "Haswell", "Nehalem"):
+        env = {**base, "PYTHONPATH": str(src)}
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / kernel
+        out.mkdir()
+        done = subprocess.run([sys.executable, "-c", _KERNEL_RUN, str(out)], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        runs[kernel] = (done.stdout.split()[-1],
+                        {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in out.iterdir()})
+    if len({probe for probe, _ in runs.values()}) == 1:
+        pytest.skip("kernel not switched: the BLAS dot probe gave one hash")
+    files = runs["default"][1]
+    assert len(files) == 20
+    for kernel, (_, got) in runs.items():
+        assert got.keys() == files.keys()
+        assert [name for name in sorted(files) if got[name] != files[name]] == [], kernel

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import kvlut.cli as cli
+import kvlut.signopt as signopt
 from kvlut.cli import _build_parser, main
-from kvlut.errors import ConfigConflictError, FormatError, InvalidDimensionError
+from kvlut.errors import (ConfigConflictError, FormatError, InvalidDimensionError,
+                          InvalidInputError)
 from kvlut.read_path import score_sequence
 from kvlut.transform import RotationSpec, read_sign_rom
 from kvlut.write_path import read_kvq
@@ -94,6 +96,31 @@ def test_gen_signs_checks_the_rom_header_before_building_a_sign(
         FormatError.exit_code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
     assert not rom.exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("drawn before the count was checked")
+
+
+@pytest.mark.parametrize("count", [0, 65537, 2 ** 32])
+def test_optimize_signs_caps_the_candidate_count_before_drawing_a_sign(
+        workspace, capsys, monkeypatch, count):
+    monkeypatch.setattr(signopt, "random_signs", _refuse)
+    assert run(workspace, "optimize-signs", "--keys", workspace / "cal0.npy", "--b", 3,
+               "--candidates", count, "--out", workspace / "x.sgnrom") == \
+        InvalidInputError.exit_code
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("count", [0, 65537, 2 ** 32])
+def test_eval_caps_the_jensen_score_count_before_drawing_a_score(
+        workspace, capsys, monkeypatch, count):
+    # With --keys, nothing but the score draw calls numpy's generator.
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
+    assert run(workspace, "eval", "--keys", workspace / "cal0.npy", "--seeds", "1",
+               "--jensen-std", "0.1", "--jensen-scores", count) == \
+        InvalidInputError.exit_code
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
 
 
 def _build_pipeline(ws):
@@ -354,6 +381,21 @@ def _diagnose_keys(ws, name, content, *flags):
     return run(ws, "diagnose-norms", "--keys", ws / name, *flags)
 
 
+def _huge_keys(ws, command, value):
+    # Two keys whose entries are finite but whose sum of squares passes the
+    # float64 range.
+    keys = ws / "huge.npy"
+    np.save(keys, np.full((2, D), value))
+    if command == "quantize":
+        _build_pipeline(ws)
+        return run(ws, "quantize", "--keys", keys, "--signs", ws / "s.sgnrom",
+                   "--codebook", ws / "cb.cbrom", "--out", ws / "x.kvq")
+    if command == "optimize-signs":
+        return run(ws, "optimize-signs", "--keys", ws / "cal0.npy", keys, "--b", 3,
+                   "--candidates", 2, "--out", ws / "x.sgnrom")
+    return run(ws, "diagnose-norms", "--keys", ws / "cal0.npy", keys)
+
+
 def _npy_bytes(arr):
     buf = io.BytesIO()
     np.save(buf, arr)
@@ -429,6 +471,13 @@ def _with_zero_layer_rom(ws, command):
                                "--d", 0), 7),
     (lambda ws: _diagnose_keys(ws, "raw16.bin", np.arange(16.0).astype("<f8").tobytes(),
                                "--d", -4), 7),
+    # Key rows whose float64 norm overflows, for each command that takes one.
+    (lambda ws: _huge_keys(ws, "quantize", 1e200), 8),
+    (lambda ws: _huge_keys(ws, "quantize", 1e308), 8),
+    (lambda ws: _huge_keys(ws, "optimize-signs", 1e200), 8),
+    (lambda ws: _huge_keys(ws, "optimize-signs", 1e308), 8),
+    (lambda ws: _huge_keys(ws, "diagnose-norms", 1e200), 8),
+    (lambda ws: _huge_keys(ws, "diagnose-norms", 1e308), 8),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "npy-strings", "npy-structured", "npy-complex",
@@ -440,7 +489,10 @@ def _with_zero_layer_rom(ws, command):
         "jensen-no-scores", "jensen-negative-scores",
         "jensen-std-nan", "jensen-std-inf", "seeds-not-int", "b-list-not-int",
         "jensen-std-not-float", "diagnose-no-profiles", "eval-no-profiles",
-        "raw-keys-d-zero", "raw-keys-d-negative"])
+        "raw-keys-d-zero", "raw-keys-d-negative",
+        "norm-overflow-quantize-1e200", "norm-overflow-quantize-1e308",
+        "norm-overflow-optimize-signs-1e200", "norm-overflow-optimize-signs-1e308",
+        "norm-overflow-diagnose-norms-1e200", "norm-overflow-diagnose-norms-1e308"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")

@@ -10,9 +10,9 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from kvlut.codebook import (Codebook, _ndtr, analytic_distortion, deserialize_rom,
-                            infer_b, lloyd_residual, max_residual, rom_size,
-                            serialize_rom, solve_codebook, solve_lloyd_max)
+from kvlut.codebook import (Codebook, _ndtr, _solve_tridiagonal, analytic_distortion,
+                            deserialize_rom, infer_b, lloyd_residual, max_residual,
+                            rom_size, serialize_rom, solve_codebook, solve_lloyd_max)
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError,
                           InvalidInputError, NonConvergenceError)
 
@@ -46,6 +46,43 @@ ROM_SHA256 = {
     (256, 8): "5ef46521b340c44b504675308358e2bf7896807a61972baccfc191da1d00b7a3",
 }
 
+
+# sha256 of serialize_rom(solve_codebook(d, b)) at more dimensions, recorded
+# while the Newton step still solved its Jacobian with LAPACK.
+ROM_SHA256_WIDE = {
+    (2, 1): "aff953ab47243c86e9ced517afaa462a63ba3b7a5a31f2dde57e96f7333fb70a",
+    (2, 2): "b50449c8c5930908c972685752105cc9f905b849b340dd18e32b5b19ffcc6093",
+    (2, 3): "697022cc348307db327e851a99bb1f5a3cefb1c304896626ccb41ff6c2552574",
+    (2, 4): "14597831f561a33293c92823f725a6437dbf65fe4469efd2d9fccd2ce2f73dee",
+    (2, 5): "743e20f9ce34b284d989bc34bc91284c9599586e38c9b2699008ca283fccb22c",
+    (2, 6): "4076f8d6695a9e4a88a103f63082f36711e030aa4fc99453bdff5ef602a81d53",
+    (2, 7): "c63f170e6c4872c80527d4352b0ba270689c8bc3b4d49cbcc8ab75310dcff402",
+    (2, 8): "7660e14c0de514bcdad5a7e22524c3dcfc77ff1d9b00f98252930453acf18a83",
+    (16, 1): "5e101b2a3a64c3486af2da52fb620490adf53838a4f8c821f1e9fb66f2ce5ed8",
+    (16, 2): "bd0ff0e6642eb2b2f64498ebd7db091c89cb26b710d9e256f3b2585b6e445609",
+    (16, 3): "310bf44096f3f4621a4ce08837b62fc0859e7a6cf9e19fb66fba8b0f7eff89dc",
+    (16, 4): "b9e366ebb164bc04d43e36ba4c6532f68e5105d9faf11c94b62c871d5c4827a3",
+    (16, 5): "d9e16820a7f83560b3400b3fdedcc69ddbfcb6b7138b65afbacac65aeaa56e0f",
+    (16, 6): "2fa182b89944e22e5cb3f7a0529e37548ee752f61a53ae2a073c861b5dc0bcb7",
+    (16, 7): "f32dc555af6cfd24d134f8f0a9d0eb8ae9de5dbc83442d7deeca18b903299cce",
+    (16, 8): "8af18cf6f10d229a0f8330b96794fa268ffbae6e33866de5372ea01ba159735c",
+    (1024, 1): "c1facc21a852807d87c695bf7bca651780f464cfb9312e5ba51cdd0cf72d3598",
+    (1024, 2): "30c87ebaca42a809f5b901ff039aad8fc9f61390e6b02b5e220d73d88aeab8ac",
+    (1024, 3): "fb245e370bfc5d007a1cb3a8a1a67f840263330168b6e1aa2944b5f732f7af13",
+    (1024, 4): "ab131c7c237a5509122d599f683a0c0ce3fecfc6fe22fcad935ef5e0a58f2b75",
+    (1024, 5): "fbcad99ddd02ecee5fc74c09f97f4f3bb3a76c6743f7a26d342b5fb276d6121f",
+    (1024, 6): "eb02d5ef4ce6c22d7178d56f28fc601fcabf3f87b47d563d96044337642019ae",
+    (1024, 7): "cf24bef592b7e7f860bff3efd20354962851ca9986e2bf9d0261186a050e77cd",
+    (1024, 8): "f4e83de9778650f853d8e8a5559fff6e10b779695db7f62088fb6092bd83f118",
+    (65536, 1): "f98d76a6b35cfb318191df27e811c56e76bbb89896d1635a0c18603d2781d3e7",
+    (65536, 2): "134047d8c7294b8585c7dddf9d4710bfe6a9b0d1ea51eb73bf1145bc292c0996",
+    (65536, 3): "6559548fefb3fe7bc0ff52ede0665b38be45e9ad02186a15cfe54a28b068b126",
+    (65536, 4): "f7c1b0d096fff7557f8e2c8cd1bdb0960c8a19efba873ce7d21d30a6658024b5",
+    (65536, 5): "ca915aec6c078f1fdacefd8b5e6f0cd8b21d7704f978e54d1839b69060781537",
+    (65536, 6): "f059ee80fad68898f3b5b3f0bc6c8279a9897900f2b3cbcf7982314f99f7bb5b",
+    (65536, 7): "e8239d830b7e2d8dab3f4b1d76c20b13676ce00c3ffc51572bb3d1d4524be2a6",
+    (65536, 8): "ac8ad9eece5acecbabaaaef26bdc2aa5679195a1cc4134543c8147c21aefd94c",
+}
 
 def quad_distortion(sigma, centroids, boundaries):
     """Independent distortion oracle: per-cell numeric quadrature."""
@@ -197,6 +234,29 @@ def test_solver_roms_are_pinned(d):
         assert hashlib.sha256(serialize_rom(cb)).hexdigest() == ROM_SHA256[(d, b)]
         assert lloyd_residual(cb.centroids, cb.boundaries) < 1e-12
         assert max_residual(cb.sigma, cb.centroids, cb.boundaries) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 16, 1024, 65536])
+def test_solver_roms_are_pinned_at_more_dimensions(d):
+    for b in range(1, 9):
+        cb = solve_codebook(d, b)
+        assert hashlib.sha256(serialize_rom(cb)).hexdigest() == ROM_SHA256_WIDE[(d, b)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 255])
+def test_tridiagonal_solve_matches_lapack(n):
+    # Random diagonally dominant systems, as the Newton step's Jacobian is.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        lower, upper = rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1)
+        diag = (np.abs(np.concatenate(([0.0], lower))) + np.abs(np.concatenate((upper, [0.0])))
+                + rng.uniform(0.1, 2.0, n)) * rng.choice([-1.0, 1.0], n)
+        rhs = rng.normal(size=n)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        got = np.array(_solve_tridiagonal(lower.tolist(), diag.tolist(), upper.tolist(),
+                                          rhs.tolist()))
+        want = np.linalg.solve(dense, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("pos,value", [(7, np.inf), (0, -np.inf), (3, np.nan),

@@ -28,7 +28,7 @@ def _per_key_reference(q, cache, spec, cb):
     for t, qk in enumerate(cache):
         counter.add("norm", mults=cb.d)
         rec = inverse_rotate(spec, cb.centroids[qk.indices], counter) * float(qk.norm)
-        scores[t] = q @ rec
+        scores[t] = np.multiply(rec, q).sum()
         counter.add("score", mults=cb.d, adds=cb.d - 1)
     return scores, counter
 
@@ -57,10 +57,11 @@ def test_oracle_matches_per_key_loop(T):
 
 @pytest.mark.parametrize("d", [2, 128, 1024])
 def test_oracle_dot_products_match_per_key_loop_at_extreme_magnitudes(d, monkeypatch):
-    # The oracle's one stacked matmul against one q @ row per key, on rows
-    # and queries from 1e-300 to 1e300, so products also over- and underflow.
-    # The mock returns the rows of the tile it is given: key t is stored
-    # with norm t, which names its row.  At d=1024 the 64 keys span 2 tiles.
+    # The oracle's row-tile products and sums against one product and sum
+    # per key, on rows and queries from 1e-300 to 1e300, so products also
+    # over- and underflow.  The mock returns the rows of the tile it is
+    # given: key t is stored with norm t, which names its row.  At d=1024
+    # the 64 keys span 2 tiles.
     rng = np.random.default_rng(d)
     T = 64
     recon = rng.normal(size=(T, d)) * 10.0 ** rng.integers(-300, 301, size=(T, 1))
@@ -75,7 +76,7 @@ def test_oracle_dot_products_match_per_key_loop_at_extreme_magnitudes(d, monkeyp
         for q in (rng.normal(size=d) * scale, (rng.normal(size=2 * d) * scale)[::2]):
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 got, _ = score_sequence_reference(q, cache, spec, cb)
-                want = np.array([q @ row for row in recon])
+                want = np.array([np.multiply(row, q).sum() for row in recon])
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

@@ -1,7 +1,8 @@
 """Each public entry point raises the same exception class for the same bad
-input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, a
-codebook/rotation d mismatch, a cell index past 2^b and a key file that does
-not hold real numbers.  Dimension checks run before finiteness.
+input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, a key whose
+sum of squares passes the float64 range, a codebook/rotation d mismatch, a
+cell index past 2^b and a key file that does not hold real numbers.
+Dimension checks run before finiteness.
 Constructors store read-only views and leave the caller's arrays writeable."""
 
 import struct
@@ -70,6 +71,13 @@ CASES = {
     "quantize_batch-ndim": (lambda _: quantize_batch(np.ones(D), SPEC, CB), DIM),
     "quantize_batch-nan": (lambda _: quantize_batch(_with(np.nan, (3, D)), SPEC, CB), BAD),
     "quantize_batch-inf": (lambda _: quantize_batch(_with(np.inf, (3, D)), SPEC, CB), BAD),
+    # Finite entries whose sum of squares passes the float64 range.
+    "quantize_batch-norm-overflow-1e200": (
+        lambda _: quantize_batch(_with(1e200, (3, D)), SPEC, CB), BAD),
+    "quantize_batch-norm-overflow-1e308": (
+        lambda _: quantize_batch(np.full((3, D), 1e308), SPEC, CB), BAD),
+    "quantize_key-norm-overflow-1e308": (
+        lambda _: quantize_key(_with(1e308), SPEC, CB), BAD),
     "quantize_batch-nan-and-length": (
         lambda _: quantize_batch(_with(np.nan, (3, 8)), SPEC, CB), DIM),
     "quantize_batch-cb-rotation": (lambda _: quantize_batch(ROWS, SPEC, CB8), DIM),
@@ -163,6 +171,17 @@ CASES = {
         lambda _: select_signs_all_layers(
             {0: CalibrationSet(keys=ROWS), 1: CalibrationSet(keys=np.ones((3, 8)))},
             C=2, b=B), DIM),
+    "candidate_mse-norm-overflow-1e200": (
+        lambda _: candidate_mse(CalibrationSet(keys=_with(1e200, (3, D))),
+                                random_signs(D, 1), CB), BAD),
+    "select_signs_all_layers-norm-overflow-1e308": (
+        lambda _: select_signs_all_layers(
+            {0: CalibrationSet(keys=ROWS), 1: CalibrationSet(keys=np.full((3, D), 1e308))},
+            C=2, b=B), BAD),
+    "norm_ratio_diagnostic-norm-overflow-1e200": (
+        lambda _: norm_ratio_diagnostic(
+            {0: CalibrationSet(keys=ROWS), 1: CalibrationSet(keys=_with(1e200, (3, D)))}),
+        BAD),
     "select_signs_all_layers-no-layers": (
         lambda _: select_signs_all_layers({}, C=2, b=B), EmptyCalibrationError),
     "norm_ratio_diagnostic-no-layers": (

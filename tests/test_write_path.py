@@ -614,8 +614,10 @@ def test_quantize_batch_normalizes_zero_and_underflowing_rows_as_before(monkeypa
         idx, np.searchsorted(CB.boundaries, rotate(SPEC, _old_unit_rows(keys)), side="right"))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, 1e308])
 def test_non_finite_key_in_the_last_tile_leaves_the_counter_alone(bad, monkeypatch):
+    # A NaN or infinite entry, or one whose square passes the float64 range:
+    # the key's norm is not finite, and the error names its row.
     T = 2 * (_TILE_BYTES // (8 * D)) + 1
     keys = random_keys(T, seed=9)
     keys[T - 1, D - 1] = bad
@@ -623,6 +625,6 @@ def test_non_finite_key_in_the_last_tile_leaves_the_counter_alone(bad, monkeypat
     ctr = OpCounter()
     ctr.add("score", mults=5)
     before = ctr.to_dict()
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=f"row {T - 1} "):
         quantize_batch(keys, SPEC, CB, ctr)
     assert ctr.to_dict() == before
