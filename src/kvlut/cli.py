@@ -19,7 +19,8 @@ import numpy as np
 
 from . import codebook as cbmod
 from .errors import (ConfigConflictError, FormatError, InvalidInputError,
-                     IoError, KvlutError, _check_power_of_two, _layer_items)
+                     IoError, KvlutError, _MAX_DRAWN_VALUES, _check_power_of_two,
+                     _layer_items)
 from .evalkit import (LayerProfile, SyntheticSpec, generate_keys,
                       jensen_bias_probe, sensitivity_sweep)
 from .opcount import OpCounter
@@ -48,8 +49,33 @@ def _check_consistent(name: str, *sources: tuple[str, int | None]) -> int:
     return next(iter(seen))
 
 
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), each line after the first
+    indented by pad.
+
+    The encoder runs Python code per float under indent, so a list of floats
+    is joined in C over float.__repr__, the encoder's own text for a finite
+    float; a list whose text holds nan or inf falls back to the encoder's
+    NaN/Infinity tokens.  A dict with str keys and a list among its values is
+    walked to reach such lists.  Anything else is one json.dumps call, so a
+    report with no list is encoded as a whole.
+    """
+    inner = pad + "  "
+    if type(value) is list and set(map(type, value)) == {float}:
+        text = (",\n" + inner).join(map(float.__repr__, value))
+        if "n" not in text:
+            return f"[\n{inner}{text}\n{pad}]"
+    elif (type(value) is dict and all(type(k) is str for k in value)
+          and any(type(v) is list for v in value.values())):
+        body = (",\n" + inner).join(f"{json.dumps(k)}: {_json_text(v, inner)}"
+                                    for k, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write payload as json.dumps(payload, sort_keys=True, indent=2) + newline."""
+    text = _json_text(payload) + "\n"
     if path is None:
         print(text, end="")
     else:
@@ -241,13 +267,13 @@ def _cmd_simulate_attention(args) -> int:
     payload = {
         "d": d, "b": cb.b, "T": len(cache), "layer": layer_id,
         "mode": args.mode,
-        "scores": [float(s) for s in scores],
+        "scores": scores.tolist(),
         "saturated": int(saturated.size),
         "ops": counter.to_dict(),
     }
     if args.reference:
         ref_scores, ref_counter = score_sequence_reference(qmat[0], cache, spec, cb)
-        payload["reference_scores"] = [float(s) for s in ref_scores]
+        payload["reference_scores"] = ref_scores.tolist()
         payload["reference_ops"] = ref_counter.to_dict()
     _write_json(args.report, payload)
     mults = counter.mults_in("table", "score")
@@ -258,10 +284,10 @@ def _cmd_simulate_attention(args) -> int:
 
 def _cmd_bench_mults(args) -> int:
     d, b, T = args.d, args.b, args.T
-    # Before a sign or key is drawn: d a power of two, then at most 2^27
-    # float64 values (1 GiB) in the query and the keys together.
+    # Before a sign or key is drawn: d a power of two, then at most
+    # _MAX_DRAWN_VALUES in the query and the keys together.
     _check_power_of_two(d, "--d")
-    if not 0 <= T < 2 ** 27 // d:
+    if not 0 <= T < _MAX_DRAWN_VALUES // d:
         raise InvalidInputError(f"--T must be >= 0 and (T + 1) * d <= 2^27, got T={T} at d={d}")
     cb = cbmod.solve_codebook(d, b)
     seed = _seed64(args.seed)

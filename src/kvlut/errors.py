@@ -73,6 +73,11 @@ class EmptyCalibrationError(KvlutError):
 
 # -- input rules shared by every module ----------------------------------
 
+# The most float64 values (1 GiB) one call draws from sizes it was given:
+# bench-mults' query and keys, or all the layers of a synthetic spec.
+_MAX_DRAWN_VALUES = 1 << 27
+
+
 def _check_power_of_two(d: int, what: str = "d") -> None:
     if d < 2 or d & (d - 1):
         raise InvalidDimensionError(f"{what} must be a power of 2 >= 2, got {d}")

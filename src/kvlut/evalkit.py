@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Codebook, solve_codebook
-from .errors import (InvalidInputError, _check_power_of_two,
+from .errors import (InvalidInputError, _MAX_DRAWN_VALUES, _check_power_of_two,
                      _check_shape, _read_only)
 from .signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
                       candidate_mse)
@@ -84,6 +84,11 @@ class SyntheticSpec:
         if self.N < 1:
             raise InvalidInputError(f"need at least one key per layer, got N={self.N}")
         object.__setattr__(self, "profiles", tuple(self.profiles))
+        # Before any key is drawn: generate_keys draws N x d values per profile.
+        if self.N * self.d * len(self.profiles) > _MAX_DRAWN_VALUES:
+            raise InvalidInputError(
+                f"a synthetic spec draws N * d * profiles <= 2^27 values, got "
+                f"{self.N} * {self.d} * {len(self.profiles)}")
         for p in self.profiles:
             if p.gain is not None:
                 _check_shape(p.gain, self.d, (1,), "gain vector")

@@ -12,6 +12,7 @@ alike, while a dominant coordinate direction separates them.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -180,14 +181,14 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cbs) -> np.ndarray:
 
     def score(first: int) -> None:
         try:
-            yt, diff, y = np.empty((d, n)), np.empty((d // 2) * n), np.empty((n, d))
+            yt, scratch, y = np.empty((d, n)), np.empty((d // 2) * n), np.empty((n, d))
             err = yt.reshape(n, d)
             cells = np.empty((n, d), dtype=np.uint8)
             mask = np.empty((n, d), dtype=np.bool_)
             for c in range(first, len(signs), workers):
                 if errors:
                     return
-                _rotate_block(unit_t, signs[c].signs, y, yt, diff)
+                _rotate_block(unit_t, signs[c].signs, y, yt, scratch)
                 for j, cb in enumerate(cbs):
                     idx = _cell_indices(y, cb, cells, mask)
                     # Cell indices are below 2^b by construction; "clip"
@@ -301,12 +302,19 @@ def norm_ratio_diagnostic(layers) -> NormDiagnostic:
 
     Below 2x the default (calibration-free) signs are safe; above 5x the
     selection step is worth running; between, measure on the actual model.
-    A layer whose keys all have zero norm is an empty calibration layer.
+    A layer whose keys all have zero norm is an empty calibration layer, and
+    a ratio past the float64 range (means spanning more than about 308
+    decades) is invalid input: a report could not hold it as a JSON number.
     """
     means = {layer_id: float(_row_norms(cs).mean())
              for layer_id, cs in _layer_items(layers)}
-    lo, hi = min(means.values()), max(means.values())
+    lo_id, hi_id = min(means, key=means.get), max(means, key=means.get)
+    lo, hi = means[lo_id], means[hi_id]
     ratio = hi / lo
+    if math.isinf(ratio):
+        raise InvalidInputError(
+            f"the mean key norms of layers {hi_id} ({hi!r}) and {lo_id} ({lo!r}) "
+            f"have a ratio past the float64 range")
     if ratio < 2.0:
         advice = RECOMMEND_SAFE
     elif ratio > 5.0:

@@ -94,33 +94,39 @@ def _row_tiles(n: int, row_bytes: int):
         yield slice(start, min(start + step, n))
 
 
-def _butterflies(y: np.ndarray, diff: np.ndarray) -> None:
+def _butterflies(y: np.ndarray, scratch: np.ndarray) -> None:
     """The unscaled butterfly network, in place on a C-ordered (d, N) block.
 
     Column j of y is one vector.  Each of the log2(d) stages adds and
-    subtracts whole contiguous blocks of N values; diff is scratch space of
-    (d/2) * N elements, so a caller looping over many blocks allocates none.
+    subtracts whole contiguous blocks of N values in place: it copies hi into
+    scratch, (d/2) * N elements, writes lo - hi over hi, then adds the copy
+    into lo.  Each output is the same IEEE a + b or a - b as a separate sum
+    and difference would give.  With both halves updated in place, the
+    subtract reads and writes two arrays rather than three, which numpy runs
+    faster on row tiles.  A caller looping over many blocks reuses one
+    scratch.
     """
     d, n = y.shape
     h = 1
     while h < d:
         pairs = y.reshape(-1, 2, h, n)
         lo, hi = pairs[:, 0], pairs[:, 1]
-        delta = np.subtract(lo, hi, out=diff.reshape(lo.shape))
-        lo += hi
-        hi[...] = delta
+        saved = scratch.reshape(hi.shape)
+        saved[...] = hi
+        np.subtract(lo, hi, out=hi)
+        lo += saved
         h *= 2
 
 
 def _rotate_block(src_t: np.ndarray, signs: np.ndarray | None, out: np.ndarray,
-                  y: np.ndarray, diff: np.ndarray) -> None:
+                  y: np.ndarray, scratch: np.ndarray) -> None:
     """Write H_d diag(signs) v / sqrt(d) into out for each column v of src_t.
 
     The rotation's only kernel: fwht and rotate run it on each row tile
     (_rotate_rows), the sign search on each candidate.  src_t is a (d, m)
     view and out the (m, d) result; signs None is the plain transform.  The
-    flipped copy and the butterflies run in the (d, m) buffer y, with diff as
-    the butterflies' scratch.
+    flipped copy and the butterflies run in the (d, m) buffer y, with scratch
+    as the butterflies' scratch.
 
     numpy's buffered ufunc loop copies an operand through its buffer (8,192
     elements by default) when its contiguous run is shorter than half the
@@ -141,7 +147,7 @@ def _rotate_block(src_t: np.ndarray, signs: np.ndarray | None, out: np.ndarray,
             np.copyto(y, src_t)
         else:
             np.multiply(src_t, signs[:, None], out=y)
-        _butterflies(y, diff)
+        _butterflies(y, scratch)
     finally:
         if scoped:
             np.setbufsize(old)
@@ -162,12 +168,12 @@ def _rotate_rows(arr: np.ndarray, signs: np.ndarray | None,
     if n == 0:
         return arr.copy()
     widest = next(_row_tiles(n, 8 * d)).stop
-    buf, diff = np.empty(d * widest), np.empty((d // 2) * widest)
+    buf, scratch = np.empty(d * widest), np.empty((d // 2) * widest)
     out = np.empty((n, d))
     for tile in _row_tiles(n, 8 * d):
         m = tile.stop - tile.start
         _rotate_block(rows[tile].T, signs, out[tile], buf[:d * m].reshape(d, m),
-                      diff[:(d // 2) * m])
+                      scratch[:(d // 2) * m])
     if counter is not None:
         counter.add("transform", adds=n * d * (d.bit_length() - 1))
     return out.reshape(arr.shape)

@@ -396,6 +396,14 @@ def _huge_keys(ws, command, value):
     return run(ws, "diagnose-norms", "--keys", ws / "cal0.npy", keys)
 
 
+def _norm_ratio_past_range(ws):
+    # Two layers whose mean norms are finite but whose ratio overflows.
+    np.save(ws / "big.npy", np.full((2, D), 1e150))
+    np.save(ws / "tiny.npy", np.full((2, D), 1e-160))
+    return run(ws, "diagnose-norms", "--keys", ws / "big.npy", ws / "tiny.npy",
+               "--report", ws / "diag.json")
+
+
 def _npy_bytes(arr):
     buf = io.BytesIO()
     np.save(buf, arr)
@@ -478,6 +486,11 @@ def _with_zero_layer_rom(ws, command):
     (lambda ws: _huge_keys(ws, "optimize-signs", 1e308), 8),
     (lambda ws: _huge_keys(ws, "diagnose-norms", 1e200), 8),
     (lambda ws: _huge_keys(ws, "diagnose-norms", 1e308), 8),
+    # A synthetic spec past the 2^27-value draw cap, for each command that
+    # reads one, and layers whose mean-norm ratio passes the float64 range.
+    (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 10 ** 12})), 8),
+    (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 10 ** 12}), "eval"), 8),
+    (_norm_ratio_past_range, 8),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
         "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
         "npy-strings", "npy-structured", "npy-complex",
@@ -492,7 +505,9 @@ def _with_zero_layer_rom(ws, command):
         "raw-keys-d-zero", "raw-keys-d-negative",
         "norm-overflow-quantize-1e200", "norm-overflow-quantize-1e308",
         "norm-overflow-optimize-signs-1e200", "norm-overflow-optimize-signs-1e308",
-        "norm-overflow-diagnose-norms-1e200", "norm-overflow-diagnose-norms-1e308"])
+        "norm-overflow-diagnose-norms-1e200", "norm-overflow-diagnose-norms-1e308",
+        "synthetic-past-draw-cap-diagnose", "synthetic-past-draw-cap-eval",
+        "norm-ratio-past-float64-range"])
 def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code):
     assert invoke(workspace) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
@@ -645,3 +660,23 @@ def test_report_json_is_stable(workspace):
     text = a.read_text()
     assert text.endswith("\n")
     json.loads(text)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": {"b": [1.5, 2.5], "c": {}, "e": {"f": [[1.0], [2.0, 3.0]]}}, "d": [], "z": 0},
+    {"x": [-0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5e-310, 1.7976931348623157e308]},
+    {"x": [1.0, float("inf")], "y": [-float("inf"), 2.0], "z": [float("nan")],
+     "ratio": float("inf")},
+    {"x": [1, 2.0], "y": [np.float64(0.1), np.float64(-0.0)], "z": [1.0, np.float64(2.5)],
+     "w": np.float64(1e16), "v": [True, 1.0]},
+    {"t": True, "f": False, "n": None, "s": 'naïve "q" \\ \n\t ☃ \U0001d11e',
+     "l": [True, None, "é"], "é": [0.5]},
+    {"rows": [{"x": [1.0, 2.0]}, {}], "k": {2: [1.0], 1: [0.5]}, "m": {"x": [0.25]}},
+], ids=["nested", "float-edges", "non-finite", "mixed-types", "scalars-and-strings",
+        "lists-of-dicts-and-int-keys"])
+def test_write_json_is_json_dumps_byte_for_byte(tmp_path, capsys, payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    cli._write_json(str(tmp_path / "r.json"), payload)
+    assert (tmp_path / "r.json").read_bytes() == expected.encode()
+    cli._write_json(None, payload)
+    assert capsys.readouterr().out == expected

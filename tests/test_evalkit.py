@@ -74,6 +74,11 @@ def test_spec_validation():
         LayerProfile(gain=np.array([1.0, -2.0]))
     with pytest.raises(InvalidDimensionError):
         SyntheticSpec(d=64, N=4, profiles=(LayerProfile(gain=np.ones(32)),))
+    # N * d * profiles is capped at 2^27 values before any key is drawn.
+    SyntheticSpec(d=1024, N=2 ** 17)
+    for N, count in ((2 ** 17 + 1, 1), (2 ** 16, 3), (10 ** 12, 1)):
+        with pytest.raises(InvalidInputError, match="2\\^27"):
+            SyntheticSpec(d=1024, N=N, profiles=(LayerProfile(),) * count)
 
 
 def test_evaluate_pipeline_report():

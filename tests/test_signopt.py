@@ -362,6 +362,16 @@ def test_norm_diagnostic_thresholds():
         norm_ratio_diagnostic({})
 
 
+def test_norm_diagnostic_ratio_past_float64_range():
+    # Finite mean norms about 1.1e151 and 1.1e-159 whose ratio overflows.
+    hi = CalibrationSet(keys=np.full((2, D), 1e150), layer_id=3)
+    lo = CalibrationSet(keys=np.full((2, D), 1e-160), layer_id=5)
+    with pytest.raises(InvalidInputError, match="layers 3 .* and 5 "):
+        norm_ratio_diagnostic({3: hi, 5: lo})
+    near = CalibrationSet(keys=np.full((2, D), 1e-150), layer_id=5)
+    assert norm_ratio_diagnostic({3: hi, 5: near}).ratio == pytest.approx(1e300)
+
+
 def test_diagnostic_to_dict():
     diag = norm_ratio_diagnostic({0: cal_set(seed=1), 1: cal_set(seed=2)})
     payload = diag.to_dict()
