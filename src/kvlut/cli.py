@@ -27,8 +27,8 @@ from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
-from .transform import (RotationSpec, _check_rom_header, _open_sign_rom, _seed64,
-                        random_signs, write_sign_rom)
+from .transform import (RotationSpec, _check_rom_header, _open_sign_rom, _row_tiles,
+                        _seed64, random_signs, write_sign_rom)
 from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
                          write_kvq)
 
@@ -234,7 +234,16 @@ def _cmd_quantize(args) -> int:
     d = cb.d
     spec = RotationSpec(d=d, sign=rom.layer(args.layer))
     counter = OpCounter()
-    cache = KVCache(*quantize_batch(keys, spec, cb, counter))
+    idx, norms = quantize_batch(keys, spec, cb, counter)
+    # A norm past half's range is stored as +inf, which marks an overflowed
+    # key: the line below names it in place of numpy's cast warning.
+    with np.errstate(over="ignore"):
+        cache = KVCache(idx, norms)
+    overflowed = np.flatnonzero(np.isinf(cache.norms))
+    if overflowed.size:
+        print(f"warning: {overflowed.size} of {len(cache)} key norms overflow half "
+              f"precision and are stored as +inf; the first is key {overflowed[0]}",
+              file=sys.stderr)
     write_kvq(args.out, cache, d, cb.b, layer_id=args.layer)
     _write_json(args.report, {
         "d": d, "b": cb.b, "T": len(cache), "layer": args.layer,
@@ -293,9 +302,14 @@ def _cmd_bench_mults(args) -> int:
     seed = _seed64(args.seed)
     spec = RotationSpec(d=d, sign=random_signs(d, seed + 1))
     rng = np.random.default_rng(seed)
-    keys = rng.normal(size=(T, d))
+    # The keys are drawn and quantized one row tile at a time, which draws
+    # the values one (T, d) draw would, so no float64 key matrix is held.
+    idx, norms = np.empty((T, d), dtype=np.uint8), np.empty(T)
+    for rows in _row_tiles(T, 8 * d):
+        idx[rows], norms[rows] = quantize_batch(
+            rng.normal(size=(rows.stop - rows.start, d)), spec, cb)
     q = rng.normal(size=d)
-    cache = KVCache(*quantize_batch(keys, spec, cb))
+    cache = KVCache(idx, norms)
     _, lut_counter = score_sequence(q, cache, spec, cb)
     _, ref_counter = score_sequence_reference(q, cache, spec, cb)
 

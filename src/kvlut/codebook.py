@@ -172,12 +172,12 @@ def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarra
 def solve_lloyd_max(sigma: float, b: int, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Solve the minimum-MSE b-bit quantizer for N(0, sigma^2).
 
-    Starts from quantile-spaced boundaries, sigma * PHI^-1(k / 2^b), takes
-    their cell means, and solves the Lloyd-Max optimality conditions from
-    there by Newton's method (_newton_refine).  The boundaries are the
-    midpoints of the solved centroids.  The result is antisymmetrized (the
-    exact solution is odd-symmetric) and then checked against both
-    optimality conditions.
+    Starts from quantile-spaced boundaries, sigma * PHI^-1(k / 2^b), with
+    PHI^-1 from statistics.NormalDist.inv_cdf, takes their cell means, and
+    solves the Lloyd-Max optimality conditions from there by Newton's method
+    (_newton_refine).  The boundaries are the midpoints of the solved
+    centroids.  The result is antisymmetrized (the exact solution is
+    odd-symmetric) and then checked against both optimality conditions.
 
     Returns:
         ``(centroids, boundaries)`` as float64 arrays.
@@ -273,24 +273,13 @@ def infer_b(nbytes: int) -> int:
     raise FormatError(f"no bit-width has a {nbytes}-byte ROM image")
 
 
-def serialize_rom(cb: Codebook) -> bytes:
-    values = np.concatenate([cb.centroids, cb.boundaries])
-    return values.astype("<f2").tobytes()
+def _check_rom_values(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one ROM rule: (centroids, boundaries) of a ROM's float64 values.
 
-
-def deserialize_rom(data: bytes, d: int, b: int) -> Codebook:
-    """Rebuild a Codebook from its ROM image, re-validating ordering.
-
-    Raises:
-        FormatError: wrong byte length for this b.
-        CorruptRomError: a value is NaN or infinite, or the values are not
-            strictly ascending / interleaved.
+    The values must be finite, the centroids and the boundaries each
+    strictly ascending, and every boundary strictly between its two
+    centroids; otherwise CorruptRomError.
     """
-    _validate_design_point(d, b)
-    expected = rom_size(b)
-    if len(data) != expected:
-        raise FormatError(f"ROM for b={b} must be {expected} bytes, got {len(data)}")
-    values = np.frombuffer(data, dtype="<f2").astype(np.float64)
     levels = 1 << b
     centroids, boundaries = values[:levels], values[levels:]
     if not np.all(np.isfinite(values)):
@@ -299,4 +288,38 @@ def deserialize_rom(data: bytes, d: int, b: int) -> Codebook:
         raise CorruptRomError("ROM centroids/boundaries are not strictly ascending")
     if np.any(boundaries <= centroids[:-1]) or np.any(boundaries >= centroids[1:]):
         raise CorruptRomError("ROM boundaries do not interleave centroids")
+    return centroids, boundaries
+
+
+def serialize_rom(cb: Codebook) -> bytes:
+    """The codebook's ROM image: its values rounded to half, little-endian.
+
+    Raises:
+        CorruptRomError: the half values break the ROM rule that
+            deserialize_rom checks, as happens when half rounding collapses
+            adjacent values (up to d = 2^40: from d = 2^35 at b = 8, 2^37 at
+            b = 7 and 2^39 at b = 6).
+    """
+    half = np.concatenate([cb.centroids, cb.boundaries]).astype("<f2")
+    try:
+        _check_rom_values(half.astype(np.float64), cb.b)
+    except CorruptRomError as exc:
+        raise CorruptRomError(
+            f"half rounding at d={cb.d}, b={cb.b} breaks the ROM rule: {exc}") from exc
+    return half.tobytes()
+
+
+def deserialize_rom(data: bytes, d: int, b: int) -> Codebook:
+    """Rebuild a Codebook from its ROM image, re-validating ordering.
+
+    Raises:
+        FormatError: wrong byte length for this b.
+        CorruptRomError: the values break the ROM rule (_check_rom_values).
+    """
+    _validate_design_point(d, b)
+    expected = rom_size(b)
+    if len(data) != expected:
+        raise FormatError(f"ROM for b={b} must be {expected} bytes, got {len(data)}")
+    values = np.frombuffer(data, dtype="<f2").astype(np.float64)
+    centroids, boundaries = _check_rom_values(values, b)
     return Codebook(d=d, b=b, centroids=centroids, boundaries=boundaries)

@@ -138,7 +138,9 @@ def _gather_offsets(cache: KVCache, b: int) -> tuple[int, list]:
     the log2(P)-bit reversal of p: the tile's cells in one strided copy of
     the rows viewed as (m, 2, ..., 2) with the bit axes reversed, plus the
     base rev(p) times the table's row width, one rule for both gathers.
-    Later calls at b return what the cache keeps.
+    Later calls at b return what the cache keeps.  The same tiles serve
+    double mode, whose float64 partials take twice the bytes.  The blocks
+    hold T*d*8 / 2^folds bytes, 4 or 8 times the (T, d) uint8 indices.
     """
     memo = cache._gathers.get(b)
     if memo is None:

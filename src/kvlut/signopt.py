@@ -131,7 +131,8 @@ _THREAD_MIN_ELEMS = 1 << 15
 
 def _workers(C: int, elems: int) -> int:
     """Threads for C candidates of `elems` values each: one per CPU this
-    process may use, at most C, and one at or below _THREAD_MIN_ELEMS."""
+    process may use (os.sched_getaffinity where it exists, else
+    os.cpu_count()), at most C, and one at or below _THREAD_MIN_ELEMS."""
     if elems <= _THREAD_MIN_ELEMS:
         return 1
     if hasattr(os, "sched_getaffinity"):

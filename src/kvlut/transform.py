@@ -131,9 +131,10 @@ def _rotate_block(src_t: np.ndarray, signs: np.ndarray | None, out: np.ndarray,
     numpy's buffered ufunc loop copies an operand through its buffer (8,192
     elements by default) when its contiguous run is shorter than half the
     buffer; the flip runs in runs of m values and butterfly stage h in runs
-    of h * m.  So both run under a buffer of 16 * (m // 16) (numpy 1.x takes
-    only multiples of 16), left alone below 16 or at or above the current
-    size, and restored in a finally (numpy 1.x's np.errstate would not).
+    of h * m (at m = 512 the flip and stages 1, 2 and 4 would be copied).
+    So both run under a buffer of 16 * (m // 16) (numpy 1.x takes only
+    multiples of 16), left alone below 16 or at or above the current size,
+    and restored in a finally (numpy 1.x's np.errstate would not).
     Elementwise ufuncs give the same bits at any buffer size, but a casting
     reduction does not, so no reduction may run in that scope.
     """

@@ -252,7 +252,8 @@ def _record_groups(d: int, b: int) -> tuple[int, int, int, np.dtype]:
     2 or 4), the row is one group of g = d indices in n = ceil(d*b/8) <= 4
     bytes; either way the ceil(d*b/8) index bytes are G = d/g whole groups.
     Group k is the low n bytes of one little-endian word holding index g*k + j
-    at bits [b*j, b*j + b), the narrowest unsigned integer of at least n bytes.
+    at bits [b*j, b*j + b); the word is the narrowest of <u1, <u4 and <u8
+    that holds n bytes.
     """
     _validate_design_point(d, b)
     g = min(d, 8 // math.gcd(8, b))
@@ -345,6 +346,9 @@ _KVQ_HEADER = struct.Struct("<4sBBIII")
 
 def write_kvq(path, keys: Sequence[QuantizedKey], d: int, b: int,
               layer_id: int = 0) -> None:
+    """Write a .kvq cache; a layer_id outside the header's u32 is a FormatError."""
+    if not 0 <= layer_id <= 0xFFFFFFFF:
+        raise FormatError(f"cache header holds the layer id as u32, got {layer_id}")
     cache = _cache_rows(keys, d)
     records = _pack_rows(cache.indices, cache.norms, b)
     header = _KVQ_HEADER.pack(_KVQ_MAGIC, _KVQ_VERSION, b, d, len(cache), layer_id)

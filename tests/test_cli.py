@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,39 @@ def test_simulate_names_its_first_saturated_key(workspace, capsys):
                            f"the first is key {bad[0]}\n")
 
 
+def test_quantize_names_its_first_overflowed_norm(workspace, capsys):
+    # Norms of 1e4-entry keys (1.13e5) round to half +inf: one stderr line
+    # gives their count and the first key, and no numpy cast warning escapes.
+    _build_pipeline(workspace)
+    keys = np.random.default_rng(3).normal(size=(5, D))
+    keys[[2, 4]] = 1e4
+    np.save(workspace / "over.npy", keys)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(workspace, "quantize", "--keys", workspace / "over.npy",
+                   "--signs", workspace / "s.sgnrom", "--codebook", workspace / "cb.cbrom",
+                   "--out", workspace / "over.kvq", "--report", workspace / "over.json") == 0
+    assert capsys.readouterr().err == (
+        "warning: 2 of 5 key norms overflow half precision and are stored as +inf; "
+        "the first is key 2\n")
+    cache, _, _, _ = read_kvq(workspace / "over.kvq")
+    assert np.isinf(cache.norms).tolist() == [False, False, True, False, True]
+    assert "warning" not in (workspace / "over.json").read_text()
+
+
+def test_solve_codebook_writes_nothing_for_a_rom_it_cannot_hold(workspace, capsys):
+    # At d = 2^35, b = 8 half rounding collapses adjacent values, so the
+    # image would fail deserialize_rom: exit 5 before --out, its sidecar or
+    # the report is written.
+    rom, report = workspace / "big.cbrom", workspace / "big.json"
+    assert run(workspace, "solve-codebook", "--d", 2 ** 35, "--b", 8,
+               "--out", rom, "--report", report) == 5
+    assert capsys.readouterr().out.startswith("error: half rounding at d=34359738368, b=8")
+    assert not rom.exists() and not report.exists()
+    assert not (workspace / "big.cbrom.json").exists()
+
+
 def test_quantize_empty_keys(workspace):
     _build_pipeline(workspace)
     out = workspace / "empty.kvq"
@@ -286,6 +320,32 @@ def test_bench_mults_report(workspace):
                "--report", report) == 0
     payload = json.loads(report.read_text())
     assert (payload["lookup_mults"], payload["reference_mults"]) == (1024, 0)
+
+
+def test_bench_mults_quantizes_the_keys_of_one_whole_draw(workspace, monkeypatch):
+    # bench-mults draws and quantizes its keys tile by tile; the cache it
+    # scores is the one a single (T, d) draw followed by the query gives.
+    seen = []
+
+    def recording(q, cache, *rest):
+        seen.append((q, cache))
+        return score_sequence(q, cache, *rest)
+
+    monkeypatch.setattr(cli, "score_sequence", recording)
+    assert run(workspace, "bench-mults", "--d", 64, "--b", 4, "--T", 1500,
+               "--seed", 9, "--report", workspace / "bench.json") == 0
+    from kvlut.codebook import solve_codebook
+    from kvlut.transform import random_signs
+    from kvlut.write_path import quantize_batch
+    rng = np.random.default_rng(9)
+    keys, q = rng.normal(size=(1500, 64)), rng.normal(size=64)
+    idx, norms = quantize_batch(keys, RotationSpec(d=64, sign=random_signs(64, 10)),
+                                solve_codebook(64, 4))
+    (got_q, cache), = seen
+    np.testing.assert_array_equal(got_q, q)
+    np.testing.assert_array_equal(cache.indices, idx)
+    np.testing.assert_array_equal(cache.norms.view(np.uint16),
+                                  norms.astype(np.float16).view(np.uint16))
 
 
 def test_eval_and_diagnose(workspace):

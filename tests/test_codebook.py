@@ -227,6 +227,25 @@ def test_deserialize_rejects_bad_images():
         deserialize_rom(values.astype("<f2").tobytes(), 128, 3)
 
 
+# Up to d = 2^40, these are the design points whose half-rounded values
+# collapse into an image deserialize_rom rejects.
+_COLLAPSING = ([(2 ** e, 6) for e in (39, 40)] + [(2 ** e, 7) for e in range(37, 41)]
+               + [(2 ** e, 8) for e in range(35, 41)])
+
+
+@pytest.mark.parametrize("d, b", _COLLAPSING)
+def test_serialize_rom_rejects_an_image_deserialize_rom_would(d, b):
+    cb = solve_codebook(d, b)
+    with pytest.raises(CorruptRomError, match=f"d={d}, b={b}"):
+        serialize_rom(cb)
+
+
+@pytest.mark.parametrize("d, b", [(2 ** 34, 8), (2 ** 36, 7), (2 ** 38, 6)])
+def test_the_last_holdable_points_round_trip(d, b):
+    blob = serialize_rom(solve_codebook(d, b))
+    assert serialize_rom(deserialize_rom(blob, d, b)) == blob
+
+
 @pytest.mark.parametrize("d", [64, 128, 256])
 def test_solver_roms_are_pinned(d):
     for b in range(1, 9):

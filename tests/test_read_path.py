@@ -774,12 +774,6 @@ def test_empty_cache_scores(mode, dtype):
     assert ctr.lookups["score"] == 0
 
 
-def test_readme_quick_start_runs():
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = text.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
-
-
 def _assert_scores_per_key(tbl, cache):
     # _score_rows on a cache, in both modes, against a fresh cache of the
     # same arrays, the gather-sum and half-tree oracles, and score_key /

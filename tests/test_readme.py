@@ -1,0 +1,52 @@
+"""README's blocks and tables against the code they describe."""
+
+import argparse
+import re
+import shlex
+from pathlib import Path
+
+import kvlut.errors as errors
+from kvlut.cli import _build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _block(heading: str, lang: str) -> str:
+    """The first ```lang block after the README heading."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    exec(compile(_block("Library quick start", "python"), "README.md", "exec"), {})
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+def test_readme_exit_codes_are_the_codes_main_returns():
+    # main returns 0, argparse exits 2, and every KvlutError subclass
+    # (KvlutError itself included) names its own code.
+    table = README.split("\nExit codes:", 1)[1].split("\n\n", 1)[0]
+    listed = [int(code) for code in re.findall(r"`(\d+)`", table)]
+    assert len(listed) == len(set(listed))
+    want = {0, 2} | {cls.exit_code for cls in _subclasses(errors.KvlutError)}
+    assert set(listed) == want
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_readme_cli_quick_start_names_only_real_subcommands_and_flags():
+    commands = _block("CLI quick start", "sh").replace("\\\n", " ").splitlines()
+    subparsers = _subparsers(_build_parser())
+    assert commands
+    for line in commands:
+        prog, sub, *rest = shlex.split(line)
+        assert prog == "kvlut" and sub in subparsers, line
+        known = subparsers[sub]._option_string_actions
+        for flag in (w for w in rest if w.startswith("--")):
+            assert flag in known, (sub, flag)

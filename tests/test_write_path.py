@@ -279,6 +279,16 @@ def test_kvq_empty_cache(tmp_path):
     assert len(back) == 0 and (d, b) == (D, B)
 
 
+@pytest.mark.parametrize("layer_id", [-1, 2**32])
+def test_kvq_rejects_a_layer_id_outside_the_header_u32(tmp_path, layer_id):
+    path = tmp_path / "cache.kvq"
+    with pytest.raises(FormatError, match="u32"):
+        write_kvq(path, [], D, B, layer_id=layer_id)
+    assert not path.exists()
+    write_kvq(path, [], D, B, layer_id=layer_id % 2**32)
+    assert read_kvq(path)[3] == layer_id % 2**32
+
+
 def _reference_record(qk, b):
     # Per-key packer: bit j of index i at stream bit b*i + j, then half(norm).
     bits = ((qk.indices[:, None] >> np.arange(b)) & 1).astype(np.uint8).ravel()
