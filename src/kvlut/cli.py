@@ -4,8 +4,8 @@ Artifacts are binary with versioned headers (sign ROMs, caches); reports are
 JSON with sorted keys and no timestamps, so identical invocations produce
 byte-identical outputs.  The codebook ROM is the one headerless artifact (its
 size is part of the design contract); its (d, b) travel in a JSON sidecar
-written next to it and are cross-checked against flags and other headers on
-load.
+written next to it and are cross-checked against the other artifacts'
+headers on load.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from . import codebook as cbmod
 from .errors import (ConfigConflictError, FormatError, InvalidInputError,
                      IoError, KvlutError, _MAX_DRAWN_VALUES, _check_power_of_two,
                      _layer_items)
-from .evalkit import (LayerProfile, SyntheticSpec, generate_keys,
+from .evalkit import (LayerProfile, SyntheticSpec, _check_jensen_args, generate_keys,
                       jensen_bias_probe, sensitivity_sweep)
 from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
-from .transform import (RotationSpec, _check_rom_header, _open_sign_rom, _row_tiles,
+from .transform import (RotationSpec, SignVector, _check_rom_header, _open_sign_rom,
                         _seed64, random_signs, write_sign_rom)
 from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
                          write_kvq)
@@ -97,7 +97,7 @@ def _sidecar_path(rom_path: str) -> str:
 
 def _load_codebook(path: str, d_sources: list[tuple[str, int | None]],
                    b_sources: list[tuple[str, int | None]]) -> cbmod.Codebook:
-    """Load a codebook ROM, resolving (d, b) across flags, headers, sidecar."""
+    """Load a codebook ROM, resolving (d, b) across headers and the sidecar."""
     with open(path, "rb") as fh:
         blob = fh.read()
     b_len = cbmod.infer_b(len(blob))
@@ -118,13 +118,31 @@ def _load_codebook(path: str, d_sources: list[tuple[str, int | None]],
     return cbmod.deserialize_rom(blob, d, b)
 
 
-def _load_keys_cli(path: str, d_flag: int | None) -> np.ndarray:
+def _load_keys_cli(path: str, d: int | None) -> np.ndarray:
     # Raw files structurally need d to recover rows; typed files carry their
-    # own width, and flag mismatches go through the config cross-check so
-    # they surface as conflicts rather than loader errors.
+    # own width, and a width mismatch goes through the config cross-check so
+    # it surfaces as a conflict rather than a loader error.
     if str(path).endswith((".npy", ".txt", ".csv")):
         return load_key_matrix(path)
-    return load_key_matrix(path, d_flag)
+    return load_key_matrix(path, d)
+
+
+def _open_layer(args, rows_path: str, layer: int, cache_db: tuple[int, int] | None = None
+                ) -> tuple[np.ndarray, RotationSpec, cbmod.Codebook]:
+    """The rows of rows_path, and the layer's rotation and codebook.
+
+    d is the sign ROM's (and cache_db's, a cache header's (d, b)), b the
+    codebook ROM length's (and the cache's); a raw rows file takes the
+    cache's d, else the ROM's.  The rows' width and the sidecar must agree.
+    """
+    rom = _open_sign_rom(args.signs)
+    cache_d, cache_b = cache_db or (None, None)
+    rows = _load_keys_cli(rows_path, cache_d or rom.d)
+    cb = _load_codebook(
+        args.codebook,
+        [(rows_path, rows.shape[1]), ("cache", cache_d), ("sign-rom", rom.d)],
+        [("cache", cache_b)])
+    return rows, RotationSpec(d=cb.d, sign=rom.layer(layer)), cb
 
 
 def _load_layer_sets(paths: list[str], d: int | None) -> dict[int, CalibrationSet]:
@@ -165,8 +183,9 @@ def _number_list(text: str, kind=int) -> list:
 
 
 # -- subcommand handlers --------------------------------------------------
+# Each returns its report payload and its summary text; main writes both.
 
-def _cmd_solve_codebook(args) -> int:
+def _cmd_solve_codebook(args) -> tuple[dict, str]:
     cb = cbmod.solve_codebook(args.d, args.b, tol=args.tol)
     blob = cbmod.serialize_rom(cb)
     lloyd = cbmod.lloyd_residual(cb.centroids, cb.boundaries)
@@ -186,13 +205,11 @@ def _cmd_solve_codebook(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(blob)
         _write_json(_sidecar_path(args.out), {"d": cb.d, "b": cb.b})
-    _write_json(args.report, report)
-    print(f"solved d={cb.d} b={cb.b}: {len(blob)} bytes, "
-          f"lloyd {lloyd:.3e}, max {maxr:.3e}")
-    return 0
+    return report, (f"solved d={cb.d} b={cb.b}: {len(blob)} bytes, "
+                    f"lloyd {lloyd:.3e}, max {maxr:.3e}")
 
 
-def _cmd_gen_signs(args) -> int:
+def _cmd_gen_signs(args) -> tuple[dict, str]:
     d = args.d
     if args.seeds is not None:
         seeds = _number_list(args.seeds)
@@ -202,37 +219,26 @@ def _cmd_gen_signs(args) -> int:
     _check_rom_header(d, len(seeds))
     signs = [random_signs(d, sd, layer_id=i) for i, sd in enumerate(seeds)]
     write_sign_rom(args.out, signs)
-    _write_json(args.report, {"d": d, "layers": len(signs), "seeds": list(seeds)})
-    print(f"wrote {len(signs)} sign vectors (d={d}) to {args.out}")
-    return 0
+    return ({"d": d, "layers": len(signs), "seeds": list(seeds)},
+            f"wrote {len(signs)} sign vectors (d={d}) to {args.out}")
 
 
-def _cmd_optimize_signs(args) -> int:
+def _cmd_optimize_signs(args) -> tuple[dict, str]:
     layers = _load_layer_sets(args.keys, args.d)
     reports, rom = select_signs_all_layers(layers, C=args.candidates, b=args.b,
                                            base_seed=args.base_seed)
     with open(args.out, "wb") as fh:
         fh.write(rom)
-    _write_json(args.report, {
-        "b": args.b,
-        "candidates": args.candidates,
-        "base_seed": args.base_seed,
-        "layers": [r.to_dict() for r in reports],
-    })
     spreads = ", ".join(f"L{r.selected.layer_id}:{r.spread:.3f}" for r in reports)
-    print(f"selected signs for {len(reports)} layer(s); spread {spreads}")
-    return 0
+    return ({"b": args.b,
+             "candidates": args.candidates,
+             "base_seed": args.base_seed,
+             "layers": [r.to_dict() for r in reports]},
+            f"selected signs for {len(reports)} layer(s); spread {spreads}")
 
 
-def _cmd_quantize(args) -> int:
-    keys = _load_keys_cli(args.keys, args.d)
-    rom = _open_sign_rom(args.signs)
-    cb = _load_codebook(
-        args.codebook,
-        [("--d", args.d), ("key-matrix", keys.shape[1]), ("sign-rom", rom.d)],
-        [("--b", args.b)])
-    d = cb.d
-    spec = RotationSpec(d=d, sign=rom.layer(args.layer))
+def _cmd_quantize(args) -> tuple[dict, str]:
+    keys, spec, cb = _open_layer(args, args.keys, args.layer)
     counter = OpCounter()
     idx, norms = quantize_batch(keys, spec, cb, counter)
     # A norm past half's range is stored as +inf, which marks an overflowed
@@ -244,37 +250,26 @@ def _cmd_quantize(args) -> int:
         print(f"warning: {overflowed.size} of {len(cache)} key norms overflow half "
               f"precision and are stored as +inf; the first is key {overflowed[0]}",
               file=sys.stderr)
-    write_kvq(args.out, cache, d, cb.b, layer_id=args.layer)
-    _write_json(args.report, {
-        "d": d, "b": cb.b, "T": len(cache), "layer": args.layer,
-        "comparator": "flat",
-        "ops": counter.to_dict(),
-    })
-    print(f"quantized {len(cache)} keys (d={d}, b={cb.b}) to {args.out}")
-    return 0
+    write_kvq(args.out, cache, cb.d, cb.b, layer_id=args.layer)
+    return ({"d": cb.d, "b": cb.b, "T": len(cache), "layer": args.layer,
+             "comparator": "flat",
+             "ops": counter.to_dict()},
+            f"quantized {len(cache)} keys (d={cb.d}, b={cb.b}) to {args.out}")
 
 
-def _cmd_simulate_attention(args) -> int:
-    qmat = _load_keys_cli(args.query, args.d)
+def _cmd_simulate_attention(args) -> tuple[dict, str]:
+    cache, cache_d, cache_b, layer_id = read_kvq(args.cache)
+    qmat, spec, cb = _open_layer(args, args.query, layer_id, (cache_d, cache_b))
     if qmat.shape[0] != 1:
         raise InvalidInputError(
             f"query file must hold exactly one row, got {qmat.shape[0]}")
-    cache, cache_d, cache_b, layer_id = read_kvq(args.cache)
-    rom = _open_sign_rom(args.signs)
-    cb = _load_codebook(
-        args.codebook,
-        [("--d", args.d), ("query", qmat.shape[1]), ("cache", cache_d),
-         ("sign-rom", rom.d)],
-        [("--b", args.b), ("cache", cache_b)])
-    d = cb.d
-    spec = RotationSpec(d=d, sign=rom.layer(layer_id))
     scores, counter = score_sequence(qmat[0], cache, spec, cb, mode=args.mode)
     saturated = np.flatnonzero(~np.isfinite(scores))
     if saturated.size:
         print(f"warning: {saturated.size} of {len(cache)} {args.mode} scores are not "
               f"finite; the first is key {saturated[0]}", file=sys.stderr)
     payload = {
-        "d": d, "b": cb.b, "T": len(cache), "layer": layer_id,
+        "d": cb.d, "b": cb.b, "T": len(cache), "layer": layer_id,
         "mode": args.mode,
         "scores": scores.tolist(),
         "saturated": int(saturated.size),
@@ -284,32 +279,24 @@ def _cmd_simulate_attention(args) -> int:
         ref_scores, ref_counter = score_sequence_reference(qmat[0], cache, spec, cb)
         payload["reference_scores"] = ref_scores.tolist()
         payload["reference_ops"] = ref_counter.to_dict()
-    _write_json(args.report, payload)
     mults = counter.mults_in("table", "score")
-    print(f"scored T={len(cache)} keys in {args.mode} mode: "
-          f"{mults} table+score multiplications")
-    return 0
+    return payload, (f"scored T={len(cache)} keys in {args.mode} mode: "
+                     f"{mults} table+score multiplications")
 
 
-def _cmd_bench_mults(args) -> int:
+def _cmd_bench_mults(args) -> tuple[dict, str]:
     d, b, T = args.d, args.b, args.T
-    # Before a sign or key is drawn: d a power of two, then at most
-    # _MAX_DRAWN_VALUES in the query and the keys together.
+    # Before any array is built: d a power of two, then (T + 1) * d, the
+    # query and the keys, at most _MAX_DRAWN_VALUES, which bounds the uint8
+    # cache and the read path's gather offsets.
     _check_power_of_two(d, "--d")
     if not 0 <= T < _MAX_DRAWN_VALUES // d:
         raise InvalidInputError(f"--T must be >= 0 and (T + 1) * d <= 2^27, got T={T} at d={d}")
     cb = cbmod.solve_codebook(d, b)
-    seed = _seed64(args.seed)
-    spec = RotationSpec(d=d, sign=random_signs(d, seed + 1))
-    rng = np.random.default_rng(seed)
-    # The keys are drawn and quantized one row tile at a time, which draws
-    # the values one (T, d) draw would, so no float64 key matrix is held.
-    idx, norms = np.empty((T, d), dtype=np.uint8), np.empty(T)
-    for rows in _row_tiles(T, 8 * d):
-        idx[rows], norms[rows] = quantize_batch(
-            rng.normal(size=(rows.stop - rows.start, d)), spec, cb)
-    q = rng.normal(size=d)
-    cache = KVCache(idx, norms)
+    # Every tally is a closed form of (d, b, T), whatever the values, so a
+    # zero cache is scored against a zero query: nothing is drawn or quantized.
+    spec = RotationSpec(d=d, sign=SignVector(d, np.ones(d, dtype=np.int8)))
+    q, cache = np.zeros(d), KVCache(np.zeros((T, d), dtype=np.uint8), np.zeros(T))
     _, lut_counter = score_sequence(q, cache, spec, cb)
     _, ref_counter = score_sequence_reference(q, cache, spec, cb)
 
@@ -322,16 +309,13 @@ def _cmd_bench_mults(args) -> int:
             f"counter disagrees with closed form: {lut} vs {closed_lut}, "
             f"{ref} vs {closed_ref}")
     ratio = ref / lut
-    _write_json(args.report, {
-        "d": d, "b": b, "T": T,
-        "lookup_mults": lut,
-        "reference_mults": ref,
-        "ratio": ratio,
-        "lookup_ops": lut_counter.to_dict(),
-        "reference_ops": ref_counter.to_dict(),
-    })
-    print(f"{lut} vs {ref} multiplications, ratio {ratio:.1f}")
-    return 0
+    return ({"d": d, "b": b, "T": T,
+             "lookup_mults": lut,
+             "reference_mults": ref,
+             "ratio": ratio,
+             "lookup_ops": lut_counter.to_dict(),
+             "reference_ops": ref_counter.to_dict()},
+            f"{lut} vs {ref} multiplications, ratio {ratio:.1f}")
 
 
 def _gather_layers(args) -> dict[int, CalibrationSet]:
@@ -347,10 +331,14 @@ def _gather_layers(args) -> dict[int, CalibrationSet]:
 MAX_JENSEN_SCORES = 1 << 16
 
 
-def _cmd_eval(args) -> int:
-    if args.jensen_std is not None and not 1 <= args.jensen_scores <= MAX_JENSEN_SCORES:
-        raise InvalidInputError(
-            f"--jensen-scores must be in 1..{MAX_JENSEN_SCORES}, got {args.jensen_scores}")
+def _cmd_eval(args) -> tuple[dict, str]:
+    stds = []
+    if args.jensen_std is not None:
+        if not 1 <= args.jensen_scores <= MAX_JENSEN_SCORES:
+            raise InvalidInputError(
+                f"--jensen-scores must be in 1..{MAX_JENSEN_SCORES}, got {args.jensen_scores}")
+        stds = _number_list(args.jensen_std, float)
+        _check_jensen_args(stds, args.jensen_trials, args.jensen_scores)
     layers = _gather_layers(args)
     seeds = _number_list(args.seeds)
     bs = _number_list(args.b_list)
@@ -368,27 +356,21 @@ def _cmd_eval(args) -> int:
         rng = np.random.default_rng(_seed64(args.seed))
         true_scores = rng.normal(size=args.jensen_scores)
         payload["jensen"] = [
-            jensen_bias_probe(true_scores, s, args.jensen_trials,
-                              seed=args.seed).to_dict()
-            for s in _number_list(args.jensen_std, float)
+            jensen_bias_probe(true_scores, s, args.jensen_trials, seed=args.seed).to_dict()
+            for s in stds
         ]
-    _write_json(args.report, payload)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(csv_rows) + "\n")
-    for layer_id in layers:
-        sw = payload["layers"][str(layer_id)]["spread_maxmin"]
-        print(f"layer {layer_id}: max/min spread " +
-              ", ".join(f"b={b}:{sw[str(b)]:.3f}" for b in bs))
-    return 0
+    spreads = [payload["layers"][str(i)]["spread_maxmin"] for i in layers]
+    return payload, "\n".join(
+        f"layer {i}: max/min spread " + ", ".join(f"b={b}:{sw[str(b)]:.3f}" for b in bs)
+        for i, sw in zip(layers, spreads))
 
 
-def _cmd_diagnose_norms(args) -> int:
-    layers = _gather_layers(args)
-    diag = norm_ratio_diagnostic(layers)
-    _write_json(args.report, diag.to_dict())
-    print(f"norm ratio {diag.ratio:.2f}: {diag.recommendation}")
-    return 0
+def _cmd_diagnose_norms(args) -> tuple[dict, str]:
+    diag = norm_ratio_diagnostic(_gather_layers(args))
+    return diag.to_dict(), f"norm ratio {diag.ratio:.2f}: {diag.recommendation}"
 
 
 # -- argument wiring ------------------------------------------------------
@@ -400,73 +382,65 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bit-accurate simulator for lookup-based KV-cache "
                     "attention scoring.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report",
+                        help="JSON report path (default: stdout, with no summary line)")
 
-    p = sub.add_parser("solve-codebook", help="solve and serialize a codebook")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("solve-codebook", _cmd_solve_codebook, "solve and serialize a codebook")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--tol", type=float, default=cbmod.DEFAULT_TOL)
     p.add_argument("--out", help="codebook ROM path (.cbrom)")
-    p.add_argument("--report", help="JSON report path (default: stdout)")
-    p.set_defaults(func=_cmd_solve_codebook)
 
-    p = sub.add_parser("gen-signs", help="generate seeded sign vectors")
+    p = command("gen-signs", _cmd_gen_signs, "generate seeded sign vectors")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seeds", help="comma-separated seeds, one per layer")
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sign ROM path (.sgnrom)")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_gen_signs)
 
-    p = sub.add_parser("optimize-signs", help="calibration-based sign selection")
+    p = command("optimize-signs", _cmd_optimize_signs, "calibration-based sign selection")
     p.add_argument("--keys", nargs="+", required=True,
                    help="one key-matrix file per layer")
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, help="row width of raw key files")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--candidates", type=int, default=200)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_optimize_signs)
 
-    p = sub.add_parser("quantize", help="quantize a key matrix into a cache")
+    # d and b come from the sign ROM, the codebook ROM and the cache.
+    p = command("quantize", _cmd_quantize, "quantize a key matrix into a cache")
     p.add_argument("--keys", required=True)
     p.add_argument("--signs", required=True)
     p.add_argument("--codebook", required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--b", type=int)
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_quantize)
 
-    p = sub.add_parser("simulate-attention",
-                       help="score one query against a quantized cache")
+    p = command("simulate-attention", _cmd_simulate_attention,
+                "score one query against a quantized cache")
     p.add_argument("--query", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--signs", required=True)
     p.add_argument("--codebook", required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--b", type=int)
     p.add_argument("--mode", choices=("double", "fp16"), default="double")
     p.add_argument("--reference", action="store_true",
                    help="also run the dequantize-and-dot oracle")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_simulate_attention)
 
-    p = sub.add_parser("bench-mults", help="multiplication-count comparison")
+    p = command("bench-mults", _cmd_bench_mults, "multiplication-count comparison")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_bench_mults)
 
-    p = sub.add_parser("eval", help="sensitivity sweeps and bias probes")
+    p = command("eval", _cmd_eval, "sensitivity sweeps and bias probes")
     p.add_argument("--synthetic", help="synthetic ensemble JSON spec")
     p.add_argument("--keys", nargs="*", default=[],
                    help="one key-matrix file per layer")
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, help="row width of raw key files")
     p.add_argument("--b-list", default="3", help="comma-separated bit-widths")
     p.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     p.add_argument("--seed", type=int, default=0,
@@ -475,29 +449,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jensen-trials", type=int, default=100_000)
     p.add_argument("--jensen-scores", type=int, default=64)
     p.add_argument("--csv")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("diagnose-norms", help="cross-layer norm heterogeneity")
+    p = command("diagnose-norms", _cmd_diagnose_norms, "cross-layer norm heterogeneity")
     p.add_argument("--synthetic")
     p.add_argument("--keys", nargs="*", default=[])
-    p.add_argument("--d", type=int)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_diagnose_norms)
+    p.add_argument("--d", type=int, help="row width of raw key files")
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its report goes to --report, and its summary
+    then to stdout, or else to stdout alone.  An error prints one "error:"
+    line to stdout and returns its exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, summary = args.func(args)
+        _write_json(args.report, report)
     except KvlutError as exc:
         print(f"error: {exc}", flush=True)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", flush=True)
         return IoError.exit_code
+    if args.report is not None:
+        print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -74,7 +74,8 @@ class EmptyCalibrationError(KvlutError):
 # -- input rules shared by every module ----------------------------------
 
 # The most float64 values (1 GiB) one call draws from sizes it was given:
-# bench-mults' query and keys, or all the layers of a synthetic spec.
+# all the layers of a synthetic spec, or the Jensen probe's noise.
+# bench-mults holds its zero query and keys, (T + 1) * d values, to it too.
 _MAX_DRAWN_VALUES = 1 << 27
 
 

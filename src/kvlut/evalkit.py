@@ -214,6 +214,21 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def _check_jensen_args(noise_stds, trials: int, n_scores: int) -> None:
+    """The probe's arguments, checked before any noise is drawn: each noise
+    level finite and >= 0, trials >= 1, and the trials * n_scores noise
+    values at most _MAX_DRAWN_VALUES."""
+    for std in noise_stds:
+        if not (math.isfinite(std) and std >= 0):
+            raise InvalidInputError(f"noise_std must be finite and >= 0, got {std}")
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if trials * n_scores > _MAX_DRAWN_VALUES:
+        raise InvalidInputError(
+            f"the probe draws trials * scores <= 2^27 noise values, "
+            f"got {trials} * {n_scores}")
+
+
 def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
                       seed: int = 0) -> JensenReport:
     """Measure E[exp(score + noise)] / exp(score) against the lognormal mean.
@@ -223,13 +238,10 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
     weights.  At noise_std = 0 the ratio is exactly 1.  Also reports how far
     the trial-averaged softmax weights drift from the noiseless softmax.
     """
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise InvalidInputError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
     s = np.atleast_1d(np.asarray(true_scores, dtype=np.float64))
     if not s.size:
         raise InvalidInputError("true_scores must hold at least one score")
+    _check_jensen_args([noise_std], trials, s.size)
     rng = np.random.default_rng(_seed64(seed))
     base_weights = _softmax(s)
 

@@ -150,8 +150,7 @@ for argv in [
          "--out", out / "opt.sgnrom", "--report", out / "opt.json"],
         ["eval", "--synthetic", out / "synth.json", "--b-list", "1,3,4", "--seeds", "1,2,3",
          "--jensen-std", "0,0.5", "--jensen-trials", 1000, "--report", out / "eval.json"],
-        ["bench-mults", "--d", 128, "--b", 3, "--T", 300, "--seed", 5,
-         "--report", out / "bench.json"],
+        ["bench-mults", "--d", 128, "--b", 3, "--T", 300, "--report", out / "bench.json"],
         ["diagnose-norms", "--synthetic", out / "synth.json", "--report", out / "diag.json"]]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([str(a) for a in argv]) == 0, argv

@@ -42,6 +42,10 @@ def run(ws, *argv):
     return main([str(a) for a in argv])
 
 
+def _subparsers():
+    return _build_parser()._subparsers._group_actions[0].choices
+
+
 def test_solve_codebook_artifacts(workspace):
     rom = workspace / "cb.cbrom"
     report = workspace / "cb.json"
@@ -124,6 +128,21 @@ def test_eval_caps_the_jensen_score_count_before_drawing_a_score(
     assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ("--jensen-trials", 0), ("--jensen-trials", 2 ** 21 + 1), ("--jensen-std", "0.1,-0.5")],
+    ids=["trials-0", "trials-past-draw-cap", "std-negative"])
+def test_eval_checks_the_jensen_probe_before_reading_a_key(
+        workspace, capsys, monkeypatch, flags):
+    # No key file is read, no sweep runs and no score is drawn before the
+    # probe's arguments pass; 2^21 + 1 trials of 64 scores draw past 2^27.
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
+    monkeypatch.setattr(cli, "load_key_matrix", _refuse)
+    monkeypatch.setattr(cli, "sensitivity_sweep", _refuse)
+    assert run(workspace, "eval", "--keys", workspace / "cal0.npy", "--seeds", "1",
+               "--jensen-std", "0.1", *flags) == InvalidInputError.exit_code
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+
+
 def _build_pipeline(ws):
     run(ws, "solve-codebook", "--d", 128, "--b", 3, "--out", ws / "cb.cbrom")
     run(ws, "gen-signs", "--d", 128, "--layers", 1, "--out", ws / "s.sgnrom")
@@ -175,8 +194,7 @@ def test_quantize_has_no_comparator_flag(workspace, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --comparator flat" in capsys.readouterr().err
     assert not out.exists()
-    quantize = _build_parser()._subparsers._group_actions[0].choices["quantize"]
-    assert "--comparator" not in quantize.format_help()
+    assert "--comparator" not in _subparsers()["quantize"].format_help()
     assert json.loads((workspace / "q.json").read_text())["comparator"] == "flat"
 
 
@@ -308,6 +326,63 @@ def test_repeated_main_calls_write_identical_reports(workspace):
     assert _build_parser() is _build_parser()
 
 
+def _every_subcommand(ws):
+    roms = ["--signs", ws / "s.sgnrom", "--codebook", ws / "cb.cbrom"]
+    return {
+        "solve-codebook": ["solve-codebook", "--d", 128, "--b", 3, "--out", ws / "cb.cbrom"],
+        "gen-signs": ["gen-signs", "--d", 128, "--out", ws / "s.sgnrom"],
+        "optimize-signs": ["optimize-signs", "--keys", ws / "cal0.npy", "--b", 3,
+                           "--candidates", 3, "--out", ws / "o.sgnrom"],
+        "quantize": ["quantize", "--keys", ws / "keys.npy", *roms, "--out", ws / "c.kvq"],
+        "simulate-attention": ["simulate-attention", "--query", ws / "query.npy",
+                               "--cache", ws / "c.kvq", *roms, "--reference"],
+        "bench-mults": ["bench-mults", "--d", 64, "--b", 2, "--T", 10],
+        "eval": ["eval", "--synthetic", ws / "synth.json", "--seeds", "1,2",
+                 "--jensen-std", "0.5", "--jensen-trials", 100],
+        "diagnose-norms": ["diagnose-norms", "--synthetic", ws / "synth.json"],
+    }
+
+
+def test_stdout_without_report_is_the_report(workspace, capsys):
+    # main writes every report: to --report, followed on stdout by the
+    # summary, or else to stdout alone, so a pipe gets one JSON document.
+    calls = _every_subcommand(workspace)
+    assert set(calls) == set(_subparsers())
+    for name, argv in calls.items():
+        capsys.readouterr()
+        assert run(workspace, *argv) == 0, name
+        stdout = capsys.readouterr().out
+        report = workspace / f"{name}.json"
+        assert run(workspace, *argv, "--report", report) == 0, name
+        summary = capsys.readouterr().out
+        assert stdout == report.read_text(), name
+        json.loads(stdout)
+        assert summary.endswith("\n") and not summary.startswith("{"), name
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("quantize", "--d"), ("quantize", "--b"), ("simulate-attention", "--d"),
+    ("simulate-attention", "--b"), ("bench-mults", "--seed")])
+def test_options_the_artifacts_answer_are_gone(workspace, capsys, command, flag):
+    # d is in the sign ROM, the cache header and the sidecar, b in the
+    # codebook ROM's length, and bench-mults draws nothing, so these flags
+    # are unknown arguments (argparse's exit 2).
+    _build_pipeline(workspace)
+    argv = {"quantize": ["quantize", "--keys", workspace / "keys.npy",
+                         "--out", workspace / "x.kvq"],
+            "simulate-attention": ["simulate-attention", "--query", workspace / "query.npy",
+                                   "--cache", workspace / "c.kvq"],
+            "bench-mults": ["bench-mults", "--d", 128, "--b", 3, "--T", 4]}[command]
+    if command != "bench-mults":
+        argv += ["--signs", workspace / "s.sgnrom", "--codebook", workspace / "cb.cbrom"]
+    with pytest.raises(SystemExit) as exc:
+        run(workspace, *argv, flag, 3)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not (workspace / "x.kvq").exists()
+    assert flag not in _subparsers()[command]._option_string_actions
+
+
 def test_bench_mults_report(workspace):
     report = workspace / "bench.json"
     assert run(workspace, "bench-mults", "--d", 128, "--b", 3, "--T", 4096,
@@ -322,30 +397,26 @@ def test_bench_mults_report(workspace):
     assert (payload["lookup_mults"], payload["reference_mults"]) == (1024, 0)
 
 
-def test_bench_mults_quantizes_the_keys_of_one_whole_draw(workspace, monkeypatch):
-    # bench-mults draws and quantizes its keys tile by tile; the cache it
-    # scores is the one a single (T, d) draw followed by the query gives.
+def test_bench_mults_scores_a_zero_cache_it_never_draws(workspace, monkeypatch):
+    # Every tally bench-mults reports is a closed form of (d, b, T), so it
+    # draws no sign, key or query and quantizes nothing: it scores T zero
+    # keys against a zero query.
     seen = []
 
     def recording(q, cache, *rest):
         seen.append((q, cache))
         return score_sequence(q, cache, *rest)
 
+    for name in ("random_signs", "quantize_batch"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
     monkeypatch.setattr(cli, "score_sequence", recording)
     assert run(workspace, "bench-mults", "--d", 64, "--b", 4, "--T", 1500,
-               "--seed", 9, "--report", workspace / "bench.json") == 0
-    from kvlut.codebook import solve_codebook
-    from kvlut.transform import random_signs
-    from kvlut.write_path import quantize_batch
-    rng = np.random.default_rng(9)
-    keys, q = rng.normal(size=(1500, 64)), rng.normal(size=64)
-    idx, norms = quantize_batch(keys, RotationSpec(d=64, sign=random_signs(64, 10)),
-                                solve_codebook(64, 4))
-    (got_q, cache), = seen
-    np.testing.assert_array_equal(got_q, q)
-    np.testing.assert_array_equal(cache.indices, idx)
-    np.testing.assert_array_equal(cache.norms.view(np.uint16),
-                                  norms.astype(np.float16).view(np.uint16))
+               "--report", workspace / "bench.json") == 0
+    (q, cache), = seen
+    assert q.shape == (64,) and not q.any()
+    assert cache.indices.shape == (1500, 64) and not cache.indices.any()
+    assert cache.norms.shape == (1500,) and not cache.norms.any()
 
 
 def test_eval_and_diagnose(workspace):
@@ -400,9 +471,10 @@ def test_exit_codes(workspace):
                "--out", ws / "x.kvq") == 3
     # Invalid design point.
     assert run(ws, "solve-codebook", "--d", 96, "--b", 3) == 7
-    # Flag conflicting with artifact dimensions.
-    assert run(ws, "quantize", "--keys", ws / "keys.npy", "--signs",
-               ws / "s.sgnrom", "--codebook", ws / "cb.cbrom", "--d", 64,
+    # A key matrix whose width conflicts with the artifacts' d.
+    np.save(ws / "keys64.npy", np.ones((3, 64)))
+    assert run(ws, "quantize", "--keys", ws / "keys64.npy", "--signs",
+               ws / "s.sgnrom", "--codebook", ws / "cb.cbrom",
                "--out", ws / "x.kvq") == 10
     # Truncated codebook image has no matching bit-width.
     (ws / "bad.cbrom").write_bytes((ws / "cb.cbrom").read_bytes()[:29])
@@ -574,7 +646,7 @@ def test_malformed_inputs_exit_without_traceback(workspace, capsys, invoke, code
 
 
 # Runs each argv through main in one interpreter, its address space capped
-# at 2 GiB, and prints its exit code, its last stdout line and its wall time.
+# at 2 GiB, and prints its exit code, its stdout and its wall time.
 _TIMED_PROBE = """
 import contextlib, io, json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -584,28 +656,50 @@ for argv in json.loads(sys.argv[1]):
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = kvlut.cli.main(argv)
-    print(json.dumps([code, out.getvalue().splitlines()[-1], time.perf_counter() - t0]))
+    print(json.dumps([code, out.getvalue(), time.perf_counter() - t0]))
 """
 
 
-def test_bench_mults_checks_sizes_before_drawing_keys():
-    # d = 2^36 would draw 2^30 signs in a Python loop, and T = 2^31 at d=128
-    # would ask numpy for 2 TiB of keys: both are rejected first, in a child
-    # process so that a missing check fails (MemoryError, or the timeout)
-    # instead of hanging the suite or filling the machine's memory.  d =
-    # 65536, past the sign ROM header's u16 but writing no ROM, still runs.
-    argvs = [["bench-mults", "--d", "68719476736", "--b", "3", "--T", "0"],
-             ["bench-mults", "--d", "128", "--b", "3", "--T", "2147483648"],
-             ["bench-mults", "--d", "65536", "--b", "3", "--T", "0"]]
+def _timed(argvs):
+    # A missing check fails in the child (MemoryError, or the timeout)
+    # instead of hanging the suite or filling the machine's memory.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", _TIMED_PROBE, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-c", _TIMED_PROBE,
+                           json.dumps([[str(a) for a in argv] for argv in argvs])],
                           env=env, capture_output=True, text=True, check=True, timeout=60)
-    results = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [code for code, _, _ in results] == [8, 8, 0]
-    assert results[2][1] == "524288 vs 0 multiplications, ratio 0.0"
-    for _, last, seconds in results[:2]:
-        assert last.startswith("error: ") and seconds < 1, (last, seconds)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def _rejected_at_once(results):
+    for code, out, seconds in results:
+        assert code == 8 and out.startswith("error: ") and seconds < 1, (out, seconds)
+
+
+def test_bench_mults_checks_sizes_before_drawing_keys():
+    # d = 2^36 would build 2^36 signs, and T = 2^31 at d=128 a 256 GiB
+    # cache: both are rejected first.  d = 65536, past the sign ROM header's
+    # u16 but writing no ROM, still runs.
+    results = _timed([["bench-mults", "--d", 2 ** 36, "--b", 3, "--T", 0],
+                      ["bench-mults", "--d", 128, "--b", 3, "--T", 2 ** 31],
+                      ["bench-mults", "--d", 65536, "--b", 3, "--T", 0]])
+    _rejected_at_once(results[:2])
+    code, out, _ = results[2]
+    report = json.loads(out)
+    assert code == 0
+    assert (report["lookup_mults"], report["reference_mults"], report["ratio"]) == \
+        (524288, 0, 0.0)
+
+
+def test_eval_checks_the_jensen_arguments_before_any_work(workspace):
+    # 10^12 trials would draw noise until killed; a count of 0 or a negative
+    # noise level used to exit 8 only after the sweeps had run.
+    eval_ = ["eval", "--synthetic", workspace / "synth.json", "--seeds", 1]
+    _rejected_at_once(_timed([
+        [*eval_, "--jensen-std", 0.1, "--jensen-trials", 10 ** 12],
+        [*eval_, "--jensen-std", 0.1, "--jensen-trials", 2 ** 21 + 1, "--jensen-scores", 64],
+        [*eval_, "--jensen-std", 0.1, "--jensen-trials", 0],
+        [*eval_, "--jensen-std", "0.1,-0.5"]]))
 
 
 def _seeded(ws, where, seed):
@@ -613,24 +707,19 @@ def _seeded(ws, where, seed):
     spec = ws / f"seed{seed}.json"
     spec.write_text(json.dumps({"d": 16, "N": 8, "seed": seed if where == "spec" else 2}))
     report = ws / f"{where}{seed}.json"
-    if where == "bench-mults":
-        argv = ["bench-mults", "--d", 128, "--b", 3, "--T", 4, "--seed", seed]
-    else:
-        argv = ["eval", "--synthetic", spec, "--seeds", 1]
-        if where == "eval":
-            argv += ["--seed", seed, "--jensen-std", 0.1, "--jensen-trials", 1000]
+    argv = ["eval", "--synthetic", spec, "--seeds", 1]
+    if where == "eval":
+        argv += ["--seed", seed, "--jensen-std", 0.1, "--jensen-trials", 1000]
     assert run(ws, *argv, "--report", report) == 0
     return report.read_bytes()
 
 
-@pytest.mark.parametrize("where", ["bench-mults", "eval", "spec"])
+@pytest.mark.parametrize("where", ["eval", "spec"])
 def test_seeds_are_read_modulo_2_to_the_64(workspace, where):
     # A negative seed names the 64-bit seed it is congruent to, as gen-signs
-    # has always read it, instead of ending in numpy's ValueError.  The
-    # bench-mults report holds only op counts, so only eval's can differ.
+    # has always read it, instead of ending in numpy's ValueError.
     assert _seeded(workspace, where, -1) == _seeded(workspace, where, 2**64 - 1)
-    if where != "bench-mults":
-        assert _seeded(workspace, where, -2) != _seeded(workspace, where, -1)
+    assert _seeded(workspace, where, -2) != _seeded(workspace, where, -1)
 
 
 def test_sign_rom_layer_is_checked_after_dimensions(workspace, capsys):
@@ -642,8 +731,9 @@ def test_sign_rom_layer_is_checked_after_dimensions(workspace, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == \
         "error: sign ROM holds layers 0..0, requested 3"
     # A dimension conflict is reported before the missing layer.
-    assert run(ws, *quantize, "--signs", ws / "s.sgnrom", "--out", ws / "x.kvq",
-               "--layer", 3, "--d", 64) == 10
+    np.save(ws / "keys64.npy", np.ones((3, 64)))
+    assert run(ws, "quantize", "--keys", ws / "keys64.npy", "--codebook", ws / "cb.cbrom",
+               "--signs", ws / "s.sgnrom", "--out", ws / "x.kvq", "--layer", 3) == 10
     # simulate-attention asks for the cache's layer.
     run(ws, "gen-signs", "--d", 128, "--layers", 2, "--out", ws / "s2.sgnrom")
     assert run(ws, *quantize, "--signs", ws / "s2.sgnrom", "--out", ws / "l1.kvq",
@@ -654,21 +744,27 @@ def test_sign_rom_layer_is_checked_after_dimensions(workspace, capsys):
         "error: sign ROM holds layers 0..0, requested 1"
 
 
-def test_codebook_without_sidecar_needs_d(workspace):
-    _build_pipeline(workspace)
-    bare = workspace / "bare.cbrom"
-    bare.write_bytes((workspace / "cb.cbrom").read_bytes())
-    # Underdetermined: quantizing raw bytes with no d anywhere.
-    raw = workspace / "k.bin"
-    raw.write_bytes(np.load(workspace / "keys.npy").astype("<f8").tobytes())
-    assert run(workspace, "quantize", "--keys", raw, "--signs",
-               workspace / "s.sgnrom", "--codebook", bare,
-               "--out", workspace / "x.kvq", "--d", 128) == 0
-    # Raw files are little-endian doubles: the same cache as from the .npy.
-    assert (workspace / "x.kvq").read_bytes() == (workspace / "c.kvq").read_bytes()
-    assert run(workspace, "quantize", "--keys", raw, "--signs",
-               workspace / "s.sgnrom", "--codebook", bare,
-               "--out", workspace / "x.kvq") == 4
+def test_raw_key_and_query_files_take_d_from_the_artifacts(workspace):
+    # Raw files are little-endian doubles with no header: a raw key file
+    # takes d from the sign ROM, even beside a codebook with no sidecar, and
+    # a raw query file from the cache, so each gives the .npy route's bytes.
+    ws = workspace
+    _build_pipeline(ws)
+    bare = ws / "bare.cbrom"
+    bare.write_bytes((ws / "cb.cbrom").read_bytes())
+    for name in ("keys", "query"):
+        (ws / f"{name}.bin").write_bytes(np.load(ws / f"{name}.npy").astype("<f8").tobytes())
+    assert run(ws, "quantize", "--keys", ws / "keys.bin", "--signs", ws / "s.sgnrom",
+               "--codebook", bare, "--out", ws / "x.kvq", "--report", ws / "x.json") == 0
+    assert (ws / "x.kvq").read_bytes() == (ws / "c.kvq").read_bytes()
+    assert (ws / "x.json").read_bytes() == (ws / "q.json").read_bytes()
+    reports = []
+    for query in ("query.npy", "query.bin"):
+        assert run(ws, "simulate-attention", "--query", ws / query, "--cache", ws / "c.kvq",
+                   "--signs", ws / "s.sgnrom", "--codebook", ws / "cb.cbrom",
+                   "--reference", "--report", ws / "sim.json") == 0
+        reports.append((ws / "sim.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # Runs the artifact-producing subcommands in one interpreter, then prints

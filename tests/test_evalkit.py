@@ -7,8 +7,8 @@ import pytest
 
 from kvlut.codebook import analytic_distortion, solve_codebook
 from kvlut.errors import (InvalidDimensionError, InvalidInputError)
-from kvlut.evalkit import (LayerProfile, SyntheticSpec, evaluate_pipeline,
-                           generate_keys, jensen_bias_probe,
+from kvlut.evalkit import (LayerProfile, SyntheticSpec, _check_jensen_args,
+                           evaluate_pipeline, generate_keys, jensen_bias_probe,
                            sensitivity_sweep)
 from kvlut.signopt import (RECOMMEND_OPTIMIZE, CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic)
@@ -164,6 +164,11 @@ def test_jensen_probe_determinism_and_validation():
         jensen_bias_probe(scores, 0.1, trials=0)
     with pytest.raises(InvalidInputError):
         jensen_bias_probe(np.empty(0), 0.1, trials=100)
+    # The noise it would draw, trials x scores, is capped at 2^27 values
+    # before any is drawn; the cap itself passes.
+    with pytest.raises(InvalidInputError, match="2\\^27"):
+        jensen_bias_probe(np.zeros(64), 0.1, trials=2 ** 21 + 1)
+    _check_jensen_args([0.0, 0.5], 2 ** 21, 64)
 
 
 def test_sensitivity_sweep_matrix_and_spreads():

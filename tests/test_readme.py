@@ -1,12 +1,17 @@
 """README's blocks and tables against the code they describe."""
 
 import argparse
+import contextlib
+import io
+import json
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 import kvlut.errors as errors
-from kvlut.cli import _build_parser
+from kvlut.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -40,13 +45,29 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
-def test_readme_cli_quick_start_names_only_real_subcommands_and_flags():
+def _cli_quick_start() -> list[list[str]]:
     commands = _block("CLI quick start", "sh").replace("\\\n", " ").splitlines()
-    subparsers = _subparsers(_build_parser())
     assert commands
-    for line in commands:
-        prog, sub, *rest = shlex.split(line)
-        assert prog == "kvlut" and sub in subparsers, line
+    return [shlex.split(line) for line in commands]
+
+
+def test_readme_cli_quick_start_names_only_real_subcommands_and_flags():
+    subparsers = _subparsers(_build_parser())
+    for prog, sub, *rest in _cli_quick_start():
+        assert prog == "kvlut" and sub in subparsers, sub
         known = subparsers[sub]._option_string_actions
         for flag in (w for w in rest if w.startswith("--")):
             assert flag in known, (sub, flag)
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch):
+    # The block's inputs, small: every command must exit 0 on them, in order.
+    rng = np.random.default_rng(0)
+    for name, rows in (("keys", 64), ("q", 1), ("layer0", 32), ("layer1", 32)):
+        np.save(tmp_path / f"{name}.npy", rng.normal(size=(rows, 128)) * (1 + rows % 5))
+    (tmp_path / "ensemble.json").write_text(json.dumps(
+        {"d": 64, "N": 32, "seed": 1, "profiles": [{"scale": 1.0}, {"scale": 4.0}]}))
+    monkeypatch.chdir(tmp_path)
+    for _, *argv in _cli_quick_start():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
