@@ -21,8 +21,7 @@ from .evalkit import (ErrorReport, JensenReport, LayerProfile, SweepResult,
                       SyntheticSpec, evaluate_pipeline, generate_keys,
                       jensen_bias_probe, sensitivity_sweep)
 from .opcount import OpCounter
-from .read_path import (Fp16Score, PrecomputedTable, precompute_table,
-                        score_key, score_key_fp16, score_sequence)
+from .read_path import PrecomputedTable, precompute_table, score_sequence
 from .reference import dequantize_key
 from .signopt import (CalibrationSet, NormDiagnostic, SignSearchReport,
                       candidate_mse, norm_ratio_diagnostic, select_signs,
@@ -32,8 +31,8 @@ from .transform import (RotationSpec, SignVector, deserialize_signs, fwht,
                         read_sign_rom, rotate, serialize_signs,
                         splitmix64_stream, unpack_sign_rom, write_sign_rom)
 from .write_path import (KVCache, QuantizedKey, load_key_matrix, pack,
-                         packed_size, quantize_batch, quantize_key, read_kvq,
-                         unpack, write_kvq)
+                         packed_size, quantize_batch, read_kvq, unpack,
+                         write_kvq)
 
 __version__ = "0.1.0"
 
@@ -49,12 +48,11 @@ __all__ = [
     "deserialize_signs", "pack_sign_rom", "unpack_sign_rom",
     "write_sign_rom", "read_sign_rom",
     # write path
-    "QuantizedKey", "KVCache", "quantize_key", "quantize_batch", "dequantize_key",
+    "QuantizedKey", "KVCache", "quantize_batch", "dequantize_key",
     "pack", "unpack", "packed_size", "write_kvq", "read_kvq",
     "load_key_matrix",
     # read path
-    "PrecomputedTable", "Fp16Score", "precompute_table", "score_key",
-    "score_key_fp16", "score_sequence",
+    "PrecomputedTable", "precompute_table", "score_sequence",
     # sign selection
     "CalibrationSet", "SignSearchReport", "NormDiagnostic", "candidate_mse",
     "select_signs", "select_signs_all_layers", "norm_ratio_diagnostic",

@@ -29,20 +29,22 @@ from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
 from .transform import (RotationSpec, SignVector, _check_rom_header, _open_sign_rom,
                         _seed64, random_signs, write_sign_rom)
-from .write_path import (KVCache, load_key_matrix, quantize_batch, read_kvq,
-                         write_kvq)
+from .write_path import (_TYPED_KEY_SUFFIXES, KVCache, load_key_matrix, quantize_batch,
+                         read_kvq, write_kvq)
 
 __all__ = ["main"]
 
 
 def _check_consistent(name: str, *sources: tuple[str, int | None]) -> int:
-    """Cross-check one parameter across flags and artifact headers."""
+    """Cross-check one parameter across flags and artifact headers.
+
+    Every caller passes at least one source that is never None: a rows
+    matrix's width or the codebook ROM's length.
+    """
     seen: dict[int, str] = {}
     for origin, value in sources:
         if value is not None:
             seen.setdefault(int(value), origin)
-    if not seen:
-        raise InvalidInputError(f"{name} is not determined by any flag or header")
     if len(seen) > 1:
         detail = ", ".join(f"{origin}={value}" for value, origin in seen.items())
         raise ConfigConflictError(f"conflicting {name}: {detail}")
@@ -122,7 +124,7 @@ def _load_keys_cli(path: str, d: int | None) -> np.ndarray:
     # Raw files structurally need d to recover rows; typed files carry their
     # own width, and a width mismatch goes through the config cross-check so
     # it surfaces as a conflict rather than a loader error.
-    if str(path).endswith((".npy", ".txt", ".csv")):
+    if str(path).endswith(_TYPED_KEY_SUFFIXES):
         return load_key_matrix(path)
     return load_key_matrix(path, d)
 
@@ -186,14 +188,14 @@ def _number_list(text: str, kind=int) -> list:
 # Each returns its report payload and its summary text; main writes both.
 
 def _cmd_solve_codebook(args) -> tuple[dict, str]:
-    cb = cbmod.solve_codebook(args.d, args.b, tol=args.tol)
+    cb = cbmod.solve_codebook(args.d, args.b)
     blob = cbmod.serialize_rom(cb)
     lloyd = cbmod.lloyd_residual(cb.centroids, cb.boundaries)
     maxr = cbmod.max_residual(cb.sigma, cb.centroids, cb.boundaries)
     report = {
         "d": cb.d,
         "b": cb.b,
-        "tol": args.tol,
+        "tol": cbmod.DEFAULT_TOL,
         "rom_bytes": len(blob),
         "lloyd_residual": lloyd,
         "max_residual": maxr,
@@ -394,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("solve-codebook", _cmd_solve_codebook, "solve and serialize a codebook")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tol", type=float, default=cbmod.DEFAULT_TOL)
     p.add_argument("--out", help="codebook ROM path (.cbrom)")
 
     p = command("gen-signs", _cmd_gen_signs, "generate seeded sign vectors")

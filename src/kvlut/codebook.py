@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
-                     InvalidInputError, NonConvergenceError, _check_power_of_two)
+                     NonConvergenceError, _check_power_of_two)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -129,7 +129,7 @@ def _solve_tridiagonal(lower: list, diag: list, upper: list, rhs: list) -> list:
     return x
 
 
-def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarray:
+def _newton_refine(sigma: float, centroids: np.ndarray) -> np.ndarray:
     """Newton iteration on G(c) = c - cellmeans(midpoints(c)).
 
     A zero of G is a Lloyd-Max fixed point: every centroid is the mean of its
@@ -139,9 +139,9 @@ def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarra
     (_solve_tridiagonal), so no BLAS or LAPACK kernel, which numpy may pick
     by CPU, touches the centroids.  From the quantile start's cell means the
     iteration contracts quadratically.  It stops once a step drops below
-    tol/10, or once a step fails to halve the previous one (the
+    DEFAULT_TOL/10, or once a step fails to halve the previous one (the
     floating-point floor), and after at most 50 steps; the caller's residual
-    check decides whether tol was reached.
+    check decides whether DEFAULT_TOL was reached.
     """
     c = centroids.copy()
     prev_step = np.inf
@@ -163,13 +163,13 @@ def _newton_refine(sigma: float, centroids: np.ndarray, tol: float) -> np.ndarra
             (-0.5 * dm_dhigh[:-1]).tolist(), (m - c).tolist()))
         c = c + delta
         step = float(np.max(np.abs(delta)))
-        if step < tol / 10.0 or step >= 0.5 * prev_step:
+        if step < DEFAULT_TOL / 10.0 or step >= 0.5 * prev_step:
             break
         prev_step = step
     return c
 
 
-def solve_lloyd_max(sigma: float, b: int, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def solve_lloyd_max(sigma: float, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve the minimum-MSE b-bit quantizer for N(0, sigma^2).
 
     Starts from quantile-spaced boundaries, sigma * PHI^-1(k / 2^b), with
@@ -183,16 +183,13 @@ def solve_lloyd_max(sigma: float, b: int, tol: float = DEFAULT_TOL) -> tuple[np.
         ``(centroids, boundaries)`` as float64 arrays.
 
     Raises:
-        InvalidInputError: ``tol`` is not a finite number > 0.
         NonConvergenceError: the solved point fails the optimality residual
-            check at ``tol``.
+            check at DEFAULT_TOL.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidInputError(f"tol must be finite and > 0, got {tol}")
     levels = 1 << b
     inv_cdf = NormalDist().inv_cdf
     boundaries = sigma * np.array([inv_cdf(k / levels) for k in range(1, levels)])
-    centroids = _newton_refine(sigma, _cell_means(sigma, boundaries), tol)
+    centroids = _newton_refine(sigma, _cell_means(sigma, boundaries))
     boundaries = 0.5 * (centroids[:-1] + centroids[1:])
 
     # Project onto the odd-symmetric subspace; the fixed point lies there and
@@ -204,10 +201,10 @@ def solve_lloyd_max(sigma: float, b: int, tol: float = DEFAULT_TOL) -> tuple[np.
     # decides when to stop iterating.
     residual = max(lloyd_residual(centroids, boundaries),
                    max_residual(sigma, centroids, boundaries))
-    if residual >= tol:
+    if residual >= DEFAULT_TOL:
         raise NonConvergenceError(
             f"Lloyd-Max for b={b} stalled at optimality residual "
-            f"{residual:.3e} >= tol {tol:.3e}",
+            f"{residual:.3e} >= tol {DEFAULT_TOL:.3e}",
             residual=float(residual),
         )
     return centroids, boundaries
@@ -224,11 +221,11 @@ def max_residual(sigma: float, centroids: np.ndarray, boundaries: np.ndarray) ->
     return float(np.max(np.abs(centroids - _cell_means(sigma, boundaries))))
 
 
-def solve_codebook(d: int, b: int, tol: float = DEFAULT_TOL) -> Codebook:
+def solve_codebook(d: int, b: int) -> Codebook:
     """Solve the fixed codebook for the N(0, 1/d) coordinate distribution."""
     _validate_design_point(d, b)
     sigma = 1.0 / math.sqrt(d)
-    centroids, boundaries = solve_lloyd_max(sigma, b, tol)
+    centroids, boundaries = solve_lloyd_max(sigma, b)
     return Codebook(d=d, b=b, centroids=centroids, boundaries=boundaries)
 
 

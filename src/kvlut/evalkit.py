@@ -60,9 +60,11 @@ class LayerProfile:
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise InvalidInputError(f"profile scale must be positive, got {self.scale}")
-        if not (self.direction_gain >= 1.0 and math.isfinite(self.direction_gain)):
+        # generate_keys squares it, so its square must be finite too.
+        g = self.direction_gain
+        if not (g >= 1.0 and math.isfinite(g * g)):
             raise InvalidInputError(
-                f"direction_gain must be >= 1, got {self.direction_gain}")
+                f"direction_gain must be >= 1 with a finite square, got {g}")
         if self.gain is not None:
             gain = np.asarray(self.gain, dtype=np.float64)
             if not (np.all(np.isfinite(gain)) and np.all(gain > 0)):
@@ -214,13 +216,25 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def _oracle_ratio(noise_std: float) -> float:
+    """exp(noise_std^2 / 2), the lognormal mean factor; OverflowError past float64."""
+    return math.exp(0.5 * noise_std**2)
+
+
 def _check_jensen_args(noise_stds, trials: int, n_scores: int) -> None:
     """The probe's arguments, checked before any noise is drawn: each noise
-    level finite and >= 0, trials >= 1, and the trials * n_scores noise
+    level finite and >= 0 with a finite float64 oracle ratio exp(std^2 / 2)
+    (std below about 37.7), trials >= 1, and the trials * n_scores noise
     values at most _MAX_DRAWN_VALUES."""
     for std in noise_stds:
         if not (math.isfinite(std) and std >= 0):
             raise InvalidInputError(f"noise_std must be finite and >= 0, got {std}")
+        try:
+            _oracle_ratio(std)
+        except OverflowError:
+            raise InvalidInputError(
+                f"noise_std {std} puts the oracle ratio exp(std^2 / 2) past the "
+                "float64 range") from None
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     if trials * n_scores > _MAX_DRAWN_VALUES:
@@ -264,7 +278,7 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
         seed=_seed64(seed),
         per_score_ratio=per_ratio,
         aggregate_ratio=float(per_ratio.mean()),
-        oracle_ratio=math.exp(0.5 * noise_std**2),
+        oracle_ratio=_oracle_ratio(noise_std),
         max_softmax_shift=float(shift.max()),
     )
 

@@ -18,10 +18,8 @@ a time or in pairs, see _score_rows) changes no tally and no score bit.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +32,7 @@ from .write_path import KVCache, QuantizedKey, _cache_rows, _check_indices
 
 __all__ = [
     "PrecomputedTable",
-    "Fp16Score",
     "precompute_table",
-    "score_key",
-    "score_key_fp16",
     "score_sequence",
 ]
 
@@ -57,13 +52,6 @@ class PrecomputedTable:
             raise InvalidDimensionError(
                 f"table must be {self.d} x {1 << self.b}, got {entries.shape}")
         object.__setattr__(self, "entries", _read_only(entries))
-
-
-class Fp16Score(NamedTuple):
-    """Half-precision score plus a saturation flag (overflow to half inf)."""
-
-    value: np.float16
-    saturated: bool
 
 
 def precompute_table(q: np.ndarray, spec: RotationSpec, cb: Codebook,
@@ -186,7 +174,7 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     that allocates nothing, and its sums stay in bit-reversed order, so
     every key sums ((x0 + x1) + (x2 + x3)) + ... in the hardware's order,
     whatever the gather and the tiling.  "double" adds in float64; "fp16"
-    differs only in rounding, as score_key_fp16 describes, on a float32
+    differs only in rounding, as score_sequence describes, on a float32
     copy of the half-rounded table held at a fixed 2^112 bias, so that
     every biased partial is a multiple of 2^88, +-inf, or the NaN
     0xFFC00000 (inf + -inf, the tree's only NaN).  Under that precondition
@@ -232,32 +220,15 @@ def _score_rows(tbl: PrecomputedTable, cache: KVCache, mode: str,
     return scores
 
 
-def score_key(tbl: PrecomputedTable, qk: QuantizedKey,
-              counter: OpCounter | None = None) -> float:
-    """Score one stored key: d lookups, d-1 additions, 1 norm multiply."""
-    return float(_score_rows(tbl, _cache_rows([qk], tbl.d), "double", counter)[0])
-
-
-def score_key_fp16(tbl: PrecomputedTable, qk: QuantizedKey,
-                   counter: OpCounter | None = None) -> Fp16Score:
-    """Bit-accurate half-precision scoring.
-
-    Table reads, every partial sum of the balanced adder tree (leaf order =
-    coordinate order), and the final norm product each round to half
-    precision, round-to-nearest-even.  Overflow beyond half range propagates
-    to a non-finite result, reported via the saturation flag.
-    """
-    value = _score_rows(tbl, _cache_rows([qk], tbl.d), "fp16", counter)[0]
-    return Fp16Score(value=value, saturated=not math.isfinite(float(value)))
-
-
 def score_sequence(q: np.ndarray, cache: Sequence[QuantizedKey], spec: RotationSpec,
                    cb: Codebook, mode: str = "double") -> tuple[np.ndarray, OpCounter]:
     """Score a query against a whole cache: one table, then T lookup passes.
 
     The returned counter's multiplications in {table, score} total exactly
-    d*2^b + T.  In "fp16" mode scores are half precision and saturated
-    entries surface as non-finite values.
+    d*2^b + T.  In "fp16" mode the table reads, every partial sum of the
+    balanced adder tree (leaf order = coordinate order) and the norm product
+    each round to half precision, to nearest even, and a score that
+    overflows half range surfaces as a non-finite value.
     """
     counter = OpCounter()
     tbl = precompute_table(q, spec, cb, counter)

@@ -34,7 +34,6 @@ from .transform import RotationSpec, _row_tiles, rotate
 __all__ = [
     "QuantizedKey",
     "KVCache",
-    "quantize_key",
     "quantize_batch",
     "pack",
     "unpack",
@@ -166,17 +165,6 @@ def _cell_indices(y: np.ndarray, cb: Codebook, out: np.ndarray | None = None,
     return out
 
 
-def quantize_key(k: np.ndarray, spec: RotationSpec, cb: Codebook,
-                 counter: OpCounter | None = None) -> QuantizedKey:
-    """Quantize one key through the write datapath: a one-row quantize_batch.
-
-    Zero-norm keys store norm 0 with the center-cell indices; the read path
-    then scores them as exactly 0.
-    """
-    idx, norms = quantize_batch(np.asarray(k, dtype=np.float64)[None], spec, cb, counter)
-    return QuantizedKey(indices=idx[0], norm=norms[0])
-
-
 def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
                    counter: OpCounter | None = None, *,
                    comparator: str = "flat") -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +176,8 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
     every key's norm (_key_norms) before the counter is touched, so a key
     whose norm is not finite raises InvalidInputError first.  A zero-norm
     key is divided by 1.0, so it stays as it is (-0.0 and subnormals
-    included).  Counter deltas are N times those of one key.
+    included): it stores norm 0, and the read path scores it exactly 0.
+    Counter deltas are N times those of one key.
 
     comparator accepts only "flat", the one bank; any other value raises
     InvalidInputError.  The keyword is kept only because the benchmark's
@@ -387,6 +376,11 @@ def read_kvq(path) -> tuple[KVCache, int, int, int]:
 
 # -- key-matrix import ----------------------------------------------------
 
+# Suffixes of the key-matrix files that carry their own row width; any other
+# file is raw float64 rows, whose width comes from the caller.
+_TYPED_KEY_SUFFIXES = (".npy", ".txt", ".csv")
+
+
 def load_key_matrix(path, d: int | None = None) -> np.ndarray:
     """Load an (N, d) key matrix from .npy, whitespace text, or raw doubles.
 
@@ -398,7 +392,7 @@ def load_key_matrix(path, d: int | None = None) -> np.ndarray:
     if d is not None and d < 1:
         raise InvalidDimensionError(f"key matrix d must be >= 1, got {d}")
     name = str(path)
-    if name.endswith((".npy", ".txt", ".csv")):
+    if name.endswith(_TYPED_KEY_SUFFIXES):
         try:
             if name.endswith(".npy"):
                 mat = np.load(path)

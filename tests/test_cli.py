@@ -362,18 +362,21 @@ def test_stdout_without_report_is_the_report(workspace, capsys):
 
 @pytest.mark.parametrize("command,flag", [
     ("quantize", "--d"), ("quantize", "--b"), ("simulate-attention", "--d"),
-    ("simulate-attention", "--b"), ("bench-mults", "--seed")])
+    ("simulate-attention", "--b"), ("bench-mults", "--seed"), ("solve-codebook", "--tol")])
 def test_options_the_artifacts_answer_are_gone(workspace, capsys, command, flag):
     # d is in the sign ROM, the cache header and the sidecar, b in the
-    # codebook ROM's length, and bench-mults draws nothing, so these flags
-    # are unknown arguments (argparse's exit 2).
+    # codebook ROM's length, bench-mults draws nothing, and the solver's
+    # tolerance is the constant codebook.DEFAULT_TOL, so these flags are
+    # unknown arguments (argparse's exit 2).
     _build_pipeline(workspace)
     argv = {"quantize": ["quantize", "--keys", workspace / "keys.npy",
                          "--out", workspace / "x.kvq"],
             "simulate-attention": ["simulate-attention", "--query", workspace / "query.npy",
                                    "--cache", workspace / "c.kvq"],
-            "bench-mults": ["bench-mults", "--d", 128, "--b", 3, "--T", 4]}[command]
-    if command != "bench-mults":
+            "bench-mults": ["bench-mults", "--d", 128, "--b", 3, "--T", 4],
+            "solve-codebook": ["solve-codebook", "--d", 128, "--b", 3,
+                               "--out", workspace / "x.kvq"]}[command]
+    if command in ("quantize", "simulate-attention"):
         argv += ["--signs", workspace / "s.sgnrom", "--codebook", workspace / "cb.cbrom"]
     with pytest.raises(SystemExit) as exc:
         run(workspace, *argv, flag, 3)
@@ -559,6 +562,12 @@ def _with_zero_layer_rom(ws, command):
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": "many"})), 8),
     (lambda ws: _diagnose_synthetic(ws, json.dumps([64, 40])), 8),
     (lambda ws: _diagnose_synthetic(ws, '{"d": 64, "N": '), 4),
+    # A direction gain whose square, which the generator takes, overflows.
+    (lambda ws: _diagnose_synthetic(
+        ws, json.dumps({"d": 64, "N": 4, "profiles": [{"direction_gain": 1e200}]})), 8),
+    (lambda ws: _diagnose_synthetic(
+        ws, json.dumps({"d": 64, "N": 4, "profiles": [{"direction_gain": 1e200}]}),
+        "eval"), 8),
     # Key files that do not parse as numbers.
     (lambda ws: _diagnose_keys(ws, "bad.txt", b"1.0 2.0\n3.0 abc\n"), 4),
     (lambda ws: _diagnose_keys(ws, "bad.npy", b"not an npy file"), 4),
@@ -577,11 +586,6 @@ def _with_zero_layer_rom(ws, command):
     # A sign ROM that holds no layer.
     (lambda ws: _with_zero_layer_rom(ws, "quantize"), 4),
     (lambda ws: _with_zero_layer_rom(ws, "simulate-attention"), 4),
-    # A solver tolerance that is not a finite number > 0.
-    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", 0), 8),
-    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", -1), 8),
-    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", "nan"), 8),
-    (lambda ws: run(ws, "solve-codebook", "--d", 128, "--b", 3, "--tol", "inf"), 8),
     # d past the sign ROM header's u16 field.
     (lambda ws: run(ws, "gen-signs", "--d", 65536, "--out", ws / "big.sgnrom"), 4),
     # A negative key count; an empty or negative score count and a
@@ -624,12 +628,13 @@ def _with_zero_layer_rom(ws, command):
     (lambda ws: _diagnose_synthetic(ws, json.dumps({"d": 64, "N": 10 ** 12}), "eval"), 8),
     (_norm_ratio_past_range, 8),
 ], ids=["synthetic-missing-N", "synthetic-bad-N", "synthetic-not-object",
-        "synthetic-not-json", "txt-non-numeric", "npy-corrupt",
+        "synthetic-not-json", "direction-gain-square-overflow-diagnose",
+        "direction-gain-square-overflow-eval", "txt-non-numeric", "npy-corrupt",
         "npy-strings", "npy-structured", "npy-complex",
         "txt-empty", "zero-norm-layer",
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
-        "tol-zero", "tol-negative", "tol-nan", "tol-inf", "sign-rom-d-65536",
+        "sign-rom-d-65536",
         "bench-mults-negative-T", "bench-mults-d-not-power-of-two",
         "jensen-no-scores", "jensen-negative-scores",
         "jensen-std-nan", "jensen-std-inf", "seeds-not-int", "b-list-not-int",
@@ -693,13 +698,18 @@ def test_bench_mults_checks_sizes_before_drawing_keys():
 
 def test_eval_checks_the_jensen_arguments_before_any_work(workspace):
     # 10^12 trials would draw noise until killed; a count of 0 or a negative
-    # noise level used to exit 8 only after the sweeps had run.
+    # noise level used to exit 8 only after the sweeps had run, and a noise
+    # level whose oracle ratio overflows ended in a traceback after them.
     eval_ = ["eval", "--synthetic", workspace / "synth.json", "--seeds", 1]
     _rejected_at_once(_timed([
         [*eval_, "--jensen-std", 0.1, "--jensen-trials", 10 ** 12],
         [*eval_, "--jensen-std", 0.1, "--jensen-trials", 2 ** 21 + 1, "--jensen-scores", 64],
         [*eval_, "--jensen-std", 0.1, "--jensen-trials", 0],
-        [*eval_, "--jensen-std", "0.1,-0.5"]]))
+        [*eval_, "--jensen-std", "0.1,-0.5"],
+        # exp(std^2 / 2) past the float64 range: from std of about 37.7.
+        [*eval_, "--jensen-std", 40],
+        [*eval_, "--jensen-std", "0.1,32768"],
+        [*eval_, "--jensen-std", 1e200]]))
 
 
 def _seeded(ws, where, seed):

@@ -10,11 +10,12 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from kvlut import codebook
 from kvlut.codebook import (Codebook, _ndtr, _solve_tridiagonal, analytic_distortion,
                             deserialize_rom, infer_b, lloyd_residual, max_residual,
                             rom_size, serialize_rom, solve_codebook, solve_lloyd_max)
 from kvlut.errors import (CorruptRomError, FormatError, InvalidDimensionError,
-                          InvalidInputError, NonConvergenceError)
+                          NonConvergenceError)
 
 
 # sha256 of serialize_rom(solve_codebook(d, b)), recorded from the solver
@@ -165,8 +166,6 @@ def test_design_point_validation():
         solve_codebook(128, 0)
     with pytest.raises(InvalidDimensionError):
         solve_codebook(128, 9)
-    with pytest.raises(InvalidInputError):
-        solve_lloyd_max(0.5, 3, tol=0.0)
 
 
 def test_ndtr_matches_scipy_oracle():
@@ -177,9 +176,12 @@ def test_ndtr_matches_scipy_oracle():
                                atol=np.finfo(np.float64).tiny)
 
 
-def test_unreachable_tolerance_raises_with_residual():
+def test_unreachable_tolerance_raises_with_residual(monkeypatch):
+    # The solver reads the constant at each call, so a tolerance below the
+    # floating-point floor takes the NonConvergenceError path.
+    monkeypatch.setattr(codebook, "DEFAULT_TOL", 1e-30)
     with pytest.raises(NonConvergenceError) as exc:
-        solve_lloyd_max(1.0, 3, tol=1e-30)
+        solve_lloyd_max(1.0, 3)
     assert exc.value.residual > 0.0
 
 

@@ -68,8 +68,11 @@ def test_spec_validation():
         SyntheticSpec(d=64, N=0)
     with pytest.raises(InvalidInputError):
         LayerProfile(scale=-1.0)
-    with pytest.raises(InvalidInputError):
-        LayerProfile(direction_gain=0.5)
+    # generate_keys squares the direction gain, so the square must be finite.
+    for bad_gain in (0.5, 1e200, float("inf")):
+        with pytest.raises(InvalidInputError):
+            LayerProfile(direction_gain=bad_gain)
+    LayerProfile(direction_gain=1e154)
     with pytest.raises(InvalidInputError):
         LayerProfile(gain=np.array([1.0, -2.0]))
     with pytest.raises(InvalidDimensionError):
@@ -157,7 +160,8 @@ def test_jensen_probe_determinism_and_validation():
     b = jensen_bias_probe(scores, 0.3, trials=5000, seed=9)
     assert a.aggregate_ratio == b.aggregate_ratio
     assert a.to_dict() == b.to_dict()
-    for bad_std in (-0.1, float("nan"), float("inf")):
+    # 38 and 1e200 put the oracle ratio exp(std^2 / 2) past the float64 range.
+    for bad_std in (-0.1, float("nan"), float("inf"), 38.0, 1e200):
         with pytest.raises(InvalidInputError):
             jensen_bias_probe(scores, bad_std, trials=100)
     with pytest.raises(InvalidInputError):
@@ -168,7 +172,7 @@ def test_jensen_probe_determinism_and_validation():
     # before any is drawn; the cap itself passes.
     with pytest.raises(InvalidInputError, match="2\\^27"):
         jensen_bias_probe(np.zeros(64), 0.1, trials=2 ** 21 + 1)
-    _check_jensen_args([0.0, 0.5], 2 ** 21, 64)
+    _check_jensen_args([0.0, 0.5, 37.5], 2 ** 21, 64)
 
 
 def test_sensitivity_sweep_matrix_and_spreads():

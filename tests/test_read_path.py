@@ -16,14 +16,12 @@ from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, InvalidDimensionError,
                           InvalidInputError)
 from kvlut.opcount import OpCounter
-from kvlut.read_path import (Fp16Score, PrecomputedTable, _fold, _folds, _round_half,
-                             _score_rows, precompute_table, score_key, score_key_fp16,
-                             score_sequence)
+from kvlut.read_path import (PrecomputedTable, _fold, _folds, _round_half, _score_rows,
+                             precompute_table, score_sequence)
 from kvlut.reference import score_sequence_reference
 from kvlut.transform import (_TILE_BYTES, RotationSpec, _row_tiles, inverse_rotate,
                              random_signs, rotate)
-from kvlut.write_path import (KVCache, QuantizedKey, _cache_rows, quantize_batch,
-                              quantize_key)
+from kvlut.write_path import KVCache, QuantizedKey, _cache_rows, quantize_batch
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -67,11 +65,16 @@ def test_table_counter_charges_d_times_levels():
     assert ctr.total_multiplications == 1024
 
 
+def _score_one(tbl, qk, mode="double", counter=None):
+    # _score_rows on a one-key cache: the read path's route for T = 1.
+    return _score_rows(tbl, KVCache(qk.indices[None], [qk.norm]), mode, counter)[0]
+
+
 def test_score_key_equals_manual_gather_sum():
     q = np.random.default_rng(2).normal(size=D)
     tbl = precompute_table(q, SPEC, CB)
     (qk,) = make_cache(1, seed=7)
-    got = score_key(tbl, qk)
+    got = _score_one(tbl, qk)
     want = float(_tree_double(tbl.entries, qk.indices, qk.norm))
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
@@ -102,7 +105,7 @@ def test_score_counter_per_key():
     tbl = precompute_table(q, SPEC, CB)
     (qk,) = make_cache(1)
     ctr = OpCounter()
-    score_key(tbl, qk, ctr)
+    _score_one(tbl, qk, counter=ctr)
     assert ctr.multiplications["score"] == 1
     assert ctr.additions["score"] == D - 1
     assert ctr.lookups["score"] == D
@@ -141,10 +144,10 @@ def test_fp16_exact_on_representable_values():
     entries = np.full((D, 2**B), 0.25)
     tbl = PrecomputedTable(d=D, b=B, entries=entries)
     qk = QuantizedKey(indices=np.zeros(D, dtype=np.uint8), norm=np.float16(2.0))
-    res = score_key_fp16(tbl, qk)
-    assert isinstance(res, Fp16Score)
-    assert not res.saturated
-    assert float(res.value) == D * 0.25 * 2.0
+    res = _score_one(tbl, qk, "fp16")
+    assert isinstance(res, np.float16)
+    assert np.isfinite(res)
+    assert float(res) == D * 0.25 * 2.0
 
 
 def test_fp16_tracks_double_within_quarter_percent():
@@ -181,15 +184,14 @@ def test_fp16_saturation_flag_and_nonfinite_scores():
     tbl = PrecomputedTable(d=D, b=B, entries=entries)
     qk = QuantizedKey(indices=np.zeros(D, dtype=np.uint8),
                       norm=np.float16(30000.0))
-    res = score_key_fp16(tbl, qk)
-    assert res.saturated
-    assert not np.isfinite(float(res.value))
+    res = _score_one(tbl, qk, "fp16")
+    assert not np.isfinite(float(res))
     # The tree itself can overflow before the norm multiply: 128 * 1000 > 65504.
     entries = np.full((D, 2**B), 1000.0)
     tbl = PrecomputedTable(d=D, b=B, entries=entries)
-    res = score_key_fp16(tbl, QuantizedKey(indices=np.zeros(D, dtype=np.uint8),
-                                           norm=np.float16(1.0)))
-    assert res.saturated
+    res = _score_one(tbl, QuantizedKey(indices=np.zeros(D, dtype=np.uint8),
+                                       norm=np.float16(1.0)), "fp16")
+    assert not np.isfinite(float(res))
 
 
 def test_fp16_rounding_is_per_operation():
@@ -199,8 +201,8 @@ def test_fp16_rounding_is_per_operation():
     entries[:, 0] = [2048.0, 1.0, 0.0, 0.0]
     tbl = PrecomputedTable(d=4, b=1, entries=entries)
     qk = QuantizedKey(indices=np.zeros(4, dtype=np.uint8), norm=np.float16(1.0))
-    res = score_key_fp16(tbl, qk)
-    assert float(res.value) == 2048.0
+    res = _score_one(tbl, qk, "fp16")
+    assert float(res) == 2048.0
 
 
 def test_corrupt_indices_raise():
@@ -208,12 +210,13 @@ def test_corrupt_indices_raise():
     tbl = precompute_table(q, SPEC, CB)
     bad = QuantizedKey(indices=np.full(D, 9, dtype=np.uint8),
                        norm=np.float16(1.0))
-    with pytest.raises(CorruptCacheError):
-        score_key(tbl, bad)
+    for mode in ("double", "fp16"):
+        with pytest.raises(CorruptCacheError):
+            _score_one(tbl, bad, mode)
     short = QuantizedKey(indices=np.zeros(64, dtype=np.uint8),
                          norm=np.float16(1.0))
     with pytest.raises(InvalidDimensionError):
-        score_key(tbl, short)
+        score_sequence(q, [short], SPEC, CB)
     with pytest.raises(InvalidDimensionError):
         score_sequence(q, make_cache(2) + [short], SPEC, CB)
 
@@ -230,10 +233,11 @@ def test_table_validation():
 
 def test_zero_norm_key_scores_zero():
     q = np.random.default_rng(6).normal(size=D)
-    qk = quantize_key(np.zeros(D), SPEC, CB)
+    idx, norms = quantize_batch(np.zeros((1, D)), SPEC, CB)
+    qk = QuantizedKey(indices=idx[0], norm=norms[0])
     tbl = precompute_table(q, SPEC, CB)
-    assert score_key(tbl, qk) == 0.0
-    assert float(score_key_fp16(tbl, qk).value) == 0.0
+    assert _score_one(tbl, qk) == 0.0
+    assert float(_score_one(tbl, qk, "fp16")) == 0.0
 
 
 def _tree_fp16(entries, indices, norm):
@@ -293,11 +297,8 @@ def test_fp16_sequence_matches_per_key_adder_tree():
                 sums = np.array([_tree_fp16(tbl.entries, qk.indices, np.float16(1.0))
                                  for qk in cache], dtype=np.float16)
                 got, _ = score_sequence(q, cache, spec, cb, mode="fp16")
-                singles = np.array([score_key_fp16(tbl, qk).value for qk in cache])
             where = f"d={d}, b={b}, query={kind}"
             np.testing.assert_array_equal(got.view(np.uint16), want.view(np.uint16), where)
-            np.testing.assert_array_equal(singles.view(np.uint16), want.view(np.uint16),
-                                          where)
             tree_over = ~np.isfinite(sums)
             norm_over = np.isfinite(sums) & ~np.isfinite(want)
             if kind == "random":
@@ -439,19 +440,14 @@ def test_sequence_matches_per_key_route_across_row_tiles(d, b):
         with np.errstate(over="ignore", invalid="ignore"):
             got, ctr = score_sequence(q, cache, spec, cb)
             want = _tree_double(tbl.entries, idx, norms)
-            singles = np.array([score_key(tbl, qk) for qk in cache])
             got16, ctr16 = score_sequence(q, cache, spec, cb, mode="fp16")
-            want16 = np.array([_tree_fp16(tbl.entries, qk.indices, qk.norm) for qk in cache],
-                               dtype=np.float16)
-            singles16 = np.array([score_key_fp16(tbl, qk).value for qk in cache])
+            want16 = _tree_fp16(tbl.entries, idx, norms)
             for t in (0, 1):
                 assert score_sequence(q, cache[:t], spec, cb)[1].to_dict() == \
                     _score_closed_form(d, b, t), where
         assert [r for r, _ in cache._gathers[b][1]] == tiles, where
-        for other in (want, singles):
-            np.testing.assert_array_equal(got.view(np.uint64), other.view(np.uint64), where)
-        for other in (want16, singles16):
-            np.testing.assert_array_equal(got16.view(np.uint16), other.view(np.uint16), where)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), where)
+        np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
         assert ctr.to_dict() == ctr16.to_dict() == _score_closed_form(d, b, T), where
         if kind == "random":
             assert np.all(got[firsts] == np.inf) and np.all(got16[firsts] == np.inf), where
@@ -524,18 +520,11 @@ def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
                 listed = score_sequence(q, keys, spec, cb)[0]
                 want = _tree_double(tbl.entries, cache.indices, cache.norms)
                 want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
-                sample = [*range(8), *range(T - 2, T)]
-                singles = np.array([score_key(tbl, cache[i]) for i in sample])
-                singles16 = np.array([score_key_fp16(tbl, cache[i]).value for i in sample])
             for other in (listed, want):
                 np.testing.assert_array_equal(got.view(np.uint64), other.view(np.uint64), where)
-            np.testing.assert_array_equal(got[sample].view(np.uint64),
-                                          singles.view(np.uint64), where)
             for other in (listed16, want16):
                 np.testing.assert_array_equal(got16.view(np.uint16), other.view(np.uint16),
                                               where)
-            np.testing.assert_array_equal(got16[sample].view(np.uint16),
-                                          singles16.view(np.uint16), where)
             if kind == "over":
                 assert np.isnan(got16[3]) and np.isnan(got16[4]), where
 
@@ -562,7 +551,8 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
     # and d on the single one (b=8), so T spans two whole tiles and one row.
     # The double tree runs over the same tiles.  The first and last rows of
     # every tile hold a saturating key, a +inf norm, a zero norm and a key
-    # whose tree sums +inf beside -inf.
+    # whose tree sums +inf beside -inf; each of them also scores alone, as a
+    # one-key cache, the T = 1 route.
     cb, spec = _design(d, b)
     paired = b <= 3
     p = d // 2 if paired else d
@@ -604,13 +594,15 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
         with np.errstate(over="ignore", invalid="ignore"):
             want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
             want = _tree_double(tbl.entries, cache.indices, cache.norms)
-            singles = np.array([score_key(tbl, cache[r]) for r in edges])
-        singles16 = np.array([score_key_fp16(tbl, cache[r]).value for r in edges])
+            singles = np.array([score_sequence(q, cache[r:r + 1], spec, cb)[0][0]
+                                for r in edges])
+        singles16 = np.array([score_sequence(q, cache[r:r + 1], spec, cb, "fp16")[0][0]
+                              for r in edges])
         np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
-        np.testing.assert_array_equal(got16[edges].view(np.uint16),
-                                      singles16.view(np.uint16), where)
+        np.testing.assert_array_equal(singles16.view(np.uint16),
+                                      want16[edges].view(np.uint16), where)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), where)
-        np.testing.assert_array_equal(got[edges].view(np.uint64), singles.view(np.uint64),
+        np.testing.assert_array_equal(singles.view(np.uint64), want[edges].view(np.uint64),
                                       where)
         if kind == "peak":
             starts = [t.start for t in tiles]
@@ -618,7 +610,7 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
             assert np.all(got16[[s + 1 for s in starts[:2]]] == -np.inf), where
             assert np.all(np.isnan(got16[[s + k for s in starts[:2] for k in (2, 3)]])), where
     # The first query laid the tiles out, once for both modes and every query
-    # (the one-key calls are score_key's).
+    # (the one-key caches lay out their own).
     assert [c for c in calls if c[0] == T] == [(T, 4 * p, [rows, rows, 1])]
     assert [r for r, _ in cache._gathers[b][1]] == tiles
 
@@ -776,25 +768,18 @@ def test_empty_cache_scores(mode, dtype):
 
 def _assert_scores_per_key(tbl, cache):
     # _score_rows on a cache, in both modes, against a fresh cache of the
-    # same arrays, the gather-sum and half-tree oracles, and score_key /
-    # score_key_fp16 on a few rows.  The fp16 kernel runs outside errstate.
+    # same arrays and the gather-sum and half-tree oracles.  The fp16 kernel
+    # runs outside errstate.
     fresh = KVCache(cache.indices, cache.norms)
     got = {mode: _score_rows(tbl, cache, mode, None) for mode in ("double", "fp16")}
     for mode, view in (("double", np.uint64), ("fp16", np.uint16)):
         again = _score_rows(tbl, fresh, mode, None)
         np.testing.assert_array_equal(got[mode].view(view), again.view(view), mode)
-    d, rows = tbl.d, list(range(min(6, len(cache))))
     with np.errstate(over="ignore", invalid="ignore"):
         want = _tree_double(tbl.entries, cache.indices, cache.norms)
         want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
-        singles = np.array([score_key(tbl, cache[r]) for r in rows])
-    singles16 = np.array([score_key_fp16(tbl, cache[r]).value for r in rows])
     np.testing.assert_array_equal(got["double"].view(np.uint64), want.view(np.uint64))
-    np.testing.assert_array_equal(got["double"][rows].view(np.uint64),
-                                  singles.view(np.uint64))
     np.testing.assert_array_equal(got["fp16"].view(np.uint16), want16.view(np.uint16))
-    np.testing.assert_array_equal(got["fp16"][rows].view(np.uint16),
-                                  singles16.view(np.uint16))
     return got
 
 

@@ -23,7 +23,10 @@ def _block(heading: str, lang: str) -> str:
 
 
 def test_readme_quick_start_runs():
-    exec(compile(_block("Library quick start", "python"), "README.md", "exec"), {})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(_block("Library quick start", "python"), "README.md", "exec"), {})
+    assert out.getvalue() == "5120\n"
 
 
 def _subclasses(cls):

@@ -51,11 +51,20 @@ def test_candidate_mse_floor_for_centroid_valued_rotation():
 
 
 def test_candidate_mse_scale_invariance():
-    cb = solve_codebook(D, 3)
+    # Scaling by a power of two scales every norm exactly, so the unit rows,
+    # and the MSE, keep every bit at every b.  Any other scale rounds the
+    # unit rows differently (37.5 moves 3,634 of these 8,192 entries by an
+    # ulp), and a coordinate on a boundary can change cell, so the MSE only
+    # stays within a few ulps.
     s = random_signs(D, 2)
     a = cal_set(seed=1)
-    b = CalibrationSet(keys=a.keys * 37.5)
-    assert candidate_mse(a, s, cb) == candidate_mse(b, s, cb)
+    for b in range(1, 9):
+        cb = solve_codebook(D, b)
+        mse = candidate_mse(a, s, cb)
+        for scale in (2.0 ** -20, 2.0, 2.0 ** 30):
+            assert candidate_mse(CalibrationSet(keys=a.keys * scale), s, cb) == mse, (b, scale)
+        scaled = candidate_mse(CalibrationSet(keys=a.keys * 37.5), s, cb)
+        assert abs(scaled - mse) <= 8 * np.spacing(mse), b
 
 
 def test_candidate_mse_near_design_distortion_for_gaussian_keys():

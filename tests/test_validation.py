@@ -15,15 +15,14 @@ from kvlut.errors import (CorruptCacheError, EmptyCalibrationError, FormatError,
                           InvalidDimensionError, InvalidInputError)
 from kvlut.evalkit import LayerProfile, SyntheticSpec
 from kvlut.opcount import OpCounter
-from kvlut.read_path import (PrecomputedTable, precompute_table, score_key, score_key_fp16,
-                             score_sequence)
+from kvlut.read_path import PrecomputedTable, precompute_table, score_sequence
 from kvlut.reference import dequantize_key, score_sequence_reference
 from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
 from kvlut.transform import (RotationSpec, SignVector, deserialize_signs, fwht,
                              inverse_rotate, random_signs, rotate, unpack_sign_rom)
 from kvlut.write_path import (QuantizedKey, load_key_matrix, pack, packed_size,
-                              quantize_batch, quantize_key, unpack, write_kvq)
+                              quantize_batch, unpack, write_kvq)
 
 D, B = 16, 2
 CB = solve_codebook(D, B)
@@ -76,16 +75,20 @@ CASES = {
         lambda _: quantize_batch(_with(1e200, (3, D)), SPEC, CB), BAD),
     "quantize_batch-norm-overflow-1e308": (
         lambda _: quantize_batch(np.full((3, D), 1e308), SPEC, CB), BAD),
-    "quantize_key-norm-overflow-1e308": (
-        lambda _: quantize_key(_with(1e308), SPEC, CB), BAD),
+    "quantize_batch-one-row-norm-overflow-1e308": (
+        lambda _: quantize_batch(_with(1e308)[None], SPEC, CB), BAD),
     "quantize_batch-nan-and-length": (
         lambda _: quantize_batch(_with(np.nan, (3, 8)), SPEC, CB), DIM),
     "quantize_batch-cb-rotation": (lambda _: quantize_batch(ROWS, SPEC, CB8), DIM),
-    "quantize_key-length": (lambda _: quantize_key(np.ones(8), SPEC, CB), DIM),
-    "quantize_key-ndim": (lambda _: quantize_key(np.ones((1, D)), SPEC, CB), DIM),
-    "quantize_key-nan": (lambda _: quantize_key(_with(np.nan), SPEC, CB), BAD),
-    "quantize_key-inf": (lambda _: quantize_key(_with(-np.inf), SPEC, CB), BAD),
-    "quantize_key-cb-rotation": (lambda _: quantize_key(np.ones(D), SPEC, CB8), DIM),
+    "quantize_batch-ndim-3": (lambda _: quantize_batch(np.ones((1, 1, D)), SPEC, CB), DIM),
+    "quantize_batch-minus-inf": (
+        lambda _: quantize_batch(_with(-np.inf, (1, D)), SPEC, CB), BAD),
+    "quantize_batch-one-row-length": (
+        lambda _: quantize_batch(np.ones((1, 8)), SPEC, CB), DIM),
+    "quantize_batch-one-row-nan": (
+        lambda _: quantize_batch(_with(np.nan, (1, D)), SPEC, CB), BAD),
+    "quantize_batch-one-row-cb-rotation": (
+        lambda _: quantize_batch(np.ones((1, D)), SPEC, CB8), DIM),
     "dequantize_key-length": (lambda _: dequantize_key(SHORT_KEY, SPEC, CB), DIM),
     "dequantize_key-cb-rotation": (lambda _: dequantize_key(KEY, SPEC, CB8), DIM),
     "precompute_table-length": (lambda _: precompute_table(np.ones(8), SPEC, CB), DIM),
@@ -142,10 +145,10 @@ CASES = {
         lambda tmp: write_kvq(tmp / "c.kvq", [PAST_KEY], D, B), CORRUPT),
     "score_sequence-index-past-2^b": (
         lambda _: score_sequence(np.ones(D), [KEY, PAST_KEY], SPEC, CB), CORRUPT),
-    "score_key-index-past-2^b": (
-        lambda _: score_key(precompute_table(np.ones(D), SPEC, CB), PAST_KEY), CORRUPT),
-    "score_key_fp16-index-past-2^b": (
-        lambda _: score_key_fp16(precompute_table(np.ones(D), SPEC, CB), PAST_KEY), CORRUPT),
+    "score_sequence-one-key-index-past-2^b": (
+        lambda _: score_sequence(np.ones(D), [PAST_KEY], SPEC, CB), CORRUPT),
+    "score_sequence-fp16-index-past-2^b": (
+        lambda _: score_sequence(np.ones(D), [PAST_KEY], SPEC, CB, "fp16"), CORRUPT),
     "dequantize_key-index-past-2^b": (lambda _: dequantize_key(PAST_KEY, SPEC, CB), CORRUPT),
     "score_sequence_reference-index-past-2^b": (
         lambda _: score_sequence_reference(np.ones(D), [KEY, PAST_KEY], SPEC, CB), CORRUPT),

@@ -21,7 +21,7 @@ from kvlut.reference import dequantize_key
 from kvlut.transform import _TILE_BYTES, RotationSpec, _row_tiles, random_signs, rotate
 from kvlut.write_path import (KVCache, QuantizedKey, _cell_indices, _pack_rows,
                               _unpack_rows, load_key_matrix, pack, packed_size,
-                              quantize_batch, quantize_key, read_kvq, unpack, write_kvq)
+                              quantize_batch, read_kvq, unpack, write_kvq)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -32,9 +32,15 @@ def random_keys(n, d=D, seed=0):
     return np.random.default_rng(seed).normal(size=(n, d))
 
 
+def one_key(k, cb=CB):
+    # One key through quantize_batch, as the QuantizedKey a cache stores.
+    idx, norms = quantize_batch(k[None], SPEC, cb)
+    return QuantizedKey(indices=idx[0], norm=norms[0])
+
+
 def test_indices_match_direct_cell_assignment():
     k = random_keys(1)[0]
-    qk = quantize_key(k, SPEC, CB)
+    qk = one_key(k)
     y = rotate(SPEC, k / np.linalg.norm(k))
     want = np.searchsorted(CB.boundaries, y, side="right")
     np.testing.assert_array_equal(qk.indices, want.astype(np.uint8))
@@ -57,8 +63,6 @@ def test_flat_bank_is_the_only_comparator():
         with pytest.raises(InvalidInputError):
             quantize_batch(np.ones((n, D)), SPEC, CB, ctr, comparator=bad)
         assert ctr.to_dict() == OpCounter().to_dict()
-    with pytest.raises(TypeError):
-        quantize_key(keys[0], SPEC, CB, comparator="flat")
 
 
 def test_boundary_tie_goes_to_upper_cell():
@@ -100,7 +104,7 @@ def test_flat_comparator_counts_boundaries_like_searchsorted(b):
 
 def test_counter_charges():
     ctr = OpCounter()
-    quantize_key(random_keys(1)[0], SPEC, CB, ctr)
+    quantize_batch(random_keys(1), SPEC, CB, ctr)
     assert ctr.multiplications["norm"] == 2 * D
     assert ctr.additions["norm"] == D - 1
     assert ctr.additions["transform"] == D * 7
@@ -111,16 +115,18 @@ def test_counter_charges():
 
 @pytest.mark.parametrize("b", [1, 3, 8])
 def test_key_and_one_row_batch_charge_equal_ledgers(b):
-    # Both entry points run the one bank with their default arguments, so
-    # one key costs D * (2^b - 1) comparisons whichever way it is written.
+    # The one bank runs with its default arguments, so a key costs
+    # D * (2^b - 1) comparisons whether it is a one-row batch or a row of a
+    # larger one.
     cb = solve_codebook(D, b)
-    k = random_keys(1, seed=b)[0]
+    keys = random_keys(5, seed=b)
     key_ctr, batch_ctr = OpCounter(), OpCounter()
-    qk = quantize_key(k, SPEC, cb, key_ctr)
-    idx, _ = quantize_batch(k[None], SPEC, cb, batch_ctr)
-    np.testing.assert_array_equal(idx[0], qk.indices)
-    assert key_ctr.to_dict() == batch_ctr.to_dict()
-    assert batch_ctr.comparisons["quantize"] == D * (2**b - 1)
+    one, _ = quantize_batch(keys[:1], SPEC, cb, key_ctr)
+    idx, _ = quantize_batch(keys, SPEC, cb, batch_ctr)
+    np.testing.assert_array_equal(idx[0], one[0])
+    assert key_ctr.to_dict() == _quantize_closed_form(D, b, 1)
+    assert batch_ctr.to_dict() == _quantize_closed_form(D, b, 5)
+    assert key_ctr.comparisons["quantize"] == D * (2**b - 1)
 
 
 def test_batch_matches_per_key_results_and_counts():
@@ -129,9 +135,9 @@ def test_batch_matches_per_key_results_and_counts():
     idx, norms = quantize_batch(keys, SPEC, CB, batch_ctr)
     single_ctr = OpCounter()
     for i, k in enumerate(keys):
-        qk = quantize_key(k, SPEC, CB, single_ctr)
-        np.testing.assert_array_equal(idx[i], qk.indices)
-        assert np.float16(norms[i]) == qk.norm
+        one, norm = quantize_batch(k[None], SPEC, CB, single_ctr)
+        np.testing.assert_array_equal(idx[i], one[0])
+        assert norms[i].view(np.uint64) == norm[0].view(np.uint64)
     assert batch_ctr.to_dict() == single_ctr.to_dict()
 
 
@@ -161,18 +167,16 @@ def test_batch_matches_per_key_route_across_row_tiles(d, b):
         ctr = OpCounter()
         quantize_batch(keys[:t], spec, cb, ctr)
         assert ctr.to_dict() == _quantize_closed_form(d, b, t)
-    singles = [quantize_key(k, spec, cb) for k in keys]
-    np.testing.assert_array_equal(idx, np.array([qk.indices for qk in singles]))
-    np.testing.assert_array_equal(norms.astype(np.float16).view(np.uint16),
-                                  np.array([qk.norm for qk in singles]).view(np.uint16))
-    # The float64 norms too, against one-row batches.
-    row_norms = np.concatenate([quantize_batch(k[None], spec, cb)[1] for k in keys])
+    # Cells and float64 norms, against one-row batches.
+    singles = [quantize_batch(k[None], spec, cb) for k in keys]
+    np.testing.assert_array_equal(idx, np.concatenate([i for i, _ in singles]))
+    row_norms = np.concatenate([n for _, n in singles])
     np.testing.assert_array_equal(norms.view(np.uint64), row_norms.view(np.uint64))
     assert not norms[[t.start for t in tiles]].any()
 
 
 def test_zero_key_quantizes_to_zero_norm():
-    qk = quantize_key(np.zeros(D), SPEC, CB)
+    qk = one_key(np.zeros(D))
     assert float(qk.norm) == 0.0
     rec = dequantize_key(qk, SPEC, CB)
     np.testing.assert_array_equal(rec, np.zeros(D))
@@ -180,19 +184,19 @@ def test_zero_key_quantizes_to_zero_norm():
 
 def test_input_validation():
     with pytest.raises(InvalidDimensionError):
-        quantize_key(np.ones(64), SPEC, CB)
+        quantize_batch(np.ones((1, 64)), SPEC, CB)
     with pytest.raises(InvalidInputError):
-        quantize_key(np.full(D, np.nan), SPEC, CB)
+        quantize_batch(np.full((1, D), np.nan), SPEC, CB)
     with pytest.raises(InvalidDimensionError):
         quantize_batch(np.ones((2, 64)), SPEC, CB)
     other = RotationSpec(d=64, sign=random_signs(64, 1))
     with pytest.raises(InvalidDimensionError):
-        quantize_key(np.ones(64), other, CB)
+        quantize_batch(np.ones((1, 64)), other, CB)
 
 
 def test_dequantize_inverts_up_to_quantization_noise():
     k = random_keys(1, seed=8)[0]
-    qk = quantize_key(k, SPEC, CB)
+    qk = one_key(k)
     rec = dequantize_key(qk, SPEC, CB)
     # 3-bit quantization of a unit vector: coordinate MSE near the design
     # distortion, so reconstruction lands close in relative terms.
@@ -208,7 +212,7 @@ def test_dequantize_high_bit_reconstruction():
     cb8 = solve_codebook(D, 8)
     k = random_keys(1, seed=4242)[0]
     k /= np.linalg.norm(k)
-    rec = dequantize_key(quantize_key(k, SPEC, cb8), SPEC, cb8)
+    rec = dequantize_key(one_key(k, cb8), SPEC, cb8)
     assert np.linalg.norm(rec - k) < 0.05
 
 
@@ -222,7 +226,7 @@ def test_packed_record_is_50_bytes():
     for d, b in ((12, 2), (16, 0), (16, 9), (0, 3), (3, 3)):
         with pytest.raises(InvalidDimensionError):
             packed_size(d, b)
-    qk = quantize_key(random_keys(1)[0], SPEC, CB)
+    qk = one_key(random_keys(1)[0])
     assert len(pack(qk, B)) == 50
 
 
@@ -332,7 +336,7 @@ def test_kvq_rejects_off_design_headers(tmp_path, d, b):
 
 def test_kvq_rejects_corruption(tmp_path):
     path = tmp_path / "cache.kvq"
-    write_kvq(path, [quantize_key(random_keys(1)[0], SPEC, CB)], D, B)
+    write_kvq(path, [one_key(random_keys(1)[0])], D, B)
     blob = path.read_bytes()
     bad = tmp_path / "bad.kvq"
     bad.write_bytes(b"XXXX" + blob[4:])
