@@ -18,11 +18,26 @@ import numpy as np
 from .errors import (CorruptRomError, FormatError, InvalidDimensionError,
                      NonConvergenceError, _check_power_of_two)
 
+__all__ = [
+    "Codebook",
+    "solve_codebook",
+    "solve_lloyd_max",
+    "analytic_distortion",
+    "lloyd_residual",
+    "max_residual",
+    "serialize_rom",
+    "deserialize_rom",
+    "rom_size",
+    "infer_b",
+]
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
 MAX_BITS = 8
 DEFAULT_TOL = 1e-12
+# The largest power of two a float64 holds; sigma is 1/sqrt(float(d)).
+_MAX_D = 2 ** 1023
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -67,7 +82,10 @@ class Codebook:
 
 
 def _validate_design_point(d: int, b: int) -> None:
+    """The one design-point rule: d a power of two in 2.._MAX_D, b in 1..MAX_BITS."""
     _check_power_of_two(d)
+    if d > _MAX_D:
+        raise InvalidDimensionError(f"d must be at most 2^1023, got 2^{d.bit_length() - 1}")
     if not 1 <= b <= MAX_BITS:
         raise InvalidDimensionError(f"b must be in 1..{MAX_BITS}, got {b}")
 

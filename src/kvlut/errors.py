@@ -6,6 +6,19 @@ dispatch on failure cause without parsing stderr.
 
 import numpy as np
 
+__all__ = [
+    "KvlutError",
+    "IoError",
+    "FormatError",
+    "CorruptRomError",
+    "CorruptCacheError",
+    "InvalidDimensionError",
+    "InvalidInputError",
+    "NonConvergenceError",
+    "ConfigConflictError",
+    "EmptyCalibrationError",
+]
+
 
 class KvlutError(Exception):
     """Base class for all kvlut errors."""
@@ -93,10 +106,19 @@ def _check_shape(arr: np.ndarray, d: int | None, ndims: tuple[int, ...] = (2,),
             f"{what} needs ndim in {ndims} and width {width}, got shape {arr.shape}")
 
 
+def _float64(x, what: str) -> np.ndarray:
+    """x as a float64 array; a value past the float64 range (a Python int
+    such as 10**400) raises InvalidInputError naming `what`."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{what}: a value past the float64 range") from exc
+
+
 def _finite_array(x, d: int | None, ndims: tuple[int, ...] = (2,),
                   what: str = "input") -> np.ndarray:
-    """x as float64, checked by _check_shape and then for non-finite values."""
-    arr = np.asarray(x, dtype=np.float64)
+    """x as float64 (_float64), checked by _check_shape and then for non-finite values."""
+    arr = _float64(x, what)
     _check_shape(arr, d, ndims, what)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"non-finite values in {what}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .codebook import Codebook, solve_codebook
 from .errors import (InvalidInputError, _MAX_DRAWN_VALUES, _check_power_of_two,
-                     _check_shape, _read_only)
+                     _check_shape, _float64, _read_only)
 from .signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
                       candidate_mse)
 from .read_path import score_sequence
@@ -58,15 +58,18 @@ class LayerProfile:
     direction_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0 and math.isfinite(self.scale)):
+        scale = float(_float64(self.scale, "profile scale"))
+        if not (scale > 0 and math.isfinite(scale)):
             raise InvalidInputError(f"profile scale must be positive, got {self.scale}")
         # generate_keys squares it, so its square must be finite too.
-        g = self.direction_gain
+        g = float(_float64(self.direction_gain, "direction_gain"))
         if not (g >= 1.0 and math.isfinite(g * g)):
             raise InvalidInputError(
                 f"direction_gain must be >= 1 with a finite square, got {g}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "direction_gain", g)
         if self.gain is not None:
-            gain = np.asarray(self.gain, dtype=np.float64)
+            gain = _float64(self.gain, "gain vector")
             if not (np.all(np.isfinite(gain)) and np.all(gain > 0)):
                 raise InvalidInputError("gain entries must be finite and positive")
             object.__setattr__(self, "gain", _read_only(gain))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["OpCounter"]
+
 CATEGORIES = ("transform", "quantize", "norm", "table", "score")
 
 _KINDS = ("multiplications", "additions", "comparisons", "lookups")
@@ -43,16 +45,6 @@ class OpCounter:
         self.additions[category] += adds
         self.comparisons[category] += comps
         self.lookups[category] += lookups
-
-    # -- derived totals ----------------------------------------------------
-
-    @property
-    def total_multiplications(self) -> int:
-        return sum(self.multiplications.values())
-
-    @property
-    def total_comparisons(self) -> int:
-        return sum(self.comparisons.values())
 
     def mults_in(self, *categories: str) -> int:
         """Multiplication total restricted to the given categories."""

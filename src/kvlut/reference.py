@@ -20,7 +20,9 @@ from .opcount import OpCounter
 from .transform import RotationSpec, _row_tiles, inverse_rotate
 from .write_path import QuantizedKey, _cache_rows, _check_indices
 
-__all__ = ["dequantize_key", "score_sequence_reference"]
+# The package root exports the decoder; the oracle scorer stays importable
+# from here only.
+__all__ = ["dequantize_key"]
 
 
 def dequantize_key(qk: QuantizedKey, spec: RotationSpec, cb: Codebook,

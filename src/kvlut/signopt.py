@@ -34,9 +34,6 @@ __all__ = [
     "select_signs",
     "select_signs_all_layers",
     "norm_ratio_diagnostic",
-    "RECOMMEND_SAFE",
-    "RECOMMEND_OPTIMIZE",
-    "RECOMMEND_INDETERMINATE",
 ]
 
 RECOMMEND_SAFE = "calibration-free safe"

@@ -35,8 +35,6 @@ __all__ = [
     "QuantizedKey",
     "KVCache",
     "quantize_batch",
-    "pack",
-    "unpack",
     "packed_size",
     "write_kvq",
     "read_kvq",
@@ -305,21 +303,6 @@ def _unpack_rows(rows: np.ndarray, d: int, b: int) -> tuple[np.ndarray, np.ndarr
         for j in range(g):
             np.bitwise_and(words >> word.type(b * j), mask, out=cols[:, :, j], casting="unsafe")
     return idx, np.ascontiguousarray(rows[:, -2:]).view("<f2")[:, 0]
-
-
-def pack(qk: QuantizedKey, b: int) -> bytes:
-    """Pack indices at b bits each, little-endian bit order, then half(norm)."""
-    return _pack_rows(qk.indices[None], np.array([qk.norm]), b).tobytes()
-
-
-def unpack(data: bytes, d: int, b: int) -> QuantizedKey:
-    """Inverse of pack for a d-coordinate, b-bit record; (d, b) is checked before its length."""
-    expected = packed_size(d, b)
-    if len(data) != expected:
-        raise FormatError(
-            f"packed key for d={d}, b={b} must be {expected} bytes, got {len(data)}")
-    idx, norms = _unpack_rows(np.frombuffer(data, dtype=np.uint8)[None], d, b)
-    return QuantizedKey(indices=idx[0], norm=norms[0])
 
 
 # -- KV-cache container ---------------------------------------------------

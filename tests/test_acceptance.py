@@ -8,6 +8,7 @@ information).  Tolerances and budgets here are contractual: do not loosen.
 import functools
 import json
 import math
+import struct
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from kvlut.reference import score_sequence_reference
 from kvlut.signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
                            candidate_mse, select_signs, select_signs_all_layers)
 from kvlut.transform import RotationSpec, random_signs, rotate
-from kvlut.write_path import QuantizedKey, packed_size, quantize_batch, pack
+from kvlut.write_path import QuantizedKey, packed_size, quantize_batch, write_kvq
 
 cached_codebook = functools.cache(solve_codebook)
 
@@ -150,18 +151,26 @@ def test_criterion_4_concentration_closure():
             f"{elapsed:.1f} s")
 
 
-def test_criterion_5_compression_accounting():
+def test_criterion_5_compression_accounting(tmp_path):
     d, b = 128, 3
     cb = cached_codebook(d, b)
     spec = RotationSpec(d=d, sign=random_signs(d, 1))
     rng = np.random.default_rng(5)
     cache = make_cache(rng, 8, d, spec, cb)
-    sizes = {len(pack(qk, b)) for qk in cache}
+    path = tmp_path / "c5.kvq"
+    write_kvq(path, cache, d, b)
+    data = path.read_bytes()
+    # Record i of the file is bytes [18 + 50i, 18 + 50(i + 1)): the file
+    # ends after the 8th, and each ends on its own key's half norm.
+    records = [data[18 + 50 * i:18 + 50 * (i + 1)] for i in range(len(cache))]
+    sizes = {len(rec) for rec in records}
+    tails = all(rec[-2:] == struct.pack("<e", qk.norm) for rec, qk in zip(records, cache))
     declared = packed_size(d, b)
     ratio = (2.0 * d) / declared
-    ok = sizes == {50} and declared == 50 and ratio == 5.12
+    ok = (sizes == {50} and tails and len(data) == 18 + 50 * len(cache)
+          and declared == 50 and ratio == 5.12)
     verdict(5, "compression accounting", ok,
-            f"record bytes {sorted(sizes)}, declared {declared}, "
+            f"record bytes {sorted(sizes)}, file {len(data)} B, declared {declared}, "
             f"ratio {ratio}")
 
 

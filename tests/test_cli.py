@@ -588,6 +588,9 @@ def _with_zero_layer_rom(ws, command):
     (lambda ws: _with_zero_layer_rom(ws, "simulate-attention"), 4),
     # d past the sign ROM header's u16 field.
     (lambda ws: run(ws, "gen-signs", "--d", 65536, "--out", ws / "big.sgnrom"), 4),
+    # The first power of two past the float64 range, whose sqrt no float holds.
+    (lambda ws: run(ws, "solve-codebook", "--d", 1 << 1024, "--b", 3,
+                    "--out", ws / "x.cbrom"), 7),
     # A negative key count; an empty or negative score count and a
     # non-finite noise level for the Jensen probe.
     (lambda ws: run(ws, "bench-mults", "--d", 128, "--b", 3, "--T", -1), 8),
@@ -634,7 +637,7 @@ def _with_zero_layer_rom(ws, command):
         "txt-empty", "zero-norm-layer",
         "sidecar-not-json", "sidecar-string-d", "sidecar-not-object",
         "sign-rom-no-layers-quantize", "sign-rom-no-layers-simulate",
-        "sign-rom-d-65536",
+        "sign-rom-d-65536", "solve-codebook-d-2^1024",
         "bench-mults-negative-T", "bench-mults-d-not-power-of-two",
         "jensen-no-scores", "jensen-negative-scores",
         "jensen-std-nan", "jensen-std-inf", "seeds-not-int", "b-list-not-int",

@@ -62,7 +62,7 @@ def test_table_counter_charges_d_times_levels():
     ctr = OpCounter()
     precompute_table(np.ones(D), SPEC, CB, ctr)
     assert ctr.multiplications["table"] == D * 2**B == 1024
-    assert ctr.total_multiplications == 1024
+    assert ctr.to_dict()["multiplications"]["total"] == 1024
 
 
 def _score_one(tbl, qk, mode="double", counter=None):
@@ -389,78 +389,6 @@ def _score_closed_form(d, b, T):
     return ctr.to_dict()
 
 
-@pytest.mark.parametrize("b", [1, 3, 8])
-@pytest.mark.parametrize("d", [128, 256])
-def test_sequence_matches_per_key_route_across_row_tiles(d, b):
-    # T spans two whole scoring tiles and one row.  Both modes score over
-    # one set of tiles, _row_tiles(T, 4*P) with P = d/2 offsets a key on the
-    # pair gather (b <= 3 here) and d on the single one (b=8).
-    cb, spec = _design(d, b)
-    paired = b <= 3
-    p = d // 2 if paired else d
-    rows = _TILE_BYTES // (4 * p)
-    T = 2 * rows + 1
-    assert _folds(d, b, T) == paired
-    tiles = list(_row_tiles(T, 4 * p))
-    assert [t.stop - t.start for t in tiles] == [rows, rows, 1]
-    rng = np.random.default_rng(5 * d + b)
-    n = d // 8
-    q = rng.normal(size=d)
-    q *= 1.5 * 65504 / precompute_table(q, spec, cb).entries.max(axis=1).sum()
-    # A random query; one whose table rows all peak at 2*65504/n, so n
-    # aligned coordinates sum past the half range; and a zero query.
-    peak = inverse_rotate(spec, np.full(d, 2 * 65504 / n / cb.centroids[-1]))
-    # The one-row last tile holds only the saturating key.
-    firsts, lasts = [t.start for t in tiles], [t.stop - 1 for t in tiles[:2]]
-    for kind, q in (("random", q), ("peak", peak), ("zero", np.zeros(d))):
-        tbl = precompute_table(q, spec, cb)
-        hi, lo = (np.argmax(tbl.entries, axis=1).astype(np.uint8),
-                  np.argmin(tbl.entries, axis=1).astype(np.uint8))
-        if kind == "zero":
-            # Every entry is +-0.0 (0 * c); keys "against" the query take the
-            # -0.0 ones, so they sum -0.0 in both modes.
-            lo = np.argmax(np.signbit(tbl.entries), axis=1).astype(np.uint8)
-        idx = rng.integers(0, 2**b, size=(T, d), dtype=np.uint8)
-        norms = rng.uniform(0.1, 2.0, size=T).astype(np.float16)
-        # Each tile opens on a saturating key (aligned with the query, norm
-        # +inf) and then the key aligned against it; it closes on a zero norm,
-        # a norm that overflows half, and a key whose half tree sums +inf
-        # beside -inf.
-        mixed = idx[0].copy()
-        mixed[:n], mixed[n:2 * n] = hi[:n], lo[n:2 * n]
-        for start in firsts:
-            idx[start], norms[start] = hi, np.inf
-        for start, stop in zip(firsts, lasts):
-            idx[start + 1], norms[start + 1] = lo, 1.0
-            idx[stop], norms[stop] = mixed, 1.0
-            norms[stop - 1] = 3e4
-            idx[stop - 2], norms[stop - 2] = hi, 0.0
-        cache = KVCache(idx, norms)
-        where = f"d={d}, b={b}, query={kind}"
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, ctr = score_sequence(q, cache, spec, cb)
-            want = _tree_double(tbl.entries, idx, norms)
-            got16, ctr16 = score_sequence(q, cache, spec, cb, mode="fp16")
-            want16 = _tree_fp16(tbl.entries, idx, norms)
-            for t in (0, 1):
-                assert score_sequence(q, cache[:t], spec, cb)[1].to_dict() == \
-                    _score_closed_form(d, b, t), where
-        assert [r for r, _ in cache._gathers[b][1]] == tiles, where
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), where)
-        np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
-        assert ctr.to_dict() == ctr16.to_dict() == _score_closed_form(d, b, T), where
-        if kind == "random":
-            assert np.all(got[firsts] == np.inf) and np.all(got16[firsts] == np.inf), where
-        elif kind == "peak":
-            assert np.all(np.isnan(got16[lasts])) and np.all(got16[firsts] == np.inf), where
-            assert np.all(got16[[i + 1 for i in firsts[:2]]] == -np.inf), where
-        else:
-            assert np.all(np.isnan(got[firsts])) and np.all(np.isnan(got16[firsts])), where
-            for scores in (got, got16):
-                lows = scores[[i + 1 for i in firsts[:2]]]
-                assert np.all(lows == 0) and np.all(np.signbit(lows)), where
-
-
 @pytest.mark.parametrize("d, b", [*itertools.product([2, 128, 1024], [1, 2, 3, 4]), (2, 7)])
 def test_pair_and_single_gathers_match_per_key_route_at_the_gate(d, b):
     # The pair gather runs from T = max(rows, 4^(b+1)) when the folded table
@@ -544,15 +472,11 @@ def _recorded_tiles(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d, b", [(2, 1), (2, 8), (128, 3), (128, 8), (256, 3), (256, 8)])
-def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d, b):
+def _check_route_across_row_tiles(monkeypatch, d, b, seed):
     # A scoring tile holds _TILE_BYTES of the fp16 tree's float32 partials:
     # 4*P bytes a key, with P = d/2 offsets on the pair gather (b <= 3 here)
     # and d on the single one (b=8), so T spans two whole tiles and one row.
-    # The double tree runs over the same tiles.  The first and last rows of
-    # every tile hold a saturating key, a +inf norm, a zero norm and a key
-    # whose tree sums +inf beside -inf; each of them also scores alone, as a
-    # one-key cache, the T = 1 route.
+    # Both modes score one cache over the same tiles, laid out once.
     cb, spec = _design(d, b)
     paired = b <= 3
     p = d // 2 if paired else d
@@ -561,14 +485,15 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
     assert _folds(d, b, T) == paired
     tiles = list(_row_tiles(T, 4 * p))
     assert [t.stop - t.start for t in tiles] == [rows, rows, 1]
-    rng = np.random.default_rng(11 * d + b)
+    rng = np.random.default_rng(seed)
     n = max(1, d // 8)
     top = cb.centroids[-1]
     q = rng.normal(size=d)
     q *= 1.5 * 65504 / precompute_table(q, spec, cb).entries.max(axis=1).sum()
     # A random query scaled so its trees overflow; one whose table rows all
     # peak at 2*65504/n, so n aligned coordinates sum past the half range
-    # (at d=2 one peak is half inf); and a zero query.
+    # (at d=2 one peak is half inf); and a zero query, whose entries are
+    # +-0.0 (0 * c).
     queries = [("random", q),
                ("peak", inverse_rotate(spec, np.full(d, 2 * 65504 / n / top))),
                ("zero", np.zeros(d))]
@@ -577,42 +502,78 @@ def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d
     hi, lo = np.full(d, 2 ** b - 1, np.uint8), np.zeros(d, np.uint8)
     mixed = idx[0].copy()
     mixed[:n], mixed[n:2 * n] = hi[:n], lo[n:2 * n]
-    special = [(hi, 1.0), (lo, np.inf), (hi, 0.0), (mixed, 1.0)]
+    aligned = np.argmax(precompute_table(q, spec, cb).entries, axis=1).astype(np.uint8)
+    negzero = np.argmax(np.signbit(precompute_table(np.zeros(d), spec, cb).entries), axis=1)
+    # Each tile opens on these keys and closes on them in reverse; the
+    # one-row last tile holds only the first.  They are a key aligned with
+    # the random query at norm +inf, one that takes the zero query's -0.0
+    # entries, the highest cells at norm 1, the lowest at norm 1 and +inf,
+    # the highest at norm 0, a key whose half tree sums +inf beside -inf,
+    # and a norm of 3e4.
+    special = [(aligned, np.inf), (negzero, 1.0), (hi, 1.0), (lo, 1.0), (lo, np.inf),
+               (hi, 0.0), (mixed, 1.0), (idx[1], 3e4)]
     edges = []
     for t in tiles:
         for r, (cells, norm) in [*zip(range(t.start, t.stop), special),
                                  *zip(range(t.stop - 1, t.start - 1, -1), special)]:
             idx[r], norms[r] = cells, norm
             edges.append(r)
+    # Row k of the special keys in each whole tile, from either edge.
+    at = {k: [r for t in tiles[:2] for r in (t.start + k, t.stop - 1 - k)]
+          for k in range(len(special))}
+    firsts = [t.start for t in tiles]
     cache = KVCache(idx, norms)
     calls = _recorded_tiles(monkeypatch)
     for kind, q in queries:
         tbl = precompute_table(q, spec, cb)
         where = f"d={d}, b={b}, query={kind}"
-        got16 = score_sequence(q, cache, spec, cb, mode="fp16")[0]
-        got = score_sequence(q, cache, spec, cb)[0]
+        got, ctr = score_sequence(q, cache, spec, cb)
+        got16, ctr16 = score_sequence(q, cache, spec, cb, mode="fp16")
         with np.errstate(over="ignore", invalid="ignore"):
-            want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
             want = _tree_double(tbl.entries, cache.indices, cache.norms)
-            singles = np.array([score_sequence(q, cache[r:r + 1], spec, cb)[0][0]
-                                for r in edges])
+            want16 = _tree_fp16(tbl.entries, cache.indices, cache.norms)
+        # Each edge key also scores alone, as a one-key cache: the T = 1 route.
+        singles = np.array([score_sequence(q, cache[r:r + 1], spec, cb)[0][0]
+                            for r in edges])
         singles16 = np.array([score_sequence(q, cache[r:r + 1], spec, cb, "fp16")[0][0]
                               for r in edges])
-        np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
-        np.testing.assert_array_equal(singles16.view(np.uint16),
-                                      want16[edges].view(np.uint16), where)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), where)
         np.testing.assert_array_equal(singles.view(np.uint64), want[edges].view(np.uint64),
                                       where)
-        if kind == "peak":
-            starts = [t.start for t in tiles]
-            assert np.all(got16[starts] == np.inf), where
-            assert np.all(got16[[s + 1 for s in starts[:2]]] == -np.inf), where
-            assert np.all(np.isnan(got16[[s + k for s in starts[:2] for k in (2, 3)]])), where
+        np.testing.assert_array_equal(got16.view(np.uint16), want16.view(np.uint16), where)
+        np.testing.assert_array_equal(singles16.view(np.uint16),
+                                      want16[edges].view(np.uint16), where)
+        assert ctr.to_dict() == ctr16.to_dict() == _score_closed_form(d, b, T), where
+        for t in (0, 1):
+            assert score_sequence(q, cache[:t], spec, cb)[1].to_dict() == \
+                _score_closed_form(d, b, t), where
+        if kind == "random":
+            assert np.all(got[firsts] == np.inf) and np.all(got16[firsts] == np.inf), where
+        elif kind == "peak":
+            assert np.all(got16[at[2]] == np.inf), where
+            assert np.all(got16[at[3] + at[4]] == -np.inf), where
+            assert np.all(np.isnan(got16[at[5] + at[6]])), where
+        else:
+            assert np.all(np.isnan(got[firsts])) and np.all(np.isnan(got16[firsts])), where
+            for scores in (got, got16):
+                lows = scores[at[1]]
+                assert np.all(lows == 0) and np.all(np.signbit(lows)), where
     # The first query laid the tiles out, once for both modes and every query
-    # (the one-key caches lay out their own).
+    # (the one-key caches and the slices lay out their own).
     assert [c for c in calls if c[0] == T] == [(T, 4 * p, [rows, rows, 1])]
     assert [r for r, _ in cache._gathers[b][1]] == tiles
+
+
+# The two tests run the one check above over the union of their points; at
+# the four points they share they draw different keys and queries.
+@pytest.mark.parametrize("d, b", [(128, 1), (128, 3), (128, 8), (256, 1), (256, 3), (256, 8)])
+def test_sequence_matches_per_key_route_across_row_tiles(monkeypatch, d, b):
+    _check_route_across_row_tiles(monkeypatch, d, b, seed=5 * d + b)
+
+
+@pytest.mark.parametrize("d, b", [(2, 1), (2, 8), (128, 3), (128, 8), (256, 3), (256, 8)])
+def test_fp16_tree_matches_per_key_route_across_its_own_row_tiles(monkeypatch, d, b):
+    _check_route_across_row_tiles(monkeypatch, d, b, seed=11 * d + b)
 
 
 def _bit_reversal(p):

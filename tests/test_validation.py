@@ -1,7 +1,8 @@
 """Each public entry point raises the same exception class for the same bad
 input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, a key whose
-sum of squares passes the float64 range, a codebook/rotation d mismatch, a
-cell index past 2^b and a key file that does not hold real numbers.
+sum of squares passes the float64 range, a Python int past that range, a
+codebook/rotation d mismatch, a cell index past 2^b and a key file that does
+not hold real numbers.
 Dimension checks run before finiteness.
 Constructors store read-only views and leave the caller's arrays writeable."""
 
@@ -21,8 +22,8 @@ from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
 from kvlut.transform import (RotationSpec, SignVector, deserialize_signs, fwht,
                              inverse_rotate, random_signs, rotate, unpack_sign_rom)
-from kvlut.write_path import (QuantizedKey, load_key_matrix, pack, packed_size,
-                              quantize_batch, unpack, write_kvq)
+from kvlut.write_path import (QuantizedKey, load_key_matrix, packed_size, quantize_batch,
+                              write_kvq)
 
 D, B = 16, 2
 CB = solve_codebook(D, B)
@@ -44,6 +45,15 @@ def _with(value, shape=(D,)):
     return x
 
 
+def _write_kvq(tmp_path, keys, d):
+    # write_kvq at b = B, which must leave no file behind when it raises.
+    path = tmp_path / "c.kvq"
+    try:
+        write_kvq(path, keys, d, B)
+    finally:
+        assert not path.exists()
+
+
 def _npy(tmp_path, arr, d=None):
     path = tmp_path / "keys.npy"
     np.save(path, arr)
@@ -56,6 +66,8 @@ CASES = {
     # name: (call taking tmp_path, expected class)
     "solve_codebook-non-pow2": (lambda _: solve_codebook(12, B), DIM),
     "solve_codebook-d1": (lambda _: solve_codebook(1, B), DIM),
+    # The first power of two past the float64 range, whose sqrt no float holds.
+    "solve_codebook-2^1024": (lambda _: solve_codebook(1 << 1024, B), DIM),
     "RotationSpec-non-pow2": (
         lambda _: RotationSpec(d=12, sign=random_signs(12, 1)), DIM),
     "RotationSpec-signs-length": (
@@ -125,10 +137,7 @@ CASES = {
             np.ones(8), [QuantizedKey(np.zeros(8, np.uint8), 1.0)], SPEC, CB8), DIM),
     # The record rules, through every entry point that packs, scores or
     # reconstructs a key: (d, b) is a design point, every index is below 2^b.
-    "pack-non-pow2": (lambda _: pack(KEY12, B), DIM),
-    "unpack-non-pow2": (lambda _: unpack(bytes((12 * B + 7) // 8 + 2), 12, B), DIM),
-    # The design point is checked before the record's length.
-    "unpack-empty-non-pow2": (lambda _: unpack(b"", 12, B), DIM),
+    "write_kvq-non-pow2": (lambda tmp: _write_kvq(tmp, [KEY12], 12), DIM),
     "packed_size-non-pow2": (lambda _: packed_size(12, B), DIM),
     "QuantizedKey-indices-2d": (
         lambda _: QuantizedKey(indices=np.zeros((2, D), np.uint8), norm=1.0), DIM),
@@ -140,9 +149,7 @@ CASES = {
         lambda _: PrecomputedTable(d=D, b=0, entries=np.ones((D, 1))), DIM),
     "PrecomputedTable-b9": (
         lambda _: PrecomputedTable(d=D, b=9, entries=np.ones((D, 1 << 9))), DIM),
-    "pack-index-past-2^b": (lambda _: pack(PAST_KEY, B), CORRUPT),
-    "write_kvq-index-past-2^b": (
-        lambda tmp: write_kvq(tmp / "c.kvq", [PAST_KEY], D, B), CORRUPT),
+    "write_kvq-index-past-2^b": (lambda tmp: _write_kvq(tmp, [PAST_KEY], D), CORRUPT),
     "score_sequence-index-past-2^b": (
         lambda _: score_sequence(np.ones(D), [KEY, PAST_KEY], SPEC, CB), CORRUPT),
     "score_sequence-one-key-index-past-2^b": (
@@ -165,6 +172,17 @@ CASES = {
     "CalibrationSet-no-rows": (lambda _: CalibrationSet(keys=np.ones((0, D))), DIM),
     "CalibrationSet-nan": (lambda _: CalibrationSet(keys=_with(np.nan, (3, D))), BAD),
     "CalibrationSet-inf": (lambda _: CalibrationSet(keys=_with(np.inf, (3, D))), BAD),
+    # A Python int past the float64 range, which numpy will not convert.
+    "CalibrationSet-int-past-float64": (
+        lambda _: CalibrationSet(keys=[[10**400, 1.0]]), BAD),
+    "precompute_table-int-past-float64": (
+        lambda _: precompute_table([10**400] + [1.0] * (D - 1), SPEC, CB), BAD),
+    "score_sequence_reference-int-past-float64": (
+        lambda _: score_sequence_reference([10**400] + [1.0] * (D - 1), [KEY], SPEC, CB), BAD),
+    "LayerProfile-scale-int-past-float64": (lambda _: LayerProfile(scale=10**400), BAD),
+    "LayerProfile-direction_gain-int-past-float64": (
+        lambda _: LayerProfile(direction_gain=10**400), BAD),
+    "LayerProfile-gain-int-past-float64": (lambda _: LayerProfile(gain=[10**400] * 4), BAD),
     "candidate_mse-keys-length": (
         lambda _: candidate_mse(CalibrationSet(keys=np.ones((3, 8))),
                                 random_signs(D, 1), CB), DIM),
@@ -216,6 +234,23 @@ def test_bad_input_raises_its_class(name, tmp_path):
     with pytest.raises(expected) as info:
         call(tmp_path)
     assert type(info.value) is expected
+
+
+# The field each int-past-float64 case names in its error.
+PAST_FLOAT64_FIELDS = {
+    "CalibrationSet-int-past-float64": "calibration keys",
+    "precompute_table-int-past-float64": "query",
+    "score_sequence_reference-int-past-float64": "query",
+    "LayerProfile-scale-int-past-float64": "profile scale",
+    "LayerProfile-direction_gain-int-past-float64": "direction_gain",
+    "LayerProfile-gain-int-past-float64": "gain vector",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_FLOAT64_FIELDS))
+def test_a_value_past_float64_names_its_field(name, tmp_path):
+    with pytest.raises(InvalidInputError, match=f"^{PAST_FLOAT64_FIELDS[name]}: a value past"):
+        CASES[name][0](tmp_path)
 
 
 # (constructor, caller's array already in the stored dtype, stored attribute)

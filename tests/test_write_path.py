@@ -20,8 +20,8 @@ from kvlut.opcount import OpCounter
 from kvlut.reference import dequantize_key
 from kvlut.transform import _TILE_BYTES, RotationSpec, _row_tiles, random_signs, rotate
 from kvlut.write_path import (KVCache, QuantizedKey, _cell_indices, _pack_rows,
-                              _unpack_rows, load_key_matrix, pack, packed_size,
-                              quantize_batch, read_kvq, unpack, write_kvq)
+                              _unpack_rows, load_key_matrix, packed_size, quantize_batch,
+                              read_kvq, write_kvq)
 
 D, B = 128, 3
 CB = solve_codebook(D, B)
@@ -109,8 +109,9 @@ def test_counter_charges():
     assert ctr.additions["norm"] == D - 1
     assert ctr.additions["transform"] == D * 7
     assert ctr.comparisons["quantize"] == D * (2**B - 1)
-    assert ctr.total_multiplications == 2 * D
-    assert ctr.total_comparisons == D * (2**B - 1)
+    totals = ctr.to_dict()
+    assert totals["multiplications"]["total"] == 2 * D
+    assert totals["comparisons"]["total"] == D * (2**B - 1)
 
 
 @pytest.mark.parametrize("b", [1, 3, 8])
@@ -216,7 +217,7 @@ def test_dequantize_high_bit_reconstruction():
     assert np.linalg.norm(rec - k) < 0.05
 
 
-def test_packed_record_is_50_bytes():
+def test_packed_record_is_50_bytes(tmp_path):
     assert packed_size(D, B) == 50
     # The codec's group layout sizes the record: ceil(d*b/8) index bytes
     # plus the norm at every design point, and no size anywhere else.
@@ -226,38 +227,49 @@ def test_packed_record_is_50_bytes():
     for d, b in ((12, 2), (16, 0), (16, 9), (0, 3), (3, 3)):
         with pytest.raises(InvalidDimensionError):
             packed_size(d, b)
-    qk = one_key(random_keys(1)[0])
-    assert len(pack(qk, B)) == 50
+    path = tmp_path / "one.kvq"
+    write_kvq(path, [one_key(random_keys(1)[0])], D, B)
+    assert path.stat().st_size == 18 + 50
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 8), st.integers(0, 2**32))
-def test_pack_round_trip(b, seed):
+def test_pack_round_trip(tmp_path_factory, b, seed):
     rng = np.random.default_rng(seed)
     qk = QuantizedKey(indices=rng.integers(0, 2**b, size=D, dtype=np.uint8),
                       norm=np.float16(rng.uniform(0, 30)))
-    back = unpack(pack(qk, b), D, b)
+    path = tmp_path_factory.getbasetemp() / "round_trip.kvq"
+    write_kvq(path, [qk], D, b)
+    back, = read_kvq(path)[0]
     np.testing.assert_array_equal(back.indices, qk.indices)
     assert back.norm == qk.norm
 
 
-def test_pack_bit_layout():
-    # Index i sits at bits [b*i, b*i + b), LSB first within the byte stream.
-    qk = QuantizedKey(indices=np.array([1, 2, 3, 4], dtype=np.uint8),
-                      norm=np.float16(1.0))
-    blob = pack(qk, 3)
-    word = int.from_bytes(blob[:-2], "little")
-    for i, v in enumerate([1, 2, 3, 4]):
+def test_pack_bit_layout(tmp_path):
+    # Index i sits at bits [b*i, b*i + b) of its record, LSB first within
+    # the byte stream, and the half norm follows the index bytes.
+    cells = np.arange(D, dtype=np.uint8) % 8
+    path = tmp_path / "layout.kvq"
+    write_kvq(path, [QuantizedKey(cells, np.float16(1.5))], D, B)
+    record = path.read_bytes()[18:]
+    assert len(record) == 50
+    word = int.from_bytes(record[:-2], "little")
+    for i, v in enumerate(cells):
         assert (word >> (3 * i)) & 0b111 == v
+    assert record[-2:] == struct.pack("<e", 1.5)
 
 
-def test_pack_rejects_out_of_range_index():
-    qk = QuantizedKey(indices=np.full(D, 8, dtype=np.uint8),
-                      norm=np.float16(1.0))
+def test_pack_rejects_out_of_range_index(tmp_path):
+    # An index past 2^b is rejected before the file is opened, and a record
+    # shorter than packed_size is a FormatError.
+    qk = QuantizedKey(indices=np.full(D, 8, dtype=np.uint8), norm=np.float16(1.0))
+    path = tmp_path / "past.kvq"
+    with pytest.raises(CorruptCacheError):
+        write_kvq(path, [qk], D, 3)
+    assert not path.exists()
+    path.write_bytes(struct.pack("<4sBBIII", b"KVQC", 1, B, D, 1, 0) + bytes(10))
     with pytest.raises(FormatError):
-        pack(qk, 3)
-    with pytest.raises(FormatError):
-        unpack(b"\x00" * 10, D, B)
+        read_kvq(path)
 
 
 def test_kvq_round_trip(tmp_path):
@@ -310,7 +322,6 @@ def test_kvq_records_match_per_key_packing(tmp_path, d, b):
     path = tmp_path / "cache.kvq"
     write_kvq(path, qks, d, b, layer_id=5)
     body = path.read_bytes()[18:]
-    assert body == b"".join(pack(qk, b) for qk in qks)
     assert body == b"".join(_reference_record(qk, b) for qk in qks)
     back, d_back, b_back, layer_id = read_kvq(path)
     assert (d_back, b_back, layer_id, len(back)) == (d, b, 5, len(qks))
@@ -321,14 +332,15 @@ def test_kvq_records_match_per_key_packing(tmp_path, d, b):
 
 @pytest.mark.parametrize("d, b", [(128, 0), (128, 9), (0, 3), (3, 3)])
 def test_kvq_rejects_off_design_headers(tmp_path, d, b):
-    # The file length matches the header (ceil(d*b/8) + 2 bytes a record,
-    # counted here: packed_size has no size off the design points), so only
-    # the (d, b) rule can reject it.
+    # The first file's length matches the header (ceil(d*b/8) + 2 bytes a
+    # record, counted here: packed_size has no size off the design points),
+    # so only the (d, b) rule can reject it; the second holds no record, and
+    # the (d, b) rule still comes before the length check.
     path = tmp_path / "cache.kvq"
-    path.write_bytes(struct.pack("<4sBBIII", b"KVQC", 1, b, d, 1, 0)
-                     + b"\x00" * ((d * b + 7) // 8 + 2))
-    with pytest.raises(CorruptCacheError):
-        read_kvq(path)
+    for body in (b"\x00" * ((d * b + 7) // 8 + 2), b""):
+        path.write_bytes(struct.pack("<4sBBIII", b"KVQC", 1, b, d, 1, 0) + body)
+        with pytest.raises(CorruptCacheError):
+            read_kvq(path)
     qk = QuantizedKey(indices=np.zeros(d, dtype=np.uint8), norm=np.float16(1.0))
     with pytest.raises(InvalidDimensionError):
         write_kvq(tmp_path / "out.kvq", [qk], d, b)
@@ -464,13 +476,14 @@ def test_shift_or_codec_matches_the_bit_tensor_codec(monkeypatch, d, b):
     assert set(row_bytes) == {8 * groups}
 
 
-def test_codec_rejects_a_width_no_uint8_index_fills():
+def test_codec_rejects_a_width_no_uint8_index_fills(tmp_path):
+    # The header side is test_kvq_rejects_off_design_headers.
     qk = QuantizedKey(indices=np.zeros(D, dtype=np.uint8), norm=np.float16(1.0))
+    path = tmp_path / "wide.kvq"
     for b in (0, 9):
         with pytest.raises(InvalidDimensionError):
-            pack(qk, b)
-        with pytest.raises(InvalidDimensionError):
-            unpack(bytes((D * b + 7) // 8 + 2), D, b)
+            write_kvq(path, [qk], D, b)
+        assert not path.exists()
 
 
 def _is_range(node):
@@ -569,7 +582,6 @@ def _norm_verdicts(norm, tmp_path):
     entries = {
         "QuantizedKey": lambda: QuantizedKey(np.zeros(D, np.uint8), norm).norm,
         "KVCache": lambda: KVCache(np.zeros((1, D), np.uint8), [norm]).norms[0],
-        "unpack": lambda: unpack(record, D, B).norm,
         "read_kvq": lambda: read_kvq(path)[0].norms[0],
     }
     verdicts = {}
@@ -584,13 +596,13 @@ def _norm_verdicts(norm, tmp_path):
 @pytest.mark.parametrize("norm", [0.0, -0.0, 2.0 ** -24, 1.0, 65504.0, np.inf,
                                   np.nan, -1.0], ids=repr)
 def test_every_norm_entry_point_gives_one_verdict(norm, tmp_path):
-    # Built from a float, unpacked from a record or read from a .kvq, a norm
-    # is accepted with the same half bits everywhere, or rejected everywhere
-    # (as CorruptCacheError from a file).  +inf, an overflow, is accepted.
+    # Built from a float or read from a .kvq record, a norm is accepted with
+    # the same half bits everywhere, or rejected everywhere (as
+    # CorruptCacheError from a file).  +inf, an overflow, is accepted.
     verdicts = _norm_verdicts(norm, tmp_path)
     if np.isnan(norm) or norm < 0:
         assert verdicts == {"QuantizedKey": InvalidInputError, "KVCache": InvalidInputError,
-                            "unpack": InvalidInputError, "read_kvq": CorruptCacheError}
+                            "read_kvq": CorruptCacheError}
     else:
         assert set(verdicts.values()) == {int(np.float16(norm).view(np.uint16))}
 
