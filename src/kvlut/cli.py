@@ -27,8 +27,8 @@ from .opcount import OpCounter
 from .read_path import score_sequence
 from .reference import score_sequence_reference
 from .signopt import CalibrationSet, norm_ratio_diagnostic, select_signs_all_layers
-from .transform import (RotationSpec, SignVector, _check_rom_header, _open_sign_rom,
-                        _seed64, random_signs, write_sign_rom)
+from .transform import (RotationSpec, SignVector, _check_rom_header, _seed64,
+                        random_signs, read_sign_rom, write_sign_rom)
 from .write_path import (_TYPED_KEY_SUFFIXES, KVCache, load_key_matrix, quantize_batch,
                          read_kvq, write_kvq)
 
@@ -137,7 +137,7 @@ def _open_layer(args, rows_path: str, layer: int, cache_db: tuple[int, int] | No
     codebook ROM length's (and the cache's); a raw rows file takes the
     cache's d, else the ROM's.  The rows' width and the sidecar must agree.
     """
-    rom = _open_sign_rom(args.signs)
+    rom = read_sign_rom(args.signs)
     cache_d, cache_b = cache_db or (None, None)
     rows = _load_keys_cli(rows_path, cache_d or rom.d)
     cb = _load_codebook(

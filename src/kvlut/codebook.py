@@ -291,16 +291,14 @@ def infer_b(nbytes: int) -> int:
 def _check_rom_values(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """The one ROM rule: (centroids, boundaries) of a ROM's float64 values.
 
-    The values must be finite, the centroids and the boundaries each
-    strictly ascending, and every boundary strictly between its two
-    centroids; otherwise CorruptRomError.
+    The values must be finite, and every boundary strictly between its two
+    centroids, c[i] < t[i] < c[i+1], which also makes the centroids and the
+    boundaries each strictly ascending; otherwise CorruptRomError.
     """
     levels = 1 << b
     centroids, boundaries = values[:levels], values[levels:]
     if not np.all(np.isfinite(values)):
         raise CorruptRomError("ROM holds a NaN or infinite value")
-    if np.any(np.diff(centroids) <= 0) or (boundaries.size and np.any(np.diff(boundaries) <= 0)):
-        raise CorruptRomError("ROM centroids/boundaries are not strictly ascending")
     if np.any(boundaries <= centroids[:-1]) or np.any(boundaries >= centroids[1:]):
         raise CorruptRomError("ROM boundaries do not interleave centroids")
     return centroids, boundaries

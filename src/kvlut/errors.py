@@ -4,6 +4,8 @@ Each error class carries a distinct CLI exit code so batch scripts can
 dispatch on failure cause without parsing stderr.
 """
 
+from numbers import Real
+
 import numpy as np
 
 __all__ = [
@@ -107,10 +109,16 @@ def _check_shape(arr: np.ndarray, d: int | None, ndims: tuple[int, ...] = (2,),
 
 
 def _float64(x, what: str) -> np.ndarray:
-    """x as a float64 array; a value past the float64 range (a Python int
-    such as 10**400) raises InvalidInputError naming `what`."""
+    """x as a float64 array, else InvalidInputError naming `what`: numpy must
+    read x as real numbers (dtype kind biuf, load_key_matrix's rule, or object
+    of numbers.Real, as Python ints past int64 give; not strings, which numpy
+    would parse, nor complex), and none past the float64 range (10**400)."""
+    raw = np.asarray(x)
+    kind = raw.dtype.kind
+    if not (kind in "biuf" or kind == "O" and all(isinstance(v, Real) for v in raw.flat)):
+        raise InvalidInputError(f"{what} holds dtype {raw.dtype}, not real numbers")
     try:
-        return np.asarray(x, dtype=np.float64)
+        return np.asarray(raw, dtype=np.float64)
     except OverflowError as exc:
         raise InvalidInputError(f"{what}: a value past the float64 range") from exc
 

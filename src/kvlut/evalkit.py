@@ -1,16 +1,16 @@
-"""Synthetic key generation, pipeline quality metrics, and bias probes.
+"""Synthetic key generation, seed-sensitivity sweeps, and bias probes.
 
-Perplexity is out of scope here; the desk-scale proxies are rotated-domain
-quantization MSE and normalized score error, which is also what the sign
-search itself optimizes.  The synthetic generator models layer-norm
-heterogeneity two ways: a per-layer mean-norm scale (pure scale washes out
-under per-key normalization, but drives the norm-ratio diagnostic), and a
-token-varying shared-direction component that actually carries a high norm
-the way massive activations do.  Only the latter creates cross-coordinate
-correlation, which is what makes sign candidates genuinely differ: for i.i.d.
-coordinates with any per-coordinate gains, rotated marginals are identical
-for every sign pattern, so rotated-domain MSE cannot depend on the signs
-beyond finite-sample noise.
+Perplexity is out of scope here; the desk-scale proxy is rotated-domain
+quantization MSE, which is also what the sign search itself optimizes.  The
+synthetic generator models layer-norm heterogeneity two ways: a per-layer
+mean-norm scale (pure scale washes out under per-key normalization, but
+drives the norm-ratio diagnostic), and a token-varying shared-direction
+component that actually carries a high norm the way massive activations do.
+Only the latter creates cross-coordinate correlation, which is what makes
+sign candidates genuinely differ: for i.i.d. coordinates with any
+per-coordinate gains, rotated marginals are identical for every sign
+pattern, so rotated-domain MSE cannot depend on the signs beyond
+finite-sample noise.
 """
 
 from __future__ import annotations
@@ -20,23 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import Codebook, solve_codebook
+from .codebook import solve_codebook
 from .errors import (InvalidInputError, _MAX_DRAWN_VALUES, _check_power_of_two,
                      _check_shape, _float64, _read_only)
-from .signopt import (CalibrationSet, _candidate_mses, _normalized_rows,
-                      candidate_mse)
-from .read_path import score_sequence
-from .transform import RotationSpec, _seed64, random_signs
-from .write_path import KVCache, packed_size, quantize_batch
+from .signopt import CalibrationSet, _candidate_mses, _normalized_rows
+from .transform import _seed64, random_signs
 
 __all__ = [
     "LayerProfile",
     "SyntheticSpec",
-    "ErrorReport",
     "JensenReport",
     "SweepResult",
     "generate_keys",
-    "evaluate_pipeline",
     "jensen_bias_probe",
     "sensitivity_sweep",
 ]
@@ -120,77 +115,6 @@ def generate_keys(spec: SyntheticSpec) -> dict[int, CalibrationSet]:
 
 
 @dataclass(frozen=True)
-class ErrorReport:
-    """Quality summary of the full quantize-then-score pipeline."""
-
-    rotated_mse: float
-    ip_err_mean: float
-    ip_err_p95: float
-    ip_err_max: float
-    score_cosine: float
-    bytes_per_vector: int
-    compression_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rotated_mse": self.rotated_mse,
-            "ip_err_mean": self.ip_err_mean,
-            "ip_err_p95": self.ip_err_p95,
-            "ip_err_max": self.ip_err_max,
-            "score_cosine": self.score_cosine,
-            "bytes_per_vector": self.bytes_per_vector,
-            "compression_ratio": self.compression_ratio,
-        }
-
-
-def evaluate_pipeline(keys: np.ndarray, queries: np.ndarray, spec: RotationSpec,
-                      cb: Codebook) -> ErrorReport:
-    """Quantize keys, score queries through the lookup path, compare to exact.
-
-    Inner-product errors are normalized by ||q|| ||k|| per pair, so the
-    statistics are scale-free and stay finite for near-orthogonal pairs.
-    Compression is the packed record size against 2d bytes of half-precision
-    storage.  Every dot product and norm is an elementwise product summed by
-    numpy's reduction, not BLAS, so the report holds the same bits on every
-    CPU.
-    """
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if keys.shape[0] == 0 or queries.shape[0] == 0:
-        raise InvalidInputError(
-            f"need at least one key and one query, got {keys.shape[0]} and {queries.shape[0]}")
-
-    idx, norms = quantize_batch(keys, spec, cb)
-    cache = KVCache(idx, norms)
-    record = packed_size(cb.d, cb.b)
-
-    rotated_mse = (candidate_mse(CalibrationSet(keys=keys), spec.sign, cb)
-                   if np.any(norms > 0) else 0.0)
-    approx = np.array([score_sequence(q, cache, spec, cb)[0] for q in queries])
-    exact = np.array([np.multiply(keys, q).sum(axis=1) for q in queries])
-
-    qn = np.linalg.norm(queries, axis=1)
-    denom = np.maximum(qn[:, None] * norms[None, :], np.finfo(np.float64).tiny)
-    rel = np.abs(approx - exact) / denom
-    flat = rel.ravel()
-
-    cosines = []
-    for a, e in zip(approx, exact):
-        na, ne = np.sqrt(np.sum(a * a)), np.sqrt(np.sum(e * e))
-        cosines.append(float(np.sum(a * e) / (na * ne)) if na > 0 and ne > 0 else 1.0)
-
-    return ErrorReport(
-        rotated_mse=rotated_mse,
-        ip_err_mean=float(flat.mean()),
-        ip_err_p95=float(np.percentile(flat, 95)),
-        ip_err_max=float(flat.max()),
-        score_cosine=float(np.mean(cosines)),
-        bytes_per_vector=record,
-        compression_ratio=(2.0 * cb.d) / record,
-    )
-
-
-@dataclass(frozen=True)
 class JensenReport:
     """Outcome of the exponential-bias probe at one noise level."""
 
@@ -255,7 +179,7 @@ def jensen_bias_probe(true_scores: np.ndarray, noise_std: float, trials: int,
     weights.  At noise_std = 0 the ratio is exactly 1.  Also reports how far
     the trial-averaged softmax weights drift from the noiseless softmax.
     """
-    s = np.atleast_1d(np.asarray(true_scores, dtype=np.float64))
+    s = np.atleast_1d(_float64(true_scores, "true_scores"))
     if not s.size:
         raise InvalidInputError("true_scores must hold at least one score")
     _check_jensen_args([noise_std], trials, s.size)

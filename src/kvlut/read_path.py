@@ -25,7 +25,7 @@ import numpy as np
 
 from .codebook import Codebook, _validate_design_point
 from .errors import (InvalidDimensionError, InvalidInputError, _check_same_d,
-                     _finite_array, _read_only)
+                     _finite_array, _float64, _read_only)
 from .opcount import OpCounter
 from .transform import _TILE_BYTES, RotationSpec, _row_tiles, rotate
 from .write_path import KVCache, QuantizedKey, _cache_rows, _check_indices
@@ -47,7 +47,7 @@ class PrecomputedTable:
 
     def __post_init__(self) -> None:
         _validate_design_point(self.d, self.b)
-        entries = np.asarray(self.entries, dtype=np.float64)
+        entries = _float64(self.entries, "table entries")
         if entries.shape != (self.d, 1 << self.b):
             raise InvalidDimensionError(
                 f"table must be {self.d} x {1 << self.b}, got {entries.shape}")

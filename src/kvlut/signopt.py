@@ -167,7 +167,8 @@ def _candidate_mses(unit_rows: np.ndarray, signs, cbs) -> np.ndarray:
     picks and sign ROMs are identical for every W.
 
     Workers run in a copy of the caller's context, so its np.errstate holds
-    on them.  Every worker is joined before the call returns or raises; the
+    on them: numpy keeps errstate in a contextvar from 2.0, pyproject.toml's
+    floor.  Every worker is joined before the call returns or raises; the
     first exception raised on any thread stops the others at their next
     candidate and is re-raised here.
     """

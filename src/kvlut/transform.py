@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (CorruptRomError, FormatError, InvalidInputError,
-                     _check_power_of_two, _check_same_d, _check_shape, _read_only)
+                     _check_power_of_two, _check_same_d, _check_shape, _float64,
+                     _read_only)
 from .opcount import OpCounter
 
 __all__ = [
@@ -132,9 +133,9 @@ def _rotate_block(src_t: np.ndarray, signs: np.ndarray | None, out: np.ndarray,
     elements by default) when its contiguous run is shorter than half the
     buffer; the flip runs in runs of m values and butterfly stage h in runs
     of h * m (at m = 512 the flip and stages 1, 2 and 4 would be copied).
-    So both run under a buffer of 16 * (m // 16) (numpy 1.x takes only
-    multiples of 16), left alone below 16 or at or above the current size,
-    and restored in a finally (numpy 1.x's np.errstate would not).
+    So both run under a buffer of 16 * (m // 16) (numpy takes only
+    multiples of 16: 2.4.6 rejects 100), left alone below 16 or at or above
+    the current size, and restored in a finally.
     Elementwise ufuncs give the same bits at any buffer size, but a casting
     reduction does not, so no reduction may run in that scope.
     """
@@ -190,7 +191,7 @@ def fwht(x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     fixed-function datapath, where it folds into the design-time quantizer
     boundaries.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _float64(x, "transform input")
     _check_shape(arr, None, (1, 2))
     _check_power_of_two(arr.shape[-1], "transform length")
     return _rotate_rows(arr, None, counter)
@@ -205,7 +206,7 @@ def rotate(spec: RotationSpec, x: np.ndarray,
     row tile is flipped as it is copied into the butterflies' buffer, so no
     flipped copy of the whole block is made.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _float64(x, "rotation input")
     _check_shape(arr, spec.d, (1, 2))
     return _rotate_rows(arr, spec.sign.signs, counter)
 
@@ -213,7 +214,7 @@ def rotate(spec: RotationSpec, x: np.ndarray,
 def inverse_rotate(spec: RotationSpec, y: np.ndarray,
                    counter: OpCounter | None = None) -> np.ndarray:
     """Undo rotate(): R^-1 = R^T = diag(s) H_d / sqrt(d)."""
-    arr = np.asarray(y, dtype=np.float64)
+    arr = _float64(y, "rotated input")
     _check_shape(arr, spec.d, (1, 2))
     out = fwht(arr, counter)
     out *= spec.sign.signs
@@ -308,12 +309,24 @@ def pack_sign_rom(signs: list[SignVector]) -> bytes:
     return header + b"".join(serialize_signs(s) for s in signs)
 
 
-class _SignRom(NamedTuple):
-    """A .sgnrom image whose header and length are checked; records decode lazily."""
+class _SignRom(Sequence):
+    """A checked .sgnrom image as a read-only sequence of SignVectors.
 
-    data: bytes
-    d: int
-    count: int
+    len is the layer count, also held as count (which takes the place of
+    Sequence.count).  rom[i], iteration and layer(i) decode only the records
+    asked for, each with layer_id = its record position.
+    """
+
+    __slots__ = ("_data", "d", "count")
+
+    def __init__(self, data: bytes, d: int, count: int) -> None:
+        self._data, self.d, self.count = data, d, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> SignVector:
+        return self.layer(range(self.count)[operator.index(i)])
 
     def layer(self, layer: int) -> SignVector:
         """Decode one layer's record; layer_id is its record position."""
@@ -322,11 +335,14 @@ class _SignRom(NamedTuple):
                 f"sign ROM holds layers 0..{self.count - 1}, requested {layer}")
         record = (self.d + 7) // 8
         start = _ROM_HEADER.size + layer * record
-        return deserialize_signs(self.data[start:start + record], self.d, layer_id=layer)
+        return deserialize_signs(self._data[start:start + record], self.d, layer_id=layer)
 
 
-def _parse_sign_rom(data: bytes) -> _SignRom:
-    """Check a .sgnrom image's header and length, decoding no record."""
+def unpack_sign_rom(data: bytes) -> Sequence[SignVector]:
+    """A .sgnrom image with its header and length checked, whose records decode
+    only when asked for (_SignRom): each per-layer CLI call needs one layer, and
+    one of a 36-layer d=128 ROM took about 18 us against 390 us for all of them
+    (min of 2,000, 2-vCPU VM)."""
     if len(data) < _ROM_HEADER.size:
         raise FormatError(f"sign ROM truncated: {len(data)} bytes")
     magic, version, _, d, count = _ROM_HEADER.unpack_from(data)
@@ -340,13 +356,7 @@ def _parse_sign_rom(data: bytes) -> _SignRom:
             f"sign ROM for d={d} x {count} layers must be {expected} bytes, "
             f"got {len(data)}")
     _check_rom_header(d, count)
-    return _SignRom(data, d, count)
-
-
-def unpack_sign_rom(data: bytes) -> list[SignVector]:
-    """Parse a .sgnrom image; layer_id is assigned from record position."""
-    rom = _parse_sign_rom(data)
-    return [rom.layer(i) for i in range(rom.count)]
+    return _SignRom(bytes(data), d, count)
 
 
 def write_sign_rom(path, signs: list[SignVector]) -> None:
@@ -355,18 +365,7 @@ def write_sign_rom(path, signs: list[SignVector]) -> None:
         fh.write(data)
 
 
-def read_sign_rom(path) -> list[SignVector]:
+def read_sign_rom(path) -> Sequence[SignVector]:
+    """unpack_sign_rom of the file at path."""
     with open(path, "rb") as fh:
         return unpack_sign_rom(fh.read())
-
-
-def _open_sign_rom(path) -> _SignRom:
-    """read_sign_rom's checks, decoding no record until one is asked for.
-
-    Each per-layer CLI call (quantize, simulate-attention) needs one layer
-    of the ROM, and a 36-layer run makes three such calls a layer.  On a
-    36-layer d=128 ROM, read_sign_rom(path)[5] takes about 390 us and
-    _open_sign_rom(path).layer(5) about 18 us (min of 2,000, 2-vCPU VM).
-    """
-    with open(path, "rb") as fh:
-        return _parse_sign_rom(fh.read())

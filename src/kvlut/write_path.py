@@ -27,7 +27,7 @@ import numpy as np
 from .codebook import Codebook, _validate_design_point
 from .errors import (CorruptCacheError, FormatError, InvalidDimensionError,
                      InvalidInputError, _check_same_d, _check_shape, _finite_array,
-                     _read_only)
+                     _float64, _read_only)
 from .opcount import OpCounter
 from .transform import RotationSpec, _row_tiles, rotate
 
@@ -104,7 +104,10 @@ class KVCache(Sequence):
 
 def _half_norms(norms, what: str = "key norm") -> np.ndarray:
     """The one norm rule: a half copy of norms, none NaN or negative (+inf marks overflow)."""
-    half = np.array(norms, dtype=np.float16)
+    try:
+        half = np.array(norms, dtype=np.float16)
+    except OverflowError as exc:  # a Python int past the float64 range
+        raise InvalidInputError(f"{what}: a value past the float64 range") from exc
     bad = half[~(half >= 0)]
     if bad.size:
         raise InvalidInputError(f"{what} must be non-negative, got {bad}")
@@ -182,7 +185,7 @@ def quantize_batch(keys: np.ndarray, spec: RotationSpec, cb: Codebook,
     adapter passes it, and it goes in the next change to the benchmark.
     """
     _check_same_d(("codebook", cb.d), ("rotation", spec.d))
-    keys = np.asarray(keys, dtype=np.float64)
+    keys = _float64(keys, "key matrix")
     _check_shape(keys, cb.d, (2,), "key matrix")
     n, d = keys.shape
     norms = _key_norms(keys, "the key matrix")

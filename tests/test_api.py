@@ -9,12 +9,12 @@ import kvlut
 # edit here.
 EXPORTS = [
     'CalibrationSet', 'Codebook', 'ConfigConflictError', 'CorruptCacheError',
-    'CorruptRomError', 'EmptyCalibrationError', 'ErrorReport', 'FormatError',
+    'CorruptRomError', 'EmptyCalibrationError', 'FormatError',
     'InvalidDimensionError', 'InvalidInputError', 'IoError', 'JensenReport', 'KVCache',
     'KvlutError', 'LayerProfile', 'NonConvergenceError', 'NormDiagnostic', 'OpCounter',
     'PrecomputedTable', 'QuantizedKey', 'RotationSpec', 'SignSearchReport', 'SignVector',
     'SweepResult', 'SyntheticSpec', '__version__', 'analytic_distortion', 'candidate_mse',
-    'dequantize_key', 'deserialize_rom', 'deserialize_signs', 'evaluate_pipeline', 'fwht',
+    'dequantize_key', 'deserialize_rom', 'deserialize_signs', 'fwht',
     'generate_keys', 'infer_b', 'inverse_rotate', 'jensen_bias_probe', 'lloyd_residual',
     'load_key_matrix', 'max_residual', 'norm_ratio_diagnostic', 'pack_sign_rom',
     'packed_size', 'precompute_table', 'quantize_batch', 'random_signs', 'read_kvq',
@@ -27,7 +27,7 @@ EXPORTS = [
 
 def test_package_root_exports_the_pinned_names_once():
     assert sorted(kvlut.__all__) == EXPORTS
-    assert len(kvlut.__all__) == len(set(kvlut.__all__)) == 62
+    assert len(kvlut.__all__) == len(set(kvlut.__all__)) == 60
 
 
 def test_each_export_is_the_object_its_module_defines():

@@ -229,6 +229,22 @@ def test_deserialize_rejects_bad_images():
         deserialize_rom(values.astype("<f2").tobytes(), 128, 3)
 
 
+@pytest.mark.parametrize("i, j, swap", [(3, 4, False), (10, 11, False), (0, 1, True),
+                                         (12, 13, True), (0, 8, False), (1, 8, False)],
+                         ids=["equal-centroids", "equal-boundaries", "swapped-centroids",
+                              "swapped-boundaries", "boundary-on-lower-centroid",
+                              "boundary-on-upper-centroid"])
+def test_rom_ordering_breaks_get_the_interleave_message(i, j, swap):
+    # Interleaving, c[i] < t[i] < c[i+1], is the one ordering rule: it makes
+    # both arrays strictly ascend, so two equal values or a swapped pair
+    # break it, as does a boundary on either of its centroids.  b=3 image:
+    # centroids at 0..7, boundaries at 8..14.
+    values = np.frombuffer(serialize_rom(solve_codebook(128, 3)), dtype="<f2").copy()
+    values[[i, j]] = values[[j, i]] if swap else values[i]
+    with pytest.raises(CorruptRomError, match="^ROM boundaries do not interleave centroids$"):
+        deserialize_rom(values.tobytes(), 128, 3)
+
+
 # Up to d = 2^40, these are the design points whose half-rounded values
 # collapse into an image deserialize_rom rejects.
 _COLLAPSING = ([(2 ** e, 6) for e in (39, 40)] + [(2 ** e, 7) for e in range(37, 41)]

@@ -1,4 +1,5 @@
-"""Synthetic ensembles, pipeline quality metrics, bias probe, sweeps."""
+"""Synthetic ensembles, bias probe and sweeps, plus whole-pipeline quality:
+rotated MSE against the design distortion, and lookup-score error by bit-width."""
 
 import math
 
@@ -8,12 +9,12 @@ import pytest
 from kvlut.codebook import analytic_distortion, solve_codebook
 from kvlut.errors import (InvalidDimensionError, InvalidInputError)
 from kvlut.evalkit import (LayerProfile, SyntheticSpec, _check_jensen_args,
-                           evaluate_pipeline, generate_keys, jensen_bias_probe,
-                           sensitivity_sweep)
+                           generate_keys, jensen_bias_probe, sensitivity_sweep)
+from kvlut.read_path import score_sequence
 from kvlut.signopt import (RECOMMEND_OPTIMIZE, CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic)
 from kvlut.transform import RotationSpec, random_signs
-from kvlut.write_path import packed_size
+from kvlut.write_path import KVCache, quantize_batch
 
 
 def test_generate_keys_shapes_and_determinism():
@@ -85,51 +86,36 @@ def test_spec_validation():
 
 
 def test_evaluate_pipeline_report():
+    # The rotated-domain MSE of Gaussian keys sits near the codebook's design
+    # distortion.
     d, b = 128, 3
     cb = solve_codebook(d, b)
-    spec = RotationSpec(d=d, sign=random_signs(d, 8))
-    rng = np.random.default_rng(4)
-    keys = rng.normal(size=(200, d))
-    queries = rng.normal(size=(16, d))
-    report = evaluate_pipeline(keys, queries, spec, cb)
-    assert report.bytes_per_vector == 50
-    assert report.compression_ratio == pytest.approx(5.12)
-    # Rotated MSE sits near the codebook design distortion.
-    assert report.rotated_mse == pytest.approx(analytic_distortion(cb), rel=0.06)
-    assert 0.0 < report.ip_err_mean < report.ip_err_p95 < report.ip_err_max
-    assert report.score_cosine > 0.97
-    payload = report.to_dict()
-    assert payload["bytes_per_vector"] == 50
-    with pytest.raises(InvalidDimensionError):
-        evaluate_pipeline(keys[:, :64], queries, spec, cb)
-    with pytest.raises(InvalidDimensionError):
-        evaluate_pipeline(keys, queries[:, :64], spec, cb)
+    keys = np.random.default_rng(4).normal(size=(200, d))
+    mse = candidate_mse(CalibrationSet(keys=keys), random_signs(d, 8), cb)
+    assert mse == pytest.approx(analytic_distortion(cb), rel=0.06)
 
-
-def test_evaluate_pipeline_rejects_empty_inputs():
-    cb = solve_codebook(64, 2)
-    spec = RotationSpec(d=64, sign=random_signs(64, 3))
-    rng = np.random.default_rng(5)
-    keys, queries = rng.normal(size=(10, 64)), rng.normal(size=(4, 64))
-    with pytest.raises(InvalidInputError):
-        evaluate_pipeline(np.zeros((0, 64)), queries, spec, cb)
-    with pytest.raises(InvalidInputError):
-        evaluate_pipeline(keys, np.zeros((0, 64)), spec, cb)
 
 
 def test_evaluate_pipeline_error_shrinks_with_bits():
+    # Lookup scores close on the exact dot products as b grows: the error,
+    # scaled by ||q|| ||k|| per pair, falls at every step and is below 1% at
+    # 8 bits.
     d = 64
     spec = RotationSpec(d=d, sign=random_signs(d, 9))
     rng = np.random.default_rng(5)
     keys = rng.normal(size=(100, d))
     queries = rng.normal(size=(8, d))
+    exact = np.multiply(queries[:, None, :], keys[None, :, :]).sum(axis=2)
+    scale = np.sqrt(np.outer(np.sum(queries * queries, axis=1), np.sum(keys * keys, axis=1)))
     means = []
     for b in (1, 3, 5, 8):
-        report = evaluate_pipeline(keys, queries, spec, solve_codebook(d, b))
-        means.append(report.ip_err_mean)
+        cb = solve_codebook(d, b)
+        cache = KVCache(*quantize_batch(keys, spec, cb))
+        approx = np.array([score_sequence(q, cache, spec, cb)[0] for q in queries])
+        means.append(float(np.mean(np.abs(approx - exact) / scale)))
     assert all(hi > lo for hi, lo in zip(means, means[1:]))
-    # At 8 bits the scaled inner-product error is below 1%.
     assert means[-1] < 0.01
+
 
 
 def test_jensen_probe_matches_lognormal_oracle():
@@ -231,23 +217,11 @@ def test_identical_keys_produce_identical_scores():
     q = rng.normal(size=64)
     cb = solve_codebook(64, 3)
     spec = RotationSpec(d=64, sign=random_signs(64, 2))
-    report = evaluate_pipeline(keys, q, spec, cb)
-    # One query against identical keys: every error entry is the same value,
-    # so the order statistics collapse exactly (the mean only up to summation
-    # rounding).
-    assert report.ip_err_p95 == report.ip_err_max
-    assert report.ip_err_mean == pytest.approx(report.ip_err_max, rel=1e-14)
+    cache = KVCache(*quantize_batch(keys, spec, cb))
+    for mode in ("double", "fp16"):
+        scores, _ = score_sequence(q, cache, spec, cb, mode)
+        assert len({s.tobytes() for s in scores}) == 1, mode
 
-
-def test_compression_ratio_formula_across_shapes():
-    for d, b in ((32, 5), (64, 2), (128, 3), (256, 4)):
-        cb = solve_codebook(d, b)
-        spec = RotationSpec(d=d, sign=random_signs(d, 1))
-        rng = np.random.default_rng(d + b)
-        report = evaluate_pipeline(rng.normal(size=(4, d)),
-                                   rng.normal(size=(2, d)), spec, cb)
-        assert report.bytes_per_vector == packed_size(d, b)
-        assert report.compression_ratio == 2 * d / packed_size(d, b)
 
 
 def test_jensen_ratio_monotone_in_noise():

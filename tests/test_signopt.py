@@ -89,6 +89,22 @@ def test_single_unit_row_is_near_lossless_at_high_bits():
     assert mse < 1e-4
 
 
+@pytest.mark.parametrize("d, b", [(128, 3), (16, 2), (64, 4)])
+def test_equal_mses_pick_the_lowest_seed(d, b):
+    # One key on e_0 rotates to coordinates of +-1/sqrt(d), and the codebook
+    # is odd-symmetric, so every candidate's MSE is the same: the tie goes
+    # to the lowest seed, base_seed + 1.
+    e0 = np.zeros((1, d))
+    e0[0, 0] = 1.0
+    keys = CalibrationSet(keys=e0)
+    solo = select_signs(keys, C=20, b=b, base_seed=40)
+    reports, _ = select_signs_all_layers({0: keys, 1: CalibrationSet(keys=3 * e0)},
+                                         C=20, b=b, base_seed=40)
+    for report in (solo, *reports):
+        assert report.selected_seed == 41
+        assert len({m.tobytes() for m in report.mses}) == 1
+
+
 def test_select_signs_returns_argmin_bit_exactly():
     keys = cal_set(seed=5)
     report = select_signs(keys, C=20, b=3, base_seed=100)

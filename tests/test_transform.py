@@ -330,8 +330,10 @@ def test_sign_rom_rejects_corruption():
         unpack_sign_rom(b"XX" + blob[2:])
     with pytest.raises(CorruptRomError):
         unpack_sign_rom(blob[:2] + b"\x02" + blob[3:])
-    with pytest.raises(FormatError):
-        unpack_sign_rom(blob[:-1])
+    # The image is exactly its header's length: a byte short or past it.
+    for image in (blob[:-1], blob + b"\x00"):
+        with pytest.raises(FormatError, match="must be 16 bytes"):
+            unpack_sign_rom(image)
     with pytest.raises(FormatError):
         unpack_sign_rom(blob[:4])
     # No layers, and one layer of zero coordinates.

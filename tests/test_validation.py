@@ -1,8 +1,8 @@
 """Each public entry point raises the same exception class for the same bad
 input: wrong length, wrong ndim, a non-power-of-two d, NaN, inf, a key whose
 sum of squares passes the float64 range, a Python int past that range, a
-codebook/rotation d mismatch, a cell index past 2^b and a key file that does
-not hold real numbers.
+codebook/rotation d mismatch, a cell index past 2^b, and an array or a key
+file that does not hold real numbers.
 Dimension checks run before finiteness.
 Constructors store read-only views and leave the caller's arrays writeable."""
 
@@ -14,7 +14,7 @@ import pytest
 from kvlut.codebook import solve_codebook
 from kvlut.errors import (CorruptCacheError, EmptyCalibrationError, FormatError,
                           InvalidDimensionError, InvalidInputError)
-from kvlut.evalkit import LayerProfile, SyntheticSpec
+from kvlut.evalkit import LayerProfile, SyntheticSpec, jensen_bias_probe
 from kvlut.opcount import OpCounter
 from kvlut.read_path import PrecomputedTable, precompute_table, score_sequence
 from kvlut.reference import dequantize_key, score_sequence_reference
@@ -22,8 +22,8 @@ from kvlut.signopt import (CalibrationSet, candidate_mse,
                            norm_ratio_diagnostic, select_signs_all_layers)
 from kvlut.transform import (RotationSpec, SignVector, deserialize_signs, fwht,
                              inverse_rotate, random_signs, rotate, unpack_sign_rom)
-from kvlut.write_path import (QuantizedKey, load_key_matrix, packed_size, quantize_batch,
-                              write_kvq)
+from kvlut.write_path import (KVCache, QuantizedKey, load_key_matrix, packed_size,
+                              quantize_batch, write_kvq)
 
 D, B = 16, 2
 CB = solve_codebook(D, B)
@@ -183,6 +183,29 @@ CASES = {
     "LayerProfile-direction_gain-int-past-float64": (
         lambda _: LayerProfile(direction_gain=10**400), BAD),
     "LayerProfile-gain-int-past-float64": (lambda _: LayerProfile(gain=[10**400] * 4), BAD),
+    "rotate-int-past-float64": (lambda _: rotate(SPEC, [10**400] * D), BAD),
+    "fwht-int-past-float64": (lambda _: fwht([10**400] * D), BAD),
+    "inverse_rotate-int-past-float64": (lambda _: inverse_rotate(SPEC, [10**400] * D), BAD),
+    "quantize_batch-int-past-float64": (lambda _: quantize_batch([[10**400] * D], SPEC, CB), BAD),
+    "PrecomputedTable-int-past-float64": (
+        lambda _: PrecomputedTable(d=D, b=B, entries=[[10**400] * (1 << B)] * D), BAD),
+    "jensen_bias_probe-int-past-float64": (
+        lambda _: jensen_bias_probe([10**400] * 4, 0.1, trials=10), BAD),
+    "KVCache-norms-int-past-float64": (
+        lambda _: KVCache(np.zeros((1, D), np.uint8), [10**400]), BAD),
+    "QuantizedKey-norm-int-past-float64": (
+        lambda _: QuantizedKey(indices=np.zeros(D, np.uint8), norm=10**400), BAD),
+    # Numeric strings, which numpy would parse, and complex values are not real numbers.
+    "rotate-strings": (lambda _: rotate(SPEC, ["1.5"] * D), BAD),
+    "rotate-complex": (lambda _: rotate(SPEC, np.ones(D, complex)), BAD),
+    "quantize_batch-strings": (lambda _: quantize_batch([["1.5"] * D], SPEC, CB), BAD),
+    "precompute_table-strings": (lambda _: precompute_table(["1.5"] * D, SPEC, CB), BAD),
+    "precompute_table-object-strings": (
+        lambda _: precompute_table(np.array(["1.5"] * D, dtype=object), SPEC, CB), BAD),
+    "CalibrationSet-strings": (lambda _: CalibrationSet(keys=[["1.5"] * D]), BAD),
+    "CalibrationSet-complex": (lambda _: CalibrationSet(keys=np.ones((3, D), complex)), BAD),
+    "LayerProfile-scale-strings": (lambda _: LayerProfile(scale="2"), BAD),
+    "LayerProfile-gain-strings": (lambda _: LayerProfile(gain=["1.5"] * 4), BAD),
     "candidate_mse-keys-length": (
         lambda _: candidate_mse(CalibrationSet(keys=np.ones((3, 8))),
                                 random_signs(D, 1), CB), DIM),
@@ -244,12 +267,41 @@ PAST_FLOAT64_FIELDS = {
     "LayerProfile-scale-int-past-float64": "profile scale",
     "LayerProfile-direction_gain-int-past-float64": "direction_gain",
     "LayerProfile-gain-int-past-float64": "gain vector",
+    "rotate-int-past-float64": "rotation input",
+    "fwht-int-past-float64": "transform input",
+    "inverse_rotate-int-past-float64": "rotated input",
+    "quantize_batch-int-past-float64": "key matrix",
+    "PrecomputedTable-int-past-float64": "table entries",
+    "jensen_bias_probe-int-past-float64": "true_scores",
+    "KVCache-norms-int-past-float64": "key norms",
+    "QuantizedKey-norm-int-past-float64": "key norm",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PAST_FLOAT64_FIELDS))
 def test_a_value_past_float64_names_its_field(name, tmp_path):
     with pytest.raises(InvalidInputError, match=f"^{PAST_FLOAT64_FIELDS[name]}: a value past"):
+        CASES[name][0](tmp_path)
+
+
+# The field each not-real-numbers case names in its error.
+NOT_REAL_FIELDS = {
+    "rotate-strings": "rotation input",
+    "rotate-complex": "rotation input",
+    "quantize_batch-strings": "key matrix",
+    "precompute_table-strings": "query",
+    "precompute_table-object-strings": "query",
+    "CalibrationSet-strings": "calibration keys",
+    "CalibrationSet-complex": "calibration keys",
+    "LayerProfile-scale-strings": "profile scale",
+    "LayerProfile-gain-strings": "gain vector",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_REAL_FIELDS))
+def test_a_value_that_is_not_a_real_number_names_its_field(name, tmp_path):
+    with pytest.raises(InvalidInputError, match=f"^{NOT_REAL_FIELDS[name]} holds dtype .*, "
+                                                "not real numbers$"):
         CASES[name][0](tmp_path)
 
 

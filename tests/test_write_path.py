@@ -354,9 +354,11 @@ def test_kvq_rejects_corruption(tmp_path):
     bad.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(CorruptCacheError):
         read_kvq(bad)
-    bad.write_bytes(blob[:4] + b"\x09" + blob[5:])
-    with pytest.raises(CorruptCacheError):
-        read_kvq(bad)
+    # Version 1 is the only one read, below it as above.
+    for version in (0, 2, 9):
+        bad.write_bytes(blob[:4] + bytes([version]) + blob[5:])
+        with pytest.raises(CorruptCacheError, match=f"^unsupported cache version {version}$"):
+            read_kvq(bad)
     bad.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         read_kvq(bad)
